@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -44,10 +45,12 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+@lru_cache(maxsize=1)
 def problem_validator() -> Draft202012Validator:
     return Draft202012Validator(_load_schema("problem.schema.json"))
 
 
+@lru_cache(maxsize=1)
 def report_validator() -> Draft202012Validator:
     return Draft202012Validator(_load_schema("report.schema.json"))
 
@@ -424,7 +427,7 @@ def _run_kuranishi(payload, options, *, tol, convention, emit_certificates, box_
             for g, vec in payload["input"].items()
         }
     else:
-        seed = int(doc_option(options, "seed", 0))
+        seed = int(options.get("seed", 0))
         rng = np.random.default_rng(seed)
         x = {
             g: rng.normal(size=cx.n1(g)) + 1j * rng.normal(size=cx.n1(g))
@@ -442,10 +445,6 @@ def _run_kuranishi(payload, options, *, tol, convention, emit_certificates, box_
         str(g): [_cplx(z) for z in arr] for g, arr in sorted(u.items())
     }
     return body
-
-
-def doc_option(options, key, default):
-    return options.get(key, default)
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +576,11 @@ def _parser() -> argparse.ArgumentParser:
     valp = sub.add_parser("validate", help="validate problem files only")
     valp.add_argument("--input", nargs="+", required=True)
 
-    genp = sub.add_parser("gen", help="emit seeded random problem instances")
+    genp = sub.add_parser("gen", help="emit one seeded random problem instance")
     genp.add_argument("--kind", required=True,
                       choices=["stability", "kempf-ness", "stratify", "shb", "kuranishi"])
     genp.add_argument("--seed", type=int, default=0)
-    genp.add_argument("--count", type=int, default=1)
-    genp.add_argument("--out", default=None, help="write instances here (one file)")
+    genp.add_argument("--out", default=None, help="write the instance here")
     return ap
 
 
@@ -603,8 +601,7 @@ def main(argv=None) -> int:
             return worst
 
         if args.command == "gen":
-            docs = generate_instances(args.kind, args.seed, args.count)
-            text = _dump(docs if args.count > 1 else docs[0])
+            text = _dump(generate_instances(args.kind, args.seed, 1)[0])
             if args.out:
                 with open(args.out, "w") as fh:
                     fh.write(text)

@@ -22,11 +22,10 @@ array; missing grades mean zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
-from .qexact import nullspace, rational_rank
+from .qexact import integer_multiple, nullspace, rational_rank
 
 GVec = dict  # grade -> complex ndarray
 
@@ -266,11 +265,7 @@ def _integer_kernel_matrix(m) -> np.ndarray:
     if n_rows == 0:
         return np.eye(n_cols, dtype=complex)
     rows = [[int(v.real) for v in row] for row in m]
-    basis = nullspace(rows)
-    cols = []
-    for v in basis:
-        mult = lcm(*[f.denominator for f in v]) if v else 1
-        cols.append([int(f * mult) for f in v])
+    cols = [integer_multiple(v) for v in nullspace(rows)]
     if not cols:
         return np.zeros((len(rows[0]), 0), dtype=complex)
     return np.array(cols, dtype=complex).T

@@ -93,13 +93,25 @@ def _relint_lp(p: PolytopeQ, q: QVec):
     return t, alphas
 
 
+def locate(p: PolytopeQ, q: Sequence) -> tuple[str, tuple[Fraction, ...] | None]:
+    """hull_position and convex_combination of q from one relint solve."""
+    q = _check_point(p, q)
+    out = _relint_lp(p, q)
+    if out is None:
+        return OUTSIDE, None
+    t, alphas = out
+    if t == 0:
+        return ON_PROPER_FACE, alphas
+    if p.dim() == p.ambient_dim:
+        return INTERIOR, alphas
+    return RELATIVE_INTERIOR_ONLY, alphas
+
+
 def convex_combination(p: PolytopeQ, q: Sequence) -> tuple[Fraction, ...] | None:
     """Coefficients of a convex combination of the generators equal to q,
     or None when q is outside the hull.  The relint LP is reused so interior
     points get all-positive coefficients."""
-    q = _check_point(p, q)
-    out = _relint_lp(p, q)
-    return None if out is None else out[1]
+    return locate(p, q)[1]
 
 
 def hull_position(p: PolytopeQ, q: Sequence) -> str:
@@ -110,35 +122,33 @@ def hull_position(p: PolytopeQ, q: Sequence) -> str:
     the hull to be full-dimensional; RelativeInteriorOnly flags points in
     the relative interior of a lower-dimensional hull.
     """
-    q = _check_point(p, q)
-    out = _relint_lp(p, q)
-    if out is None:
-        return OUTSIDE
-    t, _ = out
-    if t == 0:
-        return ON_PROPER_FACE
-    if p.dim() == p.ambient_dim:
-        return INTERIOR
-    return RELATIVE_INTERIOR_ONLY
+    return locate(p, q)[0]
 
 
 def minimal_face(p: PolytopeQ, q: Sequence) -> tuple[int, ...]:
     """Indices of the generators on the unique face whose relative interior
-    contains q.
-
-    A generator belongs to that face iff some convex representation of q
-    gives it positive weight, so each index is settled by one small LP
-    maximizing its coefficient; supports of maximizers are merged to skip
-    indices already known to be on the face.
-    """
-    q = _check_point(p, q)
+    contains q."""
     base = convex_combination(p, q)
     if base is None:
         raise ValueError("q lies outside the hull")
+    return face_support(p, q, base)
+
+
+def face_support(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction]) -> tuple[int, ...]:
+    """minimal_face of q, given any convex combination of the generators
+    equal to q.
+
+    A generator belongs to that face iff some convex representation of q
+    gives it positive weight, so each index is settled by one small LP
+    maximizing its coefficient; supports of maximizers, starting from the
+    given combination, are merged to skip indices already known to be on
+    the face.
+    """
+    q = _check_point(p, q)
     gens = p.generators
     m = len(gens)
     d = p.ambient_dim
-    face = {i for i in range(m) if base[i] > 0}
+    face = {i for i in range(m) if combination[i] > 0}
     rows = [[g[i] for g in gens] for i in range(d)] + [[Fraction(1)] * m]
     rhs = list(q) + [Fraction(1)]
     for i in range(m):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 QVec = tuple[Fraction, ...]
@@ -25,21 +25,17 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
-def vadd(a: Sequence, b: Sequence) -> QVec:
-    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
-
-
 def vsub(a: Sequence, b: Sequence) -> QVec:
     return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
 
 
-def vscale(c, a: Sequence) -> QVec:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in a)
-
-
-def zero_vec(n: int) -> QVec:
-    return (Fraction(0),) * n
+def integer_multiple(v: Iterable) -> IVec:
+    """m * v for the least positive integer m making every entry of v an
+    integer (the lcm of the denominators).  No gcd is divided out, so the
+    result need not be primitive."""
+    fr = [Fraction(x) for x in v]
+    m = lcm(*(x.denominator for x in fr))
+    return tuple(int(x * m) for x in fr)
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -234,20 +230,6 @@ class Lattice:
         cols = [[Fraction(b[i]) for b in self.basis] for i in range(self.ambient_dim)]
         sol = solve_linear(cols, [Fraction(int(c)) for c in x])
         return sol is not None and all(c.denominator == 1 for c in sol)
-
-
-def _primitive(v: Sequence[Fraction]) -> IVec:
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
 
 
 def saturated_kernel(weights: Sequence[Sequence[int]], ambient_dim: int | None = None) -> Lattice:

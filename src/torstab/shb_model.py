@@ -19,7 +19,8 @@ the test suite run under both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import TorstabError
@@ -277,8 +278,23 @@ def _set_partitions(n: int):
 @dataclass(frozen=True)
 class PartitionPoset:
     partitions: tuple[PartitionP, ...]
-    # pairs (i, j) with partitions[i] > partitions[j] (strict coarsening)
-    order: frozenset
+    # classes[i]: every partition of the index set deduplicated into
+    # partitions[i]; only the order reads them
+    classes: tuple[tuple[PartitionP, ...], ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def order(self) -> frozenset:
+        """Pairs (i, j) with partitions[i] > partitions[j] (strict
+        coarsening), built on first read."""
+        order = set()
+        for ia in range(len(self.partitions)):
+            for ib, pb in enumerate(self.partitions):
+                if ia == ib:
+                    continue
+                # pb fixed; pa > pb iff some member of pa's class is coarser
+                if any(pb.refines(cand) and pb != cand for cand in self.classes[ia]):
+                    order.add((ia, ib))
+        return frozenset(order)
 
     def greater(self, a: PartitionP, b: PartitionP) -> bool:
         return (self.partitions.index(a), self.partitions.index(b)) in self.order
@@ -292,11 +308,11 @@ class PartitionPoset:
 def partitions_with_order(shb: SHBSpec) -> PartitionPoset:
     """All partitions of the block multiset, ordered by strict coarsening
     (P > P' when P' refines P).  Partitions identifying the same multiset of
-    block-data multisets are deduplicated."""
+    block-data multisets are deduplicated; the order is computed only when
+    read."""
     k = shb.k
     if k > MAX_PARTITION_BLOCKS:
         raise TorstabError(f"partition enumeration capped at {MAX_PARTITION_BLOCKS} blocks")
-    raw = [PartitionP.of(parts) for parts in _set_partitions(k)]
 
     def block_key(i):
         b = shb.blocks[i]
@@ -307,23 +323,14 @@ def partitions_with_order(shb: SHBSpec) -> PartitionPoset:
             sorted(tuple(sorted(block_key(i) for i in part)) for part in p.parts)
         )
 
-    reps: dict = {}
     classes: dict = {}
-    for p in raw:
-        sig = signature(p)
-        classes.setdefault(sig, []).append(p)
-        reps.setdefault(sig, p)
-    parts = tuple(reps[sig] for sig in reps)
-    order = set()
-    for ia, pa in enumerate(parts):
-        siga = signature(pa)
-        for ib, pb in enumerate(parts):
-            if ia == ib:
-                continue
-            # pb fixed; pa > pb iff some member of pa's class is coarser
-            if any(pb.refines(cand) and pb != cand for cand in classes[siga]):
-                order.add((ia, ib))
-    return PartitionPoset(parts, frozenset(order))
+    for parts in _set_partitions(k):
+        p = PartitionP.of(parts)
+        classes.setdefault(signature(p), []).append(p)
+    return PartitionPoset(
+        tuple(members[0] for members in classes.values()),
+        tuple(tuple(members) for members in classes.values()),
+    )
 
 
 def rr_h1_lower_bound(r1: int, r2: int, deg: int, g: int):
@@ -390,13 +397,6 @@ class ConformalDegreeTable:
         cod = tuple(int(v) for v in cod_s.split("."))
         dom = tuple(int(v) for v in dom_s.split("."))
         return self.degree(cod, dom)
-
-    def in_filtration(self, cod, dom, d: int) -> bool:
-        """Filtration membership: degree at least d."""
-        return self.degree(cod, dom) >= d
-
-    def filtration(self, d: int):
-        return {key for key, deg in self.entries.items() if deg >= d}
 
 
 def conformal_degree_table(

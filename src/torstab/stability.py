@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -25,12 +24,11 @@ from .polytope import (
     ON_PROPER_FACE,
     RELATIVE_INTERIOR_ONLY,
     PolytopeQ,
-    convex_combination,
-    hull_position,
-    minimal_face,
+    face_support,
+    locate,
     solve_mixed_system,
 )
-from .qexact import Lattice, dot, saturated_kernel
+from .qexact import Lattice, dot, integer_multiple, saturated_kernel
 from .simplex import OPTIMAL, solve_lp_mixed
 from .torus_rep import RepVector
 
@@ -38,6 +36,11 @@ UNSTABLE = "Unstable"
 SEMISTABLE_NOT_POLYSTABLE = "SemistableNotPolystable"
 POLYSTABLE_NOT_STABLE = "PolystableNotStable"
 STABLE = "Stable"
+
+# Largest integer box destabilizer_bruteforce will materialise: the grid and
+# the weight products cost tens of bytes per point, so this keeps a scan
+# near 100 MB while admitting the rank-3 box at bound 50 (101^3 points).
+MAX_BOX_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -93,14 +96,6 @@ class StabilityResult:
         return False
 
 
-def _integerize(v) -> tuple[int, ...]:
-    fr = [Fraction(x) for x in v]
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return tuple(int(x * denom) for x in fr)
-
-
 def _separating_cocharacter(weights) -> tuple[int, ...]:
     """Integer x with <w, x> >= 1 for every listed weight (0 outside hull)."""
     k = len(weights[0])
@@ -110,7 +105,7 @@ def _separating_cocharacter(weights) -> tuple[int, ...]:
     assert res.status == OPTIMAL and res.value > 0
     t = res.x[k]
     x = [c / t for c in res.x[:k]]
-    return _integerize(x)
+    return integer_multiple(x)
 
 
 def _face_cocharacter(weights, face_idx) -> tuple[int, ...]:
@@ -121,7 +116,7 @@ def _face_cocharacter(weights, face_idx) -> tuple[int, ...]:
     stricts = [(weights[i], 0) for i in range(len(weights)) if i not in face]
     sol = solve_mixed_system(eqs, stricts, k)
     assert sol is not None
-    return _integerize(sol)
+    return integer_multiple(sol)
 
 
 def classify(v: RepVector) -> StabilityResult:
@@ -133,22 +128,22 @@ def classify(v: RepVector) -> StabilityResult:
     k = len(weights[0])
     hull = PolytopeQ.from_points(weights, ambient_dim=k)
     origin = (0,) * k
-    pos = hull_position(hull, origin)
+    pos, combination = locate(hull, origin)
     if pos == INTERIOR:
-        return StabilityResult(STABLE, weights, combination=convex_combination(hull, origin))
+        return StabilityResult(STABLE, weights, combination=combination)
     if pos == RELATIVE_INTERIOR_ONLY:
         return StabilityResult(
             POLYSTABLE_NOT_STABLE,
             weights,
-            combination=convex_combination(hull, origin),
+            combination=combination,
             flat_lattice=saturated_kernel(weights),
         )
     if pos == ON_PROPER_FACE:
-        face = minimal_face(hull, origin)
+        face = face_support(hull, origin, combination)
         return StabilityResult(
             SEMISTABLE_NOT_POLYSTABLE,
             weights,
-            combination=convex_combination(hull, origin),
+            combination=combination,
             cocharacter=_face_cocharacter(weights, face),
         )
     return StabilityResult(UNSTABLE, weights, cocharacter=_separating_cocharacter(weights))
@@ -182,6 +177,12 @@ def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
     k = len(weights[0])
     if k == 0:
         return None
+    points = (2 * box_bound + 1) ** k
+    if points > MAX_BOX_POINTS:
+        raise ValueError(
+            f"brute-force box of {points} points (rank {k}, bound {box_bound}) "
+            f"exceeds the limit of {MAX_BOX_POINTS}"
+        )
     pts = _box_points(k, box_bound)
     w = np.array(weights, dtype=np.int64)
     ok = (pts @ w.T >= 0).all(axis=1)

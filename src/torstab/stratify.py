@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import NotStableError, StratifyInternalError, ZeroVectorError
 from .kempf_ness import KNProblem, KNResult, kn_minimize
 from .polytope import PolytopeQ, minimal_face, ray_intersect, solve_mixed_system
-from .qexact import Lattice, QVec, dot, nullspace, qvec, saturated_kernel
+from .qexact import Lattice, QVec, dot, integer_multiple, saturated_kernel
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, classify
 from .torus_rep import RepVector, Subtorus
 
@@ -192,6 +191,7 @@ def stratify(
 
         restricted = sorted({p[: gn.dim] for p in face_pts})
         ker = saturated_kernel(restricted, ambient_dim=gn.dim)
+        # a saturated kernel lifted through a saturated basis is saturated
         lifted = tuple(
             tuple(
                 sum(z[j] * gn.basis[j][i] for j in range(gn.dim))
@@ -199,7 +199,7 @@ def stratify(
             )
             for z in ker.basis
         )
-        g_next = Subtorus(k, saturated_kernel_lift(lifted, k))
+        g_next = Subtorus(k, Lattice(k, lifted))
         if not g_next.dim < gn.dim:
             raise StratifyInternalError(
                 "NonDecreasingTorus", f"stabilizer did not shrink at stage {n}"
@@ -227,17 +227,13 @@ def stratify(
 
     residual = tuple(sorted(effective - removed))
 
-    # minimal sigma clearing every denominator, times the requested multiple
-    denoms = [f.denominator for f in x_prev]
-    q_of: dict[str, Fraction] = {}
-    for lab in sorted(effective):
-        ln = u.line(lab)
-        q = Fraction(ln.rho) + dot(ln.weight, x_prev)
-        q_of[lab] = q
-        denoms.append(q.denominator)
-    sigma = 1
-    for d in denoms:
-        sigma = lcm(sigma, d)
+    q_of = {
+        lab: Fraction(u.line(lab).rho) + dot(u.line(lab).weight, x_prev)
+        for lab in sorted(effective)
+    }
+    # minimal sigma clearing every denominator (the first entry of the least
+    # integral multiple of (1, x, q)), times the requested multiple
+    sigma = integer_multiple((1, *x_prev, *q_of.values()))[0]
     sigma *= options.sigma_multiple
     x = tuple(int(sigma * c) for c in x_prev)
 
@@ -258,32 +254,6 @@ def stratify(
         residual_labels=residual,
         exponents=exponents,
     )
-
-
-def saturated_kernel_lift(lifted_basis, ambient):
-    """Wrap an already-saturated lifted basis as a Lattice, re-saturating
-    defensively through a Smith normal form pass when needed."""
-    lat = Lattice(ambient, tuple(tuple(int(c) for c in b) for b in lifted_basis))
-    if not lat.is_saturated():
-        ker = saturated_kernel(
-            nullspace_rows(lat, ambient), ambient_dim=ambient
-        )
-        return ker
-    return lat
-
-
-def nullspace_rows(lat, ambient):
-    """Integer functionals cutting out the rational span of the lattice."""
-    if lat.rank == 0:
-        return [tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
-    dual = nullspace([qvec(b) for b in lat.basis])
-    out = []
-    for v in dual:
-        denom = 1
-        for c in v:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        out.append(tuple(int(c * denom) for c in v))
-    return out
 
 
 # ---------------------------------------------------------------------------

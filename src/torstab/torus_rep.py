@@ -209,10 +209,6 @@ class RepVector:
         )
         return RepVector(lines, dict(self.amplitudes))
 
-    def drop_grading(self) -> "RepVector":
-        lines = tuple(WeightLine(ln.label, ln.weight, None, ln.norm2) for ln in self.lines)
-        return RepVector(lines, dict(self.amplitudes))
-
     def one_ps_exponents(self, x: Sequence[int], sigma: int) -> dict[str, int]:
         """Exponent rho*sigma + <weight, x> of t on each effective component
         under the one-parameter subgroup (x, sigma)."""
@@ -247,22 +243,4 @@ class RepVector:
             if a != 0:
                 a = a * math.exp(sum(wi * xi for wi, xi in zip(ln.weight, x)))
             amps[ln.label] = a
-        return RepVector(self.lines, amps)
-
-    def add(self, other: "RepVector") -> "RepVector":
-        if self.lines != other.lines:
-            raise ValueError("vectors live in different representations")
-        amps = {
-            ln.label: self.amplitude(ln.label) + other.amplitude(ln.label)
-            for ln in self.lines
-        }
-        return RepVector(self.lines, amps)
-
-    def sub(self, other: "RepVector") -> "RepVector":
-        if self.lines != other.lines:
-            raise ValueError("vectors live in different representations")
-        amps = {
-            ln.label: self.amplitude(ln.label) - other.amplitude(ln.label)
-            for ln in self.lines
-        }
         return RepVector(self.lines, amps)

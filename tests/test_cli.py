@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -280,6 +281,24 @@ def test_run_shb_with_conformal_table():
     degs = report["report"]["conformal_degrees"]
     assert degs["1.1|1.1"] == 0 and degs["2.1|2.1"] == 0
     assert degs["1.1|2.1"] == -degs["2.1|1.1"] != 0
+
+
+def test_main_rejects_oversized_bruteforce_box(tmp_path, capsys):
+    # rank 4 at bound 50 is 101^4 points; refused before any grid is built
+    doc = stability_doc()
+    doc["payload"]["rank"] = 4
+    doc["payload"]["lines"] = [
+        {"label": "a", "weight": [1, 0, 0, 0]},
+        {"label": "b", "weight": [-1, 0, 0, 0]},
+    ]
+    p = tmp_path / "rank4.json"
+    p.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main(["run", "--input", str(p), "--box-bound", "50"]) == 2
+    assert time.perf_counter() - t0 < 5
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "rejected"
+    assert str(101**4) in report["report"]["reason"]
 
 
 def test_run_stability_with_bruteforce_scan():

@@ -196,6 +196,66 @@ def test_partitions_dedupe_identical_blocks():
     assert len(poset.partitions) == 3  # {3}, {2,1}, {1,1,1}
 
 
+def test_partitions_distinct_blocks_bell_numbers():
+    # pairwise-distinct blocks: no deduplication, so the count is Bell(k),
+    # up to the documented cap
+    bell = (1, 2, 5, 15, 52, 203, 877, 4140)
+    for k, count in enumerate(bell, start=1):
+        shb = SHBSpec(2, tuple(line_block(f"b{i}") for i in range(k)))
+        assert len(partitions_with_order(shb).partitions) == count
+
+
+def eager_order(shb, parts):
+    """Strict-coarsening pairs between the deduplicated partitions, by a
+    double loop over the raw set partitions of each class."""
+
+    def signature(p):
+        keys = [(b.ranks, b.degrees, b.tag) for b in shb.blocks]
+        return tuple(sorted(tuple(sorted(keys[i] for i in part)) for part in p.parts))
+
+    classes = {}
+    for raw in set_partitions(list(range(shb.k))):
+        p = PartitionP.of(raw)
+        classes.setdefault(signature(p), []).append(p)
+    order = set()
+    for ia, pa in enumerate(parts):
+        for ib, pb in enumerate(parts):
+            if ia != ib and any(
+                pb.refines(cand) and pb != cand for cand in classes[signature(pa)]
+            ):
+                order.add((ia, ib))
+    return frozenset(order)
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for smaller in set_partitions(rest):
+        for i in range(len(smaller)):
+            yield smaller[:i] + [[first] + smaller[i]] + smaller[i + 1:]
+        yield [[first]] + smaller
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        (line_block("x"), line_block("x"), StableBlock((1, 1), (1, -1)), line_block("x")),
+        tuple(line_block(f"b{i}") for i in range(4)),
+    ],
+    ids=["repeated", "distinct"],
+)
+def test_partitions_lazy_order_matches_eager(blocks):
+    shb = SHBSpec(2, blocks)
+    poset = partitions_with_order(shb)
+    assert "order" not in vars(poset)
+    assert poset.order == eager_order(shb, poset.partitions)
+    for ia, a in enumerate(poset.partitions):
+        for ib, b in enumerate(poset.partitions):
+            assert poset.greater(a, b) == ((ia, ib) in poset.order)
+
+
 def test_partitions_cap():
     shb = SHBSpec(2, tuple(line_block(f"b{i}") for i in range(9)))
     with pytest.raises(TorstabError):

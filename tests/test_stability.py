@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torstab import polytope
 from torstab.errors import ZeroVectorError
 from torstab.qexact import saturated_kernel
 from torstab.stability import (
@@ -34,6 +35,29 @@ def test_classify_semistable_case():
     r = classify(vec([(0, 1), (0, -1), (1, 0)]))
     assert r.stability == SEMISTABLE_NOT_POLYSTABLE
     assert r.verify()
+
+
+@pytest.mark.parametrize(
+    "weights, expected",
+    [
+        ([(1, 0), (-1, 1), (0, -1)], STABLE),
+        ([(1, 0), (-1, 0)], POLYSTABLE_NOT_STABLE),
+        ([(0, 1), (0, -1), (1, 0)], SEMISTABLE_NOT_POLYSTABLE),
+        ([(1, 0), (2, 1)], UNSTABLE),
+    ],
+)
+def test_classify_solves_relint_lp_once(monkeypatch, weights, expected):
+    calls = []
+    relint = polytope._relint_lp
+
+    def counted(p, q):
+        calls.append(q)
+        return relint(p, q)
+
+    monkeypatch.setattr(polytope, "_relint_lp", counted)
+    r = classify(vec(weights))
+    assert r.stability == expected and r.verify()
+    assert len(calls) == 1
 
 
 def test_classify_zero_vector_rejected():
