@@ -36,3 +36,12 @@ class ValidationError(TorstabError):
     def __init__(self, errors):
         super().__init__("; ".join(errors))
         self.errors = list(errors)
+
+
+class InternalError(Exception):
+    """A broken internal invariant: a bug in this library, never bad input.
+
+    Deliberately neither a TorstabError nor a ValueError, so that
+    ``run_document`` does not report it as a rejection (exit 2); the CLI's
+    catch-all reports it as an internal error (exit 1).  Raised explicitly
+    rather than by ``assert`` so that ``python -O`` keeps the check."""

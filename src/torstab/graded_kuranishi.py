@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qexact import integer_multiple, nullspace, rational_rank
+from .qexact import clear_denominators, nullspace, rational_rank
 
 GVec = dict  # grade -> complex ndarray
 
@@ -265,7 +265,7 @@ def _integer_kernel_matrix(m) -> np.ndarray:
     if n_rows == 0:
         return np.eye(n_cols, dtype=complex)
     rows = [[int(v.real) for v in row] for row in m]
-    cols = [integer_multiple(v) for v in nullspace(rows)]
+    cols = [clear_denominators(v)[1] for v in nullspace(rows)]
     if not cols:
         return np.zeros((len(rows[0]), 0), dtype=complex)
     return np.array(cols, dtype=complex).T

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InternalError
 from .qexact import QVec, qvec, rational_rank, vsub
 from .simplex import OPTIMAL, solve_lp, solve_lp_mixed
 
@@ -157,7 +158,8 @@ def face_support(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction]) -> 
         obj = [Fraction(0)] * m
         obj[i] = Fraction(1)
         res = solve_lp(rows, rhs, obj)
-        assert res.status == OPTIMAL
+        if res.status != OPTIMAL:
+            raise InternalError(f"face LP is {res.status}, but q is in the hull")
         if res.value > 0:
             face.update(j for j in range(m) if res.x[j] > 0)
     return tuple(sorted(face))

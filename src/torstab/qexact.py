@@ -29,13 +29,14 @@ def vsub(a: Sequence, b: Sequence) -> QVec:
     return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
 
 
-def integer_multiple(v: Iterable) -> IVec:
-    """m * v for the least positive integer m making every entry of v an
-    integer (the lcm of the denominators).  No gcd is divided out, so the
-    result need not be primitive."""
-    fr = [Fraction(x) for x in v]
+def clear_denominators(v: Iterable) -> tuple[int, IVec]:
+    """(m, m * v) for the least positive integer m making every entry of v
+    an integer (the lcm of the denominators).  No gcd is divided out, so
+    m * v need not be primitive.  Ints and Fractions are read as they are;
+    anything else goes through Fraction."""
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     m = lcm(*(x.denominator for x in fr))
-    return tuple(int(x * m) for x in fr)
+    return m, tuple(x.numerator * (m // x.denominator) for x in fr)
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

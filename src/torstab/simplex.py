@@ -1,10 +1,41 @@
-"""Exact rational simplex for small dense LPs.
+"""Exact simplex for small dense LPs on an integer-preserving tableau.
 
-Standard form: maximize c.x subject to A x = b, x >= 0, all data Fraction.
-Two phases with Bland's rule (smallest eligible index enters; ratio ties
-break to the smallest basic variable index), so the method is deterministic
-and never cycles.  Intended for the tiny instances produced by polytope and
-stratification queries; no attempt is made at sparse or revised variants.
+Standard form: maximize c.x subject to A x = b, x >= 0, with rational data
+(ints, Fractions, or anything Fraction accepts).  Two phases with Bland's
+rule (smallest eligible index enters; ratio ties break to the smallest
+basic variable index), so the method is deterministic and never cycles.
+Intended for the tiny instances produced by polytope and stratification
+queries; no attempt is made at sparse or revised variants.
+
+Integer tableau.  ``solve_lp`` multiplies every entry of A and b by one
+common positive integer (the lcm of all their denominators) and c by the
+lcm of its own, then runs on Python ints only.  Each tableau row holds D
+times the corresponding row of the rational simplex tableau, where D > 0 is
+the absolute value of the determinant of the current basis of the scaled
+matrix [A | I]; by Cramer's rule every entry is an integer.  A pivot on the
+entry p = row_r[c] keeps row r and replaces every other row, the objective
+row included, by (p * row - row[c] * row_r) // D, a division that is exact
+by Sylvester's identity (the fraction-free elimination of Edmonds 1967 and
+Bareiss 1968); then D := p.  The objective row holds D times the reduced
+costs and, in its right-hand-side column, -D times the objective value.  It
+is set once at the start of each phase and updated by every pivot.
+Fractions are built only where the solution, the ray and the value are
+read off.
+
+Entering columns need a positive reduced cost and leaving rows a positive
+entry, and ratios are compared by cross-multiplying, so D > 0 keeps every
+sign test equal to the rational one.  The one pivot Bland's rule does not
+choose, driving a leftover zero-level artificial out of the basis, may sit
+on a negative entry; that row is negated first, which keeps D > 0 and
+leaves the rational tableau after the pivot unchanged.
+
+Why one common scale and not one per row: the phase-1 objective is
+-(sum of artificials).  Multiplying all of A and b by the same L multiplies
+every artificial variable by L and the phase-1 objective by L, which
+changes no sign and no ratio comparison, so the pivots are those of the
+rational tableau on the unscaled data.  Scaling row i by its own L_i would
+weight artificial i by L_i in that objective and could change the column
+Bland's rule picks.
 """
 
 from __future__ import annotations
@@ -12,6 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .errors import InternalError
+from .qexact import clear_denominators
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -29,66 +63,79 @@ class LPResult:
     ray: tuple[Fraction, ...] | None = None  # improving direction if unbounded
 
 
+def _eliminate(row, prow, p, d, c):
+    """row after the pivot on prow[c] = p, old denominator d (exact)."""
+    f = row[c]
+    if f == 0:
+        return row if p == d else [p * x // d for x in row]
+    return [(p * x - f * y) // d for x, y in zip(row, prow)]
+
+
 class _Tableau:
     def __init__(self, a, b, nvars):
+        # a, b are ints; the artificial column block holds D * B^{-1}
         self.m = len(a)
         self.nvars = nvars
-        self.ncols = nvars + self.m  # artificial column block holds B^{-1}
+        self.ncols = nvars + self.m
         self.rows = []
         for i in range(self.m):
-            coeffs = list(a[i]) if b[i] >= 0 else [-x for x in a[i]]
-            row = coeffs + [_ZERO] * self.m + [abs(b[i])]
-            row[nvars + i] = _ONE
+            row = list(a[i]) if b[i] >= 0 else [-x for x in a[i]]
+            row += [0] * self.m
+            row.append(abs(b[i]))
+            row[nvars + i] = 1
             self.rows.append(row)
         self.basis = [nvars + i for i in range(self.m)]
+        self.det = 1
+        self.obj = None
+
+    def set_objective(self, cost):
+        """Objective row for integer costs over all columns:
+        D * c_j - sum_i c_{B(i)} * row_i[j], and -D * value last."""
+        z = [self.det * x for x in cost] + [0]
+        for bi, row in zip(self.basis, self.rows):
+            cb = cost[bi]
+            if cb:
+                z = [x - cb * y for x, y in zip(z, row)]
+        self.obj = z
 
     def pivot(self, r, c):
-        piv = self.rows[r][c]
-        self.rows[r] = [x / piv for x in self.rows[r]]
+        rows, d = self.rows, self.det
+        prow = rows[r]
+        p = prow[c]
         for i in range(self.m):
-            if i != r and self.rows[i][c] != 0:
-                f = self.rows[i][c]
-                self.rows[i] = [x - f * y for x, y in zip(self.rows[i], self.rows[r])]
+            if i != r:
+                rows[i] = _eliminate(rows[i], prow, p, d, c)
+        self.obj = _eliminate(self.obj, prow, p, d, c)
         self.basis[r] = c
-
-    def reduced_costs(self, cost):
-        # cost over all columns; reduced cost r_j = c_j - c_B . column_j
-        z = [_ZERO] * (self.ncols + 1)
-        for i, bi in enumerate(self.basis):
-            cb = cost[bi]
-            if cb != 0:
-                row = self.rows[i]
-                for j in range(self.ncols + 1):
-                    if row[j] != 0:
-                        z[j] += cb * row[j]
-        return [cost[j] - z[j] for j in range(self.ncols)], z[self.ncols]
+        self.det = p
 
     def solution(self):
         x = [_ZERO] * self.nvars
         for i, bi in enumerate(self.basis):
             if bi < self.nvars:
-                x[bi] = self.rows[i][-1]
+                x[bi] = Fraction(self.rows[i][-1], self.det)
         return tuple(x)
 
     def _ratio_row(self, c):
+        # min (rhs_i / a_i, basis_i) over a_i > 0; D cancels from the ratio
         best = None
-        for i in range(self.m):
-            a = self.rows[i][c]
+        for i, row in enumerate(self.rows):
+            a = row[c]
             if a > 0:
-                ratio = self.rows[i][-1] / a
-                key = (ratio, self.basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        return None if best is None else best[1]
+                if best is None:
+                    best, ba, brhs = i, a, row[-1]
+                    continue
+                lhs, rhs = row[-1] * ba, brhs * a
+                if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best]):
+                    best, ba, brhs = i, a, row[-1]
+        return best
 
-    def optimize(self, cost, allowed):
-        """Run simplex iterations (maximization) with Bland's rule."""
+    def optimize(self, ncols):
+        """Run simplex iterations (maximization) with Bland's rule over the
+        first ncols columns.  Basic columns have reduced cost exactly 0."""
         while True:
-            red, _ = self.reduced_costs(cost)
-            enter = next(
-                (j for j in range(self.ncols) if allowed[j] and j not in self.basis and red[j] > 0),
-                None,
-            )
+            obj = self.obj
+            enter = next((j for j in range(ncols) if obj[j] > 0), None)
             if enter is None:
                 return OPTIMAL
             leave = self._ratio_row(enter)
@@ -105,48 +152,45 @@ class _Tableau:
             d[c] = _ONE
         for i, bi in enumerate(self.basis):
             if bi < self.nvars:
-                d[bi] = -self.rows[i][c]
+                d[bi] = Fraction(-self.rows[i][c], self.det)
         return tuple(d)
 
 
 def solve_lp(a: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
     """Maximize c.x subject to a x = b, x >= 0 (all rationals, exact)."""
-    a = [[Fraction(x) for x in row] for row in a]
-    b = [Fraction(x) for x in b]
-    c = [Fraction(x) for x in c]
     nvars = len(c)
     for row in a:
         if len(row) != nvars:
             raise ValueError("constraint row of wrong length")
-    t = _Tableau(a, b, nvars)
-    m = t.m
+    m = len(a)
+    _, flat = clear_denominators([x for row in a for x in row] + list(b))
+    t = _Tableau([flat[i * nvars:(i + 1) * nvars] for i in range(m)],
+                 flat[m * nvars:], nvars)
+    cscale, cint = clear_denominators(c)
 
     # phase 1: maximize -(sum of artificials)
-    phase1 = [_ZERO] * nvars + [Fraction(-1)] * m
-    allowed = [True] * (nvars + m)
-    status = t.optimize(phase1, allowed)
-    assert status == OPTIMAL  # phase-1 objective is bounded above by 0
-    _, zval = t.reduced_costs(phase1)
-    if zval != 0:
+    t.set_objective([0] * nvars + [-1] * m)
+    if t.optimize(nvars + m) != OPTIMAL:
+        raise InternalError("phase 1 unbounded, but its objective is at most 0")
+    if t.obj[-1] != 0:
         return LPResult(INFEASIBLE)
 
     # drive leftover artificials out of the basis (or drop redundant rows)
     for i in range(m):
-        if t.basis[i] >= nvars and t.rows[i][-1] == 0:
-            piv = next((j for j in range(nvars) if t.rows[i][j] != 0), None)
+        row = t.rows[i]
+        if t.basis[i] >= nvars and row[-1] == 0:
+            piv = next((j for j in range(nvars) if row[j] != 0), None)
             if piv is not None:
+                if row[piv] < 0:
+                    t.rows[i] = [-x for x in row]
                 t.pivot(i, piv)
 
     # phase 2: artificials barred from entering
-    for j in range(nvars, nvars + m):
-        allowed[j] = False
-    phase2 = list(c) + [_ZERO] * m
-    status = t.optimize(phase2, allowed)
-    if status == UNBOUNDED:
+    t.set_objective(list(cint) + [0] * m)
+    if t.optimize(nvars) == UNBOUNDED:
         return LPResult(UNBOUNDED, x=t.solution(), ray=t.ray())
-    x = t.solution()
-    value = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
-    return LPResult(OPTIMAL, x=x, value=value)
+    return LPResult(OPTIMAL, x=t.solution(),
+                    value=Fraction(-t.obj[-1], t.det * cscale))
 
 
 def solve_lp_mixed(
@@ -164,59 +208,41 @@ def solve_lp_mixed(
     """
     n = len(c)
     nonneg = list(nonneg) if nonneg is not None else [False] * n
-    nfree = sum(1 for f in nonneg if not f)
     # column layout: x_i (or x_i^+), then x_i^- for free vars, then surpluses
-    pos_col = {}
     neg_col = {}
-    col = 0
-    for i in range(n):
-        pos_col[i] = col
-        col += 1
+    col = n
     for i in range(n):
         if not nonneg[i]:
             neg_col[i] = col
             col += 1
-    nsurplus = len(ge)
-    total = col + nsurplus
+    total = col + len(ge)
 
     def expand(coeffs):
-        row = [Fraction(0)] * total
+        # entries pass through as given; solve_lp clears their denominators
+        row = [0] * total
         for i, v in enumerate(coeffs):
-            v = Fraction(v)
-            row[pos_col[i]] += v
+            row[i] = v
             if i in neg_col:
-                row[neg_col[i]] -= v
+                row[neg_col[i]] = -v
         return row
 
     rows, rhs = [], []
     for coeffs, b in eq:
         rows.append(expand(coeffs))
-        rhs.append(Fraction(b))
+        rhs.append(b)
     for k, (coeffs, h) in enumerate(ge):
         row = expand(coeffs)
-        row[col + k] = Fraction(-1)
+        row[col + k] = -1
         rows.append(row)
-        rhs.append(Fraction(h))
+        rhs.append(h)
 
-    obj = [Fraction(0)] * total
-    for i, v in enumerate(c):
-        v = Fraction(v)
-        obj[pos_col[i]] += v
-        if i in neg_col:
-            obj[neg_col[i]] -= v
-
-    res = solve_lp(rows, rhs, obj)
+    res = solve_lp(rows, rhs, expand(c))
     if res.x is None:
         return res
 
     def fold(vec):
-        out = []
-        for i in range(n):
-            v = vec[pos_col[i]]
-            if i in neg_col:
-                v -= vec[neg_col[i]]
-            out.append(v)
-        return tuple(out)
+        return tuple(vec[i] - vec[neg_col[i]] if i in neg_col else vec[i]
+                     for i in range(n))
 
     return LPResult(res.status, x=fold(res.x), value=res.value,
                     ray=fold(res.ray) if res.ray is not None else None)

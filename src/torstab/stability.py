@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ZeroVectorError
+from .errors import InternalError, ZeroVectorError
 from .polytope import (
     INTERIOR,
     ON_PROPER_FACE,
@@ -28,7 +28,7 @@ from .polytope import (
     locate,
     solve_mixed_system,
 )
-from .qexact import Lattice, dot, integer_multiple, saturated_kernel
+from .qexact import Lattice, clear_denominators, dot, saturated_kernel
 from .simplex import OPTIMAL, solve_lp_mixed
 from .torus_rep import RepVector
 
@@ -102,10 +102,12 @@ def _separating_cocharacter(weights) -> tuple[int, ...]:
     ge = [(list(w) + [-1], 0) for w in weights]
     ge.append(([0] * k + [-1], -1))  # t <= 1
     res = solve_lp_mixed([], ge, [0] * k + [1])
-    assert res.status == OPTIMAL and res.value > 0
+    if res.status != OPTIMAL or res.value <= 0:
+        raise InternalError(f"no separating cocharacter ({res.status}), "
+                            "but 0 is outside the weight hull")
     t = res.x[k]
     x = [c / t for c in res.x[:k]]
-    return integer_multiple(x)
+    return clear_denominators(x)[1]
 
 
 def _face_cocharacter(weights, face_idx) -> tuple[int, ...]:
@@ -115,8 +117,9 @@ def _face_cocharacter(weights, face_idx) -> tuple[int, ...]:
     eqs = [(weights[i], 0) for i in sorted(face)]
     stricts = [(weights[i], 0) for i in range(len(weights)) if i not in face]
     sol = solve_mixed_system(eqs, stricts, k)
-    assert sol is not None
-    return integer_multiple(sol)
+    if sol is None:
+        raise InternalError("no face cocharacter, but the face is a proper face")
+    return clear_denominators(sol)[1]
 
 
 def classify(v: RepVector) -> StabilityResult:

@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotStableError, StratifyInternalError, ZeroVectorError
+from .errors import InternalError, NotStableError, StratifyInternalError, ZeroVectorError
 from .kempf_ness import KNProblem, KNResult, kn_minimize
 from .polytope import PolytopeQ, minimal_face, ray_intersect, solve_mixed_system
-from .qexact import Lattice, QVec, dot, integer_multiple, saturated_kernel
+from .qexact import Lattice, QVec, clear_denominators, dot, saturated_kernel
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, classify
 from .torus_rep import RepVector, Subtorus
 
@@ -231,15 +231,17 @@ def stratify(
         lab: Fraction(u.line(lab).rho) + dot(u.line(lab).weight, x_prev)
         for lab in sorted(effective)
     }
-    # minimal sigma clearing every denominator (the first entry of the least
-    # integral multiple of (1, x, q)), times the requested multiple
-    sigma = integer_multiple((1, *x_prev, *q_of.values()))[0]
+    # minimal sigma clearing every denominator of x and q, times the
+    # requested multiple
+    sigma = clear_denominators((*x_prev, *q_of.values()))[0]
     sigma *= options.sigma_multiple
     x = tuple(int(sigma * c) for c in x_prev)
 
     exponents = u.one_ps_exponents(x, sigma)
     for lab in sorted(effective):
-        assert exponents[lab] == sigma * q_of[lab]
+        if exponents[lab] != sigma * q_of[lab]:
+            raise InternalError(f"exponent of {lab} is {exponents[lab]}, "
+                                f"not sigma * q = {sigma * q_of[lab]}")
 
     final_stages = tuple(
         Stage(d=int(sigma * s["c"]), **s) for s in stages

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import torstab.stability as stability
 from torstab.cli import (
     generate_instances,
     main,
@@ -11,7 +16,10 @@ from torstab.cli import (
     run_document,
     validate_document,
 )
-from torstab.errors import ValidationError
+from torstab.errors import InternalError, TorstabError, ValidationError
+from torstab.simplex import INFEASIBLE, LPResult
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def stability_doc():
@@ -310,3 +318,50 @@ def test_run_stability_with_bruteforce_scan():
     report, code = run_document(unstable, box_bound=5)
     assert code == 0
     assert report["report"]["bruteforce_witness"] == [1]
+
+
+
+# a broken internal invariant is a bug (exit 1), never a rejection (exit 2);
+# the stubbed LP result makes the separating-cocharacter LP of an unstable
+# vector come back infeasible
+
+
+def unstable_doc():
+    doc = stability_doc()
+    doc["payload"]["lines"][1]["weight"] = [2]
+    return doc
+
+
+def test_internal_error_is_not_a_rejection(tmp_path, capsys, monkeypatch):
+    assert not issubclass(InternalError, (TorstabError, ValueError))
+    monkeypatch.setattr(stability, "solve_lp_mixed",
+                        lambda *args, **kwargs: LPResult(INFEASIBLE))
+    with pytest.raises(InternalError, match="no separating cocharacter"):
+        run_document(unstable_doc())
+    p = tmp_path / "unstable.json"
+    p.write_text(json.dumps(unstable_doc()))
+    assert main(["run", "--input", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: no separating cocharacter" in captured.err
+
+
+def test_internal_error_survives_python_O():
+    code = f"""
+import torstab.stability as stability
+from torstab.cli import run_document
+from torstab.errors import InternalError
+from torstab.simplex import INFEASIBLE, LPResult
+stability.solve_lp_mixed = lambda *args, **kwargs: LPResult(INFEASIBLE)
+assert False, "asserts are on"
+try:
+    run_document({unstable_doc()!r})
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InternalError: no separating cocharacter")

@@ -175,6 +175,164 @@ def test_lp_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# simplex kernel against a Fraction-tableau reference
+
+
+class _ReferenceTableau:
+    """The rational simplex tableau the integer-preserving kernel replaced:
+    Fraction entries, the objective row rebuilt on every iteration, the
+    same Bland's rule.  Kept here only, as the oracle for the kernel."""
+
+    def __init__(self, a, b, nvars):
+        self.m = len(a)
+        self.nvars = nvars
+        self.ncols = nvars + self.m
+        self.rows = []
+        for i in range(self.m):
+            coeffs = list(a[i]) if b[i] >= 0 else [-x for x in a[i]]
+            row = coeffs + [F(0)] * self.m + [abs(b[i])]
+            row[nvars + i] = F(1)
+            self.rows.append(row)
+        self.basis = [nvars + i for i in range(self.m)]
+
+    def pivot(self, r, c):
+        piv = self.rows[r][c]
+        self.rows[r] = [x / piv for x in self.rows[r]]
+        for i in range(self.m):
+            if i != r and self.rows[i][c] != 0:
+                f = self.rows[i][c]
+                self.rows[i] = [x - f * y for x, y in zip(self.rows[i], self.rows[r])]
+        self.basis[r] = c
+
+    def reduced_costs(self, cost):
+        z = [F(0)] * (self.ncols + 1)
+        for i, bi in enumerate(self.basis):
+            for j in range(self.ncols + 1):
+                z[j] += cost[bi] * self.rows[i][j]
+        return [cost[j] - z[j] for j in range(self.ncols)], z[self.ncols]
+
+    def solution(self):
+        x = [F(0)] * self.nvars
+        for i, bi in enumerate(self.basis):
+            if bi < self.nvars:
+                x[bi] = self.rows[i][-1]
+        return tuple(x)
+
+    def ratio_row(self, c):
+        best = None
+        for i in range(self.m):
+            a = self.rows[i][c]
+            if a > 0:
+                key = (self.rows[i][-1] / a, self.basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        return None if best is None else best[1]
+
+    def optimize(self, cost, allowed):
+        while True:
+            red, _ = self.reduced_costs(cost)
+            enter = next(
+                (j for j in range(self.ncols) if allowed[j] and j not in self.basis and red[j] > 0),
+                None,
+            )
+            if enter is None:
+                return OPTIMAL
+            leave = self.ratio_row(enter)
+            if leave is None:
+                self.ray_col = enter
+                return UNBOUNDED
+            self.pivot(leave, enter)
+
+    def ray(self):
+        d = [F(0)] * self.nvars
+        if self.ray_col < self.nvars:
+            d[self.ray_col] = F(1)
+        for i, bi in enumerate(self.basis):
+            if bi < self.nvars:
+                d[bi] = -self.rows[i][self.ray_col]
+        return tuple(d)
+
+
+def reference_solve_lp(a, b, c):
+    a = [[F(x) for x in row] for row in a]
+    b = [F(x) for x in b]
+    c = [F(x) for x in c]
+    nvars, m = len(c), len(a)
+    t = _ReferenceTableau(a, b, nvars)
+    phase1 = [F(0)] * nvars + [F(-1)] * m
+    allowed = [True] * (nvars + m)
+    assert t.optimize(phase1, allowed) == OPTIMAL
+    if t.reduced_costs(phase1)[1] != 0:
+        return INFEASIBLE, None, None, None
+    for i in range(m):
+        if t.basis[i] >= nvars and t.rows[i][-1] == 0:
+            piv = next((j for j in range(nvars) if t.rows[i][j] != 0), None)
+            if piv is not None:
+                t.pivot(i, piv)
+    allowed[nvars:] = [False] * m
+    if t.optimize(list(c) + [F(0)] * m, allowed) == UNBOUNDED:
+        return UNBOUNDED, t.solution(), None, t.ray()
+    x = t.solution()
+    return OPTIMAL, x, sum((ci * xi for ci, xi in zip(c, x)), F(0)), None
+
+
+def lp_outcome(res):
+    return res.status, res.x, res.value, res.ray
+
+
+_rational = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
+
+
+@st.composite
+def small_lps(draw):
+    """Small LPs with rational data, a mix of feasible right-hand sides
+    (a x0 for a random x0 >= 0, often with zero entries) and arbitrary ones
+    (often negative or zero), then duplicated and negated copies of rows,
+    and costs that are often zero."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    a = [draw(st.lists(_rational, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.sampled_from((F(0), F(1), F(1, 2), F(3))), min_size=n, max_size=n))
+        b = [sum((x * y for x, y in zip(row, x0)), F(0)) for row in a]
+    else:
+        b = draw(st.lists(_rational, min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(a) - 1))
+        sign = draw(st.sampled_from((1, -1)))
+        a.append([sign * x for x in a[i]])
+        b.append(sign * b[i])
+    # zero costs leave the optimum to the vertex phase 1 reaches
+    c = draw(st.lists(st.one_of(st.just(F(0)), _rational), min_size=n, max_size=n))
+    return a, b, c
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(small_lps())
+def test_lp_matches_fraction_tableau(lp):
+    a, b, c = lp
+    assert lp_outcome(solve_lp(a, b, c)) == reference_solve_lp(a, b, c)
+
+
+def test_lp_common_scale_keeps_phase1_path():
+    # rows with different denominators: scaling each row by its own lcm
+    # would reweight the phase-1 objective and end at another vertex
+    a = [[F(-4, 5), F(-1, 2), F(-2, 5), F(1, 2)], [0, -1, 0, 3], [2, F(-3, 2), -1, F(2, 5)]]
+    b = [F(3, 5), 8, F(-13, 10)]
+    c = [0, 0, 0, 0]
+    assert lp_outcome(solve_lp(a, b, c)) == reference_solve_lp(a, b, c)
+
+
+def test_lp_drive_out_on_negative_pivot():
+    # the leftover artificial of row 0 is driven out on the entry -1 and
+    # row 1 turns out redundant; then x = y grows without bound
+    res = solve_lp([[-1, 1], [1, -1]], [0, 0], [1, 0])
+    assert lp_outcome(res) == reference_solve_lp([[-1, 1], [1, -1]], [0, 0], [1, 0])
+    assert res.status == UNBOUNDED
+    assert res.x == (0, 0) and res.ray == (1, 1)
+
+
+# ---------------------------------------------------------------------------
 # hull_position
 
 

@@ -1,0 +1,81 @@
+"""Golden-report gate: `torstab run` on a fixed corpus must keep its output.
+
+`tests/golden/<kind>-<seed>.problem.json` is `torstab gen --kind <kind>
+--seed <seed>` for all five kinds and seeds 0-9, and the matching
+`.report.json` is what `torstab run --input <problem>` printed for it when
+the corpus was recorded.  Strings, ints, bools, nulls and the shape of the
+JSON must match exactly; JSON floats must match to a relative 1e-9.  Floats
+that are roundoff residuals (gradient norms, round-trip residuals near
+1e-15) vary with the BLAS build, so floats also pass within an absolute
+1e-12.
+
+A change that alters golden output on purpose records why and re-records
+the corpus with:
+
+    for k in stability kempf-ness stratify shb kuranishi; do
+      for s in 0 1 2 3 4 5 6 7 8 9; do
+        p=tests/golden/$k-$s.problem.json
+        torstab gen --kind $k --seed $s --out $p
+        torstab run --input $p > tests/golden/$k-$s.report.json
+      done
+    done
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from torstab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+KINDS = ("stability", "kempf-ness", "stratify", "shb", "kuranishi")
+CASES = [f"{kind}-{seed}" for kind in KINDS for seed in range(10)]
+
+
+def mismatches(want, got, path="$"):
+    """Where got differs from want: exact for everything but floats."""
+    if isinstance(want, float) and isinstance(got, float):
+        if math.isclose(want, got, rel_tol=1e-9, abs_tol=1e-12):
+            return []
+        return [f"{path}: {got!r} != {want!r}"]
+    if type(want) is not type(got):
+        return [f"{path}: {type(got).__name__} {got!r} != {type(want).__name__} {want!r}"]
+    if isinstance(want, dict):
+        if want.keys() != got.keys():
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in mismatches(want[k], got[k], f"{path}.{k}")]
+    if isinstance(want, list):
+        if len(want) != len(got):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [m for i, (w, g) in enumerate(zip(want, got))
+                for m in mismatches(w, g, f"{path}[{i}]")]
+    return [] if want == got else [f"{path}: {got!r} != {want!r}"]
+
+
+def test_golden_corpus_is_complete():
+    names = sorted(p.name for p in GOLDEN.iterdir())
+    assert names == sorted(f"{c}.{part}.json" for c in CASES for part in ("problem", "report"))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_report(case, capsys):
+    want = json.loads((GOLDEN / f"{case}.report.json").read_text())
+    code = main(["run", "--input", str(GOLDEN / f"{case}.problem.json")])
+    got = json.loads(capsys.readouterr().out)
+    assert code == (0 if want["status"] == "ok" else 2)
+    assert mismatches(want, got) == []
+
+
+def test_mismatches_is_exact_except_floats():
+    assert mismatches({"a": [1, "x", None, True]}, {"a": [1, "x", None, True]}) == []
+    assert mismatches({"a": 1}, {"a": 1.0}) != []
+    assert mismatches({"a": 1}, {"a": 2}) != []
+    assert mismatches({"a": True}, {"a": 1}) != []
+    assert mismatches({"a": "1/2"}, {"a": "2/4"}) != []
+    assert mismatches([1, 2], [1, 2, 3]) != []
+    assert mismatches({"a": 1}, {"b": 1}) != []
+    assert mismatches(1.0, 1.0 + 1e-12) == []
+    assert mismatches(1.0, 1.0 + 1e-8) != []
+    assert mismatches(1e-17, 3e-17) == []
