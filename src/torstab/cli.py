@@ -231,6 +231,8 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
     if seed is not None and "seed" not in options:
         options["seed"] = seed
     tol = float(options.get("tol", tol))
+    emit_certificates = options.get("emit_certificates", emit_certificates)
+    box_bound = options.get("box_bound", box_bound)
     convention = convention or options.get("convention", shb_model.DEFAULT)
     runner = {
         "stability": _run_stability,
@@ -553,6 +555,7 @@ def generate_instances(kind: str, seed: int, count: int) -> list[dict]:
 # entry point
 
 
+@lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="torstab",

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
 
 from .qexact import Lattice, saturated_kernel
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult, classify
@@ -220,6 +219,9 @@ def kn_conjugation_eval(phi, g):
     directional derivative Re tr(M v) along any traceless hermitian v; at
     g = 0 it reduces to 2 [phi, phi*].
     """
+    # imported here: scipy.linalg is about half of every torstab start-up
+    from scipy.linalg import expm, expm_frechet
+
     phi = _check_phi(phi)
     n = phi.shape[0]
     g = np.asarray(g, dtype=complex)

@@ -72,20 +72,20 @@ def _relint_lp(p: PolytopeQ, q: QVec):
     gens = p.generators
     m = len(gens)
     d = p.ambient_dim
-    sum_g = [sum((g[i] for g in gens), Fraction(0)) for i in range(d)]
+    sum_g = [sum(g[i] for g in gens) for i in range(d)]
     # variables: beta_1..beta_m, t
     rows = []
     rhs = []
     for i in range(d):
         rows.append([g[i] for g in gens] + [sum_g[i]])
         rhs.append(q[i])
-    rows.append([Fraction(1)] * m + [Fraction(m)])
-    rhs.append(Fraction(1))
+    rows.append([1] * m + [m])
+    rhs.append(1)
     # t <= 1 via slack: t + s = 1
-    rows = [r + [Fraction(0)] for r in rows]
-    rows.append([Fraction(0)] * m + [Fraction(1), Fraction(1)])
-    rhs.append(Fraction(1))
-    obj = [Fraction(0)] * m + [Fraction(1), Fraction(0)]
+    rows = [r + [0] for r in rows]
+    rows.append([0] * m + [1, 1])
+    rhs.append(1)
+    obj = [0] * m + [1, 0]
     res = solve_lp(rows, rhs, obj)
     if res.status != OPTIMAL:
         return None
@@ -150,13 +150,13 @@ def face_support(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction]) -> 
     m = len(gens)
     d = p.ambient_dim
     face = {i for i in range(m) if combination[i] > 0}
-    rows = [[g[i] for g in gens] for i in range(d)] + [[Fraction(1)] * m]
-    rhs = list(q) + [Fraction(1)]
+    rows = [[g[i] for g in gens] for i in range(d)] + [[1] * m]
+    rhs = list(q) + [1]
     for i in range(m):
         if i in face:
             continue
-        obj = [Fraction(0)] * m
-        obj[i] = Fraction(1)
+        obj = [0] * m
+        obj[i] = 1
         res = solve_lp(rows, rhs, obj)
         if res.status != OPTIMAL:
             raise InternalError(f"face LP is {res.status}, but q is in the hull")
@@ -191,8 +191,8 @@ def ray_intersect(
     axis = list(axis_complement_dims)
     if positive_coord in axis or positive_coord >= p.ambient_dim:
         raise DimensionMismatch("bad coordinate split")
-    rows = [[g[i] for g in gens] for i in axis] + [[Fraction(1)] * m]
-    rhs = [Fraction(0)] * len(axis) + [Fraction(1)]
+    rows = [[g[i] for g in gens] for i in axis] + [[1] * m]
+    rhs = [0] * len(axis) + [1]
     obj = [g[positive_coord] for g in gens]
     top = solve_lp(rows, rhs, obj)
     if top.status != OPTIMAL:
@@ -204,7 +204,7 @@ def ray_intersect(
     lo_comb = bot.x
     if lo < 0:
         # closure of the positive part; certificate left at the attained end
-        lo = Fraction(0)
+        lo = 0
     return RayInterval(lo, top.value, tuple(lo_comb), tuple(top.x))
 
 
@@ -222,20 +222,18 @@ def solve_mixed_system(
     absolute value, preferring the nonnegative sign.  The result is the
     same point on every run.
     """
-    eqs = [(qvec(a), Fraction(b)) for a, b in equalities]
-    stricts = [(qvec(g), Fraction(h)) for g, h in strict_inequalities]
-    for a, _ in eqs + stricts:
+    for a, _ in [*equalities, *strict_inequalities]:
         if len(a) != nvars:
             raise DimensionMismatch("constraint of wrong arity")
 
     # variables: x_1..x_nvars, t
     def with_t(coeffs, tcoef):
-        return list(coeffs) + [Fraction(tcoef)]
+        return [*coeffs, tcoef]
 
-    eq_rows = [(with_t(a, 0), b) for a, b in eqs]
-    ge_rows = [(with_t(g, -1), h) for g, h in stricts]
-    ge_rows.append((with_t([0] * nvars, -1), Fraction(-1)))  # t <= 1
-    ge_rows.append((with_t([0] * nvars, 1), Fraction(0)))    # t >= 0
+    eq_rows = [(with_t(a, 0), b) for a, b in equalities]
+    ge_rows = [(with_t(g, -1), h) for g, h in strict_inequalities]
+    ge_rows.append((with_t([0] * nvars, -1), -1))  # t <= 1
+    ge_rows.append((with_t([0] * nvars, 1), 0))    # t >= 0
     obj = with_t([0] * nvars, 1)
     res = solve_lp_mixed(eq_rows, ge_rows, obj)
     if res.status != OPTIMAL or res.x[nvars] <= 0:
@@ -243,32 +241,31 @@ def solve_mixed_system(
     tstar = res.x[nvars]
     eq_rows.append((with_t([0] * nvars, 1), tstar))
 
-    fixed: list[Fraction] = []
+    fixed = []
     for i in range(nvars):
         # achievable x_i values form an interval by convexity; pick the one
-        # of minimal absolute value (0 whenever the interval straddles it)
+        # of minimal absolute value (0 whenever the interval straddles it);
+        # the upper end is needed only when the lower one is not positive
         lo = _coordinate_extreme(eq_rows, ge_rows, nvars, i, maximize=False)
-        hi = _coordinate_extreme(eq_rows, ge_rows, nvars, i, maximize=True)
         if lo is not None and lo > 0:
             val = lo
-        elif hi is not None and hi < 0:
-            val = hi
         else:
-            val = Fraction(0)
+            hi = _coordinate_extreme(eq_rows, ge_rows, nvars, i, maximize=True)
+            val = hi if hi is not None and hi < 0 else 0
         eq_rows.append((_unit_row(nvars, i), val))
         fixed.append(val)
     return tuple(fixed)
 
 
 def _unit_row(nvars, i):
-    row = [Fraction(0)] * (nvars + 1)
-    row[i] = Fraction(1)
+    row = [0] * (nvars + 1)
+    row[i] = 1
     return row
 
 
 def _coordinate_extreme(eq_rows, ge_rows, nvars, i, maximize):
-    obj = [Fraction(0)] * (nvars + 1)
-    obj[i] = Fraction(1) if maximize else Fraction(-1)
+    obj = [0] * (nvars + 1)
+    obj[i] = 1 if maximize else -1
     res = solve_lp_mixed(eq_rows, ge_rows, obj)
     if res.status != OPTIMAL:
         return None  # unbounded in this direction

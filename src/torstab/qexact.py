@@ -1,7 +1,12 @@
-"""Exact rational/integer linear algebra: vectors over Fraction, rational
-Gaussian elimination, Smith normal form, and saturated kernel lattices.
+"""Exact rational/integer linear algebra: integer and rational vectors,
+rational Gaussian elimination, Smith normal form, and saturated kernel
+lattices.
 
 Everything here is exact; no floating point enters any computation.
+Integer data stays int up to the first division: sums, products and
+differences are computed on the values given, and a Fraction is built only
+where the exact layer divides (rref here, the simplex read-off) or where
+input is neither int nor Fraction (qvec).
 """
 
 from __future__ import annotations
@@ -11,37 +16,38 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-QVec = tuple[Fraction, ...]
+QVec = tuple[int | Fraction, ...]
 IVec = tuple[int, ...]
 
 
 def qvec(xs: Iterable) -> QVec:
-    return tuple(Fraction(x) for x in xs)
+    """Exact entries: ints and Fractions as they are, anything else through
+    Fraction."""
+    return tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs)
 
 
-def dot(a: Sequence, b: Sequence) -> Fraction:
+def dot(a: Sequence, b: Sequence):
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return sum(x * y for x, y in zip(a, b))
 
 
 def vsub(a: Sequence, b: Sequence) -> QVec:
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def clear_denominators(v: Iterable) -> tuple[int, IVec]:
     """(m, m * v) for the least positive integer m making every entry of v
     an integer (the lcm of the denominators).  No gcd is divided out, so
-    m * v need not be primitive.  Ints and Fractions are read as they are;
-    anything else goes through Fraction."""
-    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    m * v need not be primitive.  Entries are read as qvec reads them."""
+    fr = qvec(v)
     m = lcm(*(x.denominator for x in fr))
     return m, tuple(x.numerator * (m // x.denominator) for x in fr)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+    m = [[Fraction(x) for x in r] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -52,7 +58,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
+        inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
@@ -66,22 +72,20 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rational_rank(vectors: Sequence[Sequence]) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    return len(rref(rows)[0])
+    return len(rref(vectors)[0])
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[QVec]:
     """Basis of {x : A x = 0} over the rationals (A given by rows)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
+    if not rows:
         raise ValueError("need at least one row to know the dimension")
-    n = len(mat[0])
-    red, pivots = rref(mat)
+    n = len(rows[0])
+    red, pivots = rref(rows)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
+        v = [0] * n
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -red[i][f]
         basis.append(tuple(v))
@@ -90,7 +94,7 @@ def nullspace(rows: Sequence[Sequence]) -> list[QVec]:
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> QVec | None:
     """One rational solution of A x = b, or None if inconsistent."""
-    aug = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    aug = [[*r, b] for r, b in zip(rows, rhs)]
     n = len(rows[0]) if rows else 0
     red, pivots = rref(aug)
     for i, row in enumerate(red):
@@ -98,7 +102,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> QVec | None:
             return None
     if pivots and pivots[-1] == n:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, p in enumerate(pivots):
         x[p] = red[i][n]
     return tuple(x)
@@ -107,10 +111,10 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> QVec | None:
 def _int_rows(vectors: Sequence[Sequence]) -> list[list[int]]:
     out = []
     for v in vectors:
-        fr = [Fraction(x) for x in v]
-        if any(f.denominator != 1 for f in fr):
+        m, iv = clear_denominators(v)
+        if m != 1:
             raise ValueError("expected integer vector")
-        out.append([int(f) for f in fr])
+        out.append(list(iv))
     return out
 
 
@@ -228,8 +232,8 @@ class Lattice:
         """Integer membership: x lies in the Z-span of the basis."""
         if not self.basis:
             return all(int(c) == 0 for c in x)
-        cols = [[Fraction(b[i]) for b in self.basis] for i in range(self.ambient_dim)]
-        sol = solve_linear(cols, [Fraction(int(c)) for c in x])
+        cols = [[b[i] for b in self.basis] for i in range(self.ambient_dim)]
+        sol = solve_linear(cols, [int(c) for c in x])
         return sol is not None and all(c.denominator == 1 for c in sol)
 
 

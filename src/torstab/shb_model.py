@@ -115,7 +115,7 @@ class AutomorphismTorus:
     subtorus: Subtorus
 
     def restrict(self, weight: Sequence[int]) -> tuple[int, ...]:
-        return tuple(int(dot(weight, b)) for b in self.subtorus.basis)
+        return tuple(dot(weight, b) for b in self.subtorus.basis)
 
     @property
     def rank(self) -> int:
@@ -415,5 +415,5 @@ def conformal_degree_table(
     entries = {}
     for cod, dom in index_classes(shb):
         w, rho_beta = class_weight_data(cod, dom, shb.k, convention)
-        entries[(cod, dom)] = 2 * sigma * rho_beta + 2 * int(dot(w, xs))
+        entries[(cod, dom)] = 2 * sigma * rho_beta + 2 * dot(w, xs)
     return ConformalDegreeTable(xs, sigma, convention, entries)

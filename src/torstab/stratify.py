@@ -77,18 +77,6 @@ class StratifyResult:
     def d_ladder(self) -> tuple[int, ...]:
         return tuple(s.d for s in self.stages)
 
-    def nu_exponents(self, i: int) -> dict:
-        return {lab: self.exponents[lab] for lab in self.stages[i].nu_labels}
-
-    def s_exponents(self, i: int) -> dict:
-        return {lab: self.exponents[lab] for lab in self.stages[i].s_labels}
-
-    def residual_exponents(self) -> dict:
-        return {lab: self.exponents[lab] for lab in self.residual_labels}
-
-    def residual_vector(self) -> RepVector:
-        return self.u.project_labels(self.residual_labels)
-
 
 def _require_graded_positive(u: RepVector):
     if u.is_zero():
@@ -121,7 +109,7 @@ def stratify(
     tori = [g0]
     stages: list[dict] = []
     removed: set[str] = set()
-    x_prev: QVec = tuple(Fraction(0) for _ in range(k))
+    x_prev: QVec = (0,) * k
     effective = {ln.label for ln in u.effective_lines()}
 
     while tori[-1].dim > 0:
@@ -140,10 +128,8 @@ def stratify(
         # sheared, projected points; one polytope generator per distinct point
         pts: dict[tuple, list] = {}
         for ln in active:
-            sheared_rho = Fraction(ln.rho) + dot(ln.weight, x_prev)
-            point = tuple(
-                Fraction(dot(ln.weight, b)) for b in gn.basis
-            ) + (sheared_rho,)
+            sheared_rho = ln.rho + dot(ln.weight, x_prev)
+            point = tuple(dot(ln.weight, b) for b in gn.basis) + (sheared_rho,)
             pts.setdefault(point, []).append(ln)
         gens = sorted(pts)
         hull = PolytopeQ.from_points(gens, ambient_dim=gn.dim + 1)
@@ -151,12 +137,12 @@ def stratify(
         if iv is None:
             raise StratifyInternalError("RayEmpty", f"positive rho-ray misses C_{n}")
         c_n = iv.lo
-        c_prev = stages[-1]["c"] if stages else Fraction(0)
+        c_prev = stages[-1]["c"] if stages else 0
         if not c_prev < c_n:
             raise StratifyInternalError(
                 "NonIncreasingC", f"c_{n} = {c_n} is not above c_{n - 1} = {c_prev}"
             )
-        axis_point = (Fraction(0),) * gn.dim + (c_n,)
+        axis_point = (0,) * gn.dim + (c_n,)
         face_idx = minimal_face(hull, axis_point)
         face_pts = [gens[i] for i in face_idx]
         if len(set(face_pts)) < 2:
@@ -183,10 +169,7 @@ def stratify(
         y = solve_mixed_system(eqs, stricts, gn.dim)
         if y is None:
             raise StratifyInternalError("NoCocharacter", f"stage {n} system infeasible")
-        x_n = tuple(
-            sum((yj * Fraction(b[i]) for yj, b in zip(y, gn.basis)), Fraction(0))
-            for i in range(k)
-        )
+        x_n = tuple(sum(yj * b[i] for yj, b in zip(y, gn.basis)) for i in range(k))
         x_prev = tuple(a + b for a, b in zip(x_prev, x_n))
 
         restricted = sorted({p[: gn.dim] for p in face_pts})
@@ -228,7 +211,7 @@ def stratify(
     residual = tuple(sorted(effective - removed))
 
     q_of = {
-        lab: Fraction(u.line(lab).rho) + dot(u.line(lab).weight, x_prev)
+        lab: u.line(lab).rho + dot(u.line(lab).weight, x_prev)
         for lab in sorted(effective)
     }
     # minimal sigma clearing every denominator of x and q, times the

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .qexact import Lattice, dot, saturated_kernel
+from .qexact import Lattice, clear_denominators, dot, saturated_kernel
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class Torus:
     def restrict_character(self, weight: Sequence[int]) -> tuple[int, ...]:
         if self.embedding is None:
             raise ValueError("torus carries no embedding data")
-        return tuple(int(dot(weight, row)) for row in self.embedding)
+        return tuple(dot(weight, row) for row in self.embedding)
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ class RepVector:
         lines = tuple(
             WeightLine(
                 ln.label,
-                tuple(int(dot(ln.weight, b)) for b in h.basis),
+                tuple(dot(ln.weight, b) for b in h.basis),
                 ln.rho,
                 ln.norm2,
             )
@@ -214,14 +213,14 @@ class RepVector:
         under the one-parameter subgroup (x, sigma)."""
         if sigma < 1:
             raise ValueError("sigma must be a positive integer")
-        xs = [Fraction(v) for v in x]
-        if any(v.denominator != 1 for v in xs):
+        scale, xs = clear_denominators(x)
+        if scale != 1:
             raise ValueError("x must be an integral cocharacter")
         out = {}
         for ln in self.effective_lines():
             if ln.rho is None:
                 raise ValueError("one-parameter exponents need a graded line")
-            out[ln.label] = ln.rho * sigma + int(dot(ln.weight, x))
+            out[ln.label] = ln.rho * sigma + dot(ln.weight, xs)
         return out
 
     def norm2_by_weight(self, restricted_to: Subtorus | None = None) -> dict[tuple[int, ...], float]:

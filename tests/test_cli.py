@@ -365,3 +365,50 @@ except InternalError as exc:
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("InternalError: no separating cocharacter")
+
+
+# options.box_bound and options.emit_certificates act like their flags
+def test_options_box_bound_runs_bruteforce_scan():
+    doc = stability_doc()
+    doc["options"] = {"box_bound": 5}
+    report, code = run_document(doc)
+    assert code == 0
+    assert report["report"]["bruteforce_witness"] is None
+    assert "certificate" in report["report"]
+
+
+def test_options_emit_certificates_false_drops_certificate():
+    doc = stability_doc()
+    doc["options"] = {"box_bound": 5, "emit_certificates": False}
+    validate_document(json.dumps(doc))
+    report, code = run_document(doc)
+    assert code == 0
+    assert "certificate" not in report["report"]
+    assert report["report"]["bruteforce_witness"] is None
+
+
+def test_options_oversized_box_bound_rejected(tmp_path, capsys):
+    doc = stability_doc()
+    doc["payload"]["rank"] = 4
+    doc["payload"]["lines"] = [
+        {"label": "a", "weight": [1, 0, 0, 0]},
+        {"label": "b", "weight": [-1, 0, 0, 0]},
+    ]
+    doc["options"] = {"box_bound": 50}
+    p = tmp_path / "rank4.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--input", str(p)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "rejected"
+    assert str(101**4) in report["report"]["reason"]
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # scipy.linalg serves only the matrix-conjugation Kempf-Ness variant
+    code = "import sys, torstab.cli; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

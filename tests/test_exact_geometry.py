@@ -499,6 +499,23 @@ def test_solve_mixed_no_constraints():
     assert solve_mixed_system([], [], 2) == (F(0), F(0))
 
 
+def test_solve_mixed_skips_upper_bound_above_zero(monkeypatch):
+    # x_0 > 1 has a positive lower end, so its upper end is never solved for
+    import torstab.polytope as polytope
+
+    calls = []
+    real = polytope._coordinate_extreme
+
+    def counting(eq_rows, ge_rows, nvars, i, maximize):
+        calls.append((i, maximize))
+        return real(eq_rows, ge_rows, nvars, i, maximize)
+
+    monkeypatch.setattr(polytope, "_coordinate_extreme", counting)
+    stricts = [((1, 0), 1), ((0, 1), -1), ((0, -1), -1)]
+    assert solve_mixed_system([], stricts, 2) == (2, 0)
+    assert calls == [(0, False), (1, False), (1, True)]
+
+
 def test_solve_mixed_deterministic():
     eqs = [((1, 1, 0), 2)]
     stricts = [((1, 0, 0), 0), ((0, 0, 1), -3)]

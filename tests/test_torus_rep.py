@@ -94,6 +94,16 @@ def test_one_ps_exponents_examples():
     assert u.one_ps_exponents((0,), 1) == {"a": 2, "b": 5}
 
 
+def test_integer_data_stays_int():
+    # exponents and restricted weights are serialized, so they must be ints
+    # even when x arrives as integral Fractions
+    v = rep(WeightLine("a", (3, -1), rho=2), amps={"a": 1.0})
+    exps = v.one_ps_exponents((Fraction(2), Fraction(-4, 2)), 1)
+    assert exps == {"a": 10} and type(exps["a"]) is int
+    sub = v.restrict(Subtorus.kernel_of([(1, 1)], rank=2))
+    assert all(type(c) is int for c in sub.lines[0].weight)
+
+
 def test_one_ps_exponents_rejects_nonintegral():
     v = rep(WeightLine("a", (1,), rho=1), amps={"a": 1.0})
     with pytest.raises(ValueError):
