@@ -48,7 +48,7 @@ def main():
         counts[cls.stability] += 1
         hull_stable = cls.stability == STABLE
         brute_stable = destabilizer_bruteforce(v, args.box) is None
-        kn_stable = kn_minimize(KNProblem.from_vector(v)).status == CONVERGED
+        kn_stable = kn_minimize(KNProblem.from_vector(v), cls).status == CONVERGED
         if not (hull_stable == brute_stable == kn_stable):
             mismatches += 1
             print(f"MISMATCH: weights={sorted(v.effective_g_weights())}")

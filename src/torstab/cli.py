@@ -179,12 +179,6 @@ def shb_from_payload(payload: dict) -> shb_model.SHBSpec:
     return shb_model.SHBSpec(payload["genus"], blocks)
 
 
-def _complex_entries(obj):
-    return np.array(
-        [[_amp(v) for v in row] for row in obj], dtype=complex
-    ) if obj else np.zeros((0, 0), dtype=complex)
-
-
 def complex_from_payload(payload: dict) -> GradedComplex:
     if "generator" in payload:
         gen = payload["generator"]
@@ -233,7 +227,7 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
     tol = float(options.get("tol", tol))
     emit_certificates = options.get("emit_certificates", emit_certificates)
     box_bound = options.get("box_bound", box_bound)
-    convention = convention or options.get("convention", shb_model.DEFAULT)
+    convention = options.get("convention", convention or shb_model.DEFAULT)
     runner = {
         "stability": _run_stability,
         "kempf-ness": _run_kempf_ness,
@@ -286,7 +280,7 @@ def _run_stability(payload, options, *, tol, convention, emit_certificates, box_
 
 def _run_kempf_ness(payload, options, *, tol, convention, emit_certificates, box_bound):
     v = rep_from_payload(payload)
-    res = kn_minimize(KNProblem.from_vector(v), tol=tol)
+    res = kn_minimize(KNProblem.from_vector(v), classify(v), tol=tol)
     body = {"status": res.status}
     if res.minimizer is not None:
         body["minimizer"] = [float(c) for c in res.minimizer]

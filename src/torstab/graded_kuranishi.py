@@ -73,9 +73,6 @@ class GradedComplex:
     def n2(self, g) -> int:
         return self.dims[g][2] if g in self.dims else 0
 
-    def zero1(self) -> GVec:
-        return {g: np.zeros(self.n1(g), dtype=complex) for g in self.grades}
-
     def zero2(self) -> GVec:
         return {g: np.zeros(self.n2(g), dtype=complex) for g in self.grades}
 
@@ -91,10 +88,6 @@ class SliceVector:
         return all(
             g > 0 for g, arr in self.parts.items() if np.any(np.asarray(arr) != 0)
         )
-
-
-def gvec(parts) -> GVec:
-    return {g: np.asarray(a, dtype=complex) for g, a in parts.items()}
 
 
 def gvec_add(a: GVec, b: GVec) -> GVec:

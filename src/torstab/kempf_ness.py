@@ -3,10 +3,11 @@ plus the matrix-conjugation variant.
 
 Torus case: l(x) = sum_w |v_w|^2 exp(2<w, x>) over the effective weights, a
 smooth convex sum of exponentials.  Attainment of the infimum matches the
-hull criterion: a damped Newton method is run only when the hull position
-says a minimizer exists; non-attainment is certified by an exact separating
-functional, never diagnosed numerically.  Flat directions (the saturated
-kernel of the effective weights) are quotiented out before iterating.
+hull criterion: given the exact classification of the weights, a damped
+Newton method is run only when it says a minimizer exists; non-attainment
+is certified by its exact separating functional, never diagnosed
+numerically.  Flat directions (the saturated kernel of the effective
+weights) are quotiented out before iterating.
 
 Conjugation case: l(g) = ||exp(g) phi exp(-g)||_F^2 over traceless hermitian
 g; evaluation and first variation only.
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qexact import Lattice, saturated_kernel
-from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult, classify
+from .qexact import Lattice
+from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult
 from .torus_rep import RepVector
 
 CONVERGED = "Converged"
@@ -96,42 +97,49 @@ def _flat_complement(flat: Lattice, rank: int) -> np.ndarray:
     return vt[flat.rank:].T
 
 
-def kn_minimize(p: KNProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> KNResult:
-    """Minimize the torus Kempf-Ness functional.
+def kn_minimize(
+    p: KNProblem,
+    stability: StabilityResult,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = MAX_ITER,
+) -> KNResult:
+    """Minimize the torus Kempf-Ness functional, given the classification
+    of its weights (classify of any vector with these effective weights).
 
     Converged with a unique minimizer iff the underlying vector is stable;
     FlatDirections with the kernel lattice iff polystable but not stable;
     Diverging with an exact descent ray otherwise.  Nonconvergence inside
     the iteration cap is reported as an explicit Failure status.
+
+    Newton runs on p with norms2 divided by their sum (same minimizer, any
+    input scale), so tol bounds that normalized gradient; one more Newton
+    step follows the tol test.  value and gradient_norm are p's own.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lines = tuple(
-        _weight_line(i, w, n) for i, (w, n) in enumerate(zip(p.weights, p.norms2))
-    )
-    cls = classify(RepVector(lines, {ln.label: 1.0 for ln in lines}))
-    if cls.stability not in (STABLE, POLYSTABLE_NOT_STABLE):
-        ray = tuple(-c for c in cls.cocharacter)
+    if stability.weights != tuple(sorted(set(p.weights))):
+        raise ValueError("the classification is of other weights")
+    if stability.stability not in (STABLE, POLYSTABLE_NOT_STABLE):
+        ray = tuple(-c for c in stability.cocharacter)
         limit = sum(
             n for w, n in zip(p.weights, p.norms2)
             if sum(a * b for a, b in zip(w, ray)) == 0
         )
-        return KNResult(DIVERGING, value=limit, descent_ray=ray, stability=cls)
+        return KNResult(DIVERGING, value=limit, descent_ray=ray, stability=stability)
 
-    flat = cls.flat_lattice if cls.flat_lattice is not None else saturated_kernel(p.weights)
+    # Stable certifies that the flat lattice is trivial
+    flat = stability.flat_lattice or Lattice(p.rank, ())
     basis = _flat_complement(flat, p.rank)
+    total = sum(p.norms2)
+    unit = KNProblem(p.weights, tuple(n / total for n in p.norms2))
+    status = CONVERGED if stability.stability == STABLE else FLAT_DIRECTIONS
     z = np.zeros(basis.shape[1])
     it = 0
     for it in range(1, max_iter + 1):
-        x = basis @ z
-        value, grad, hess = kn_eval(p, x)
+        value, grad, hess = kn_eval(unit, basis @ z)
         g = basis.T @ grad
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < tol:
-            break
-        h = basis.T @ hess @ basis
         try:
-            step = -np.linalg.solve(h, g)
+            step = -np.linalg.solve(basis.T @ hess @ basis, g)
         except np.linalg.LinAlgError:
             step = -g
         if not np.all(np.isfinite(step)) or float(step @ g) >= 0:
@@ -140,42 +148,38 @@ def kn_minimize(p: KNProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER
         # keeps full Newton steps acceptable once the per-step decrease
         # falls below what doubles can resolve
         slack = 4e-16 * abs(value)
+        if float(np.linalg.norm(g)) < tol:
+            # convergence is quadratic, so one more step takes the gradient
+            # down to roundoff
+            cand = z + step
+            if kn_eval(unit, basis @ cand)[0] <= value + slack:
+                z = cand
+            break
         alpha, ok = 1.0, False
         for _ in range(60):
             cand = z + alpha * step
-            vnew = kn_eval(p, basis @ cand)[0]
+            vnew = kn_eval(unit, basis @ cand)[0]
             if np.isfinite(vnew) and vnew <= value + 1e-4 * alpha * float(step @ g) + slack:
                 z, ok = cand, True
                 break
             alpha *= 0.5
         if not ok:
-            return KNResult(FAILURE, minimizer=basis @ z, value=value,
-                            gradient_norm=gnorm, stability=cls, iterations=it)
+            status = FAILURE
+            break
     else:
-        x = basis @ z
-        value, grad, _ = kn_eval(p, x)
-        return KNResult(FAILURE, minimizer=x, value=value,
-                        gradient_norm=float(np.linalg.norm(grad)),
-                        stability=cls, iterations=it)
+        status = FAILURE
 
     x = basis @ z
     value, grad, _ = kn_eval(p, x)
-    status = CONVERGED if cls.stability == STABLE else FLAT_DIRECTIONS
     return KNResult(
         status,
         minimizer=x,
         value=value,
         gradient_norm=float(np.linalg.norm(grad)),
-        flat_space=flat if flat.rank > 0 else None,
-        stability=cls,
+        flat_space=flat if status == FLAT_DIRECTIONS else None,
+        stability=stability,
         iterations=it,
     )
-
-
-def _weight_line(i, w, n2):
-    from .torus_rep import WeightLine
-
-    return WeightLine(f"w{i}", tuple(w), None, float(n2))
 
 
 def moment_map(p: KNProblem, x) -> np.ndarray:
@@ -292,9 +296,6 @@ class ConjugationProblem:
         dirs = tuple(directions) if directions is not None else standard_hermitian_directions(n)
         dirs = tuple(_check_direction(v, n) for v in dirs)
         return ConjugationProblem(phi, dirs)
-
-    def eval(self, g):
-        return kn_conjugation_eval(self.phi, g)
 
     def gradient_coefficients(self, g) -> np.ndarray:
         _, m = kn_conjugation_eval(self.phi, g)

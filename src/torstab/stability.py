@@ -56,10 +56,6 @@ class StabilityResult:
     # zero exactly on the face) integer cocharacter
     cocharacter: tuple[int, ...] | None = None
 
-    @property
-    def is_stable(self) -> bool:
-        return self.stability == STABLE
-
     def verify(self) -> bool:
         """Re-check the certificate exactly against the weights."""
         w = self.weights

@@ -15,6 +15,11 @@ one-parameter subgroup (x, sigma) under which every projected piece scales
 with a single integer exponent d_i = c_i * sigma and the strict ladder
 0 < d_0 < ... < d_{k-1} holds.
 
+Each exact fact is decided once: F_n is read off the convex combination
+certifying c_n, and each stage carries its projection's classification,
+which verify_decomposition re-checks against weights recomputed from u and
+stage_kn_minimizers passes to the minimizer.
+
 The combinatorial output depends only on which amplitudes are nonzero;
 per-stage Kempf-Ness minimizers (the metric updates) are computed
 separately by stage_kn_minimizers and never feed back into the iteration.
@@ -27,9 +32,9 @@ from fractions import Fraction
 
 from .errors import InternalError, NotStableError, StratifyInternalError, ZeroVectorError
 from .kempf_ness import KNProblem, KNResult, kn_minimize
-from .polytope import PolytopeQ, minimal_face, ray_intersect, solve_mixed_system
+from .polytope import PolytopeQ, face_support, ray_intersect, solve_mixed_system
 from .qexact import Lattice, QVec, clear_denominators, dot, saturated_kernel
-from .stability import POLYSTABLE_NOT_STABLE, STABLE, classify
+from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult, classify
 from .torus_rep import RepVector, Subtorus
 
 
@@ -56,6 +61,9 @@ class Stage:
     d: int
     dim_hull: int
     dim_projected_hull: int
+    # classification of P_Sn(u) under G_n, reused by verification and the
+    # stage minimizers
+    projection: StabilityResult
 
 
 @dataclass(frozen=True)
@@ -142,8 +150,10 @@ def stratify(
             raise StratifyInternalError(
                 "NonIncreasingC", f"c_{n} = {c_n} is not above c_{n - 1} = {c_prev}"
             )
+        # lo is unclamped here (a clamp gives c_n = 0, rejected above), so
+        # its certificate is a convex combination equal to the axis point
         axis_point = (0,) * gn.dim + (c_n,)
-        face_idx = minimal_face(hull, axis_point)
+        face_idx = face_support(hull, axis_point, iv.lo_combination)
         face_pts = [gens[i] for i in face_idx]
         if len(set(face_pts)) < 2:
             raise StratifyInternalError("VertexFace", f"F_{n} degenerates to a vertex")
@@ -203,6 +213,7 @@ def stratify(
                 x_stage=x_n,
                 dim_hull=dim_hull,
                 dim_projected_hull=dim_proj,
+                projection=pcls,
             )
         )
         removed.update(s_labels)
@@ -301,10 +312,13 @@ def verify_decomposition(result: StratifyResult, u: RepVector) -> CheckReport:
             proj.fixed_part(next_torus).amplitudes == proj.amplitudes,
             "P_Si(u) must be fixed by G_{i+1}",
         )
-        pcls = classify(proj.restrict(st.torus))
+        pcls = st.projection
+        weights = tuple(sorted(proj.restrict(st.torus).effective_g_weights()))
         rep.add(
             f"stage{i}-polystable",
-            pcls.stability in (STABLE, POLYSTABLE_NOT_STABLE),
+            pcls.weights == weights
+            and pcls.verify()
+            and pcls.stability in (STABLE, POLYSTABLE_NOT_STABLE),
             pcls.stability,
         )
         prev_d = st.d
@@ -358,7 +372,7 @@ def stage_kn_minimizers(result: StratifyResult) -> list[tuple[KNResult, dict]]:
     out = []
     for st in result.stages:
         proj = result.u.project_labels(st.s_labels).restrict(st.torus)
-        res = kn_minimize(KNProblem.from_vector(proj))
+        res = kn_minimize(KNProblem.from_vector(proj), st.projection)
         rescaled = {}
         if res.minimizer is not None:
             rescaled = proj.rescale(res.minimizer).amplitudes

@@ -66,9 +66,10 @@ def test_criterion_1_stability_triequivalence():
     disagreements = 0
     for _ in range(500):
         v = _random_rep(rng)
-        stable_hull = classify(v).stability == STABLE
+        cls = classify(v)
+        stable_hull = cls.stability == STABLE
         stable_brute = destabilizer_bruteforce(v, 50) is None
-        stable_kn = kn_minimize(KNProblem.from_vector(v)).status == CONVERGED
+        stable_kn = kn_minimize(KNProblem.from_vector(v), cls).status == CONVERGED
         if not (stable_hull == stable_brute == stable_kn):
             disagreements += 1
     elapsed = time.monotonic() - start
@@ -78,7 +79,9 @@ def test_criterion_1_stability_triequivalence():
 
 
 def test_criterion_2_closed_form_kempf_ness():
-    res = kn_minimize(KNProblem(((1,), (-1,)), (4.0, 1.0)))
+    lines = (WeightLine("a", (1,)), WeightLine("b", (-1,)))
+    cls = classify(RepVector(lines, {"a": 1.0, "b": 1.0}))
+    res = kn_minimize(KNProblem(((1,), (-1,)), (4.0, 1.0)), cls)
     assert res.status == CONVERGED
     assert abs(res.minimizer[0] - (-math.log(2) / 2)) < 1e-8
     assert abs(res.value - 4.0) < 1e-8

@@ -412,3 +412,44 @@ def test_cli_import_leaves_out_scipy_linalg():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def kempf_ness_doc():
+    doc = stability_doc()
+    doc["kind"] = "kempf-ness"
+    doc["payload"]["amplitudes"] = {"a": 2.0, "b": 1.0}
+    return doc
+
+
+def unstable_box_doc():
+    # the first witness of the box scan is (1, 3): outside bound 2, inside 5
+    doc = stability_doc()
+    doc["payload"] = {
+        "rank": 2,
+        "lines": [
+            {"label": "a", "weight": [4, -1]},
+            {"label": "b", "weight": [-3, 1]},
+        ],
+        "amplitudes": {"a": 1.0, "b": 1.0},
+    }
+    return doc
+
+
+@pytest.mark.parametrize(
+    "key, flag, option, make_doc",
+    [
+        ("tol", 1e-10, 10.0, kempf_ness_doc),
+        ("emit_certificates", True, False, stability_doc),
+        ("box_bound", 2, 5, unstable_box_doc),
+        ("convention", "flipped", "default", shb_doc),
+    ],
+)
+def test_document_options_beat_flags(key, flag, option, make_doc):
+    doc = make_doc()
+    flag_only = run_document(doc, **{key: flag})
+    doc["options"] = {key: option}
+    validate_document(json.dumps(doc))
+    both = run_document(doc, **{key: flag})
+    option_only = run_document(doc)
+    assert both == option_only
+    assert both != flag_only

@@ -28,6 +28,12 @@ def problem(weights, norms2=None):
     return KNProblem(tuple(ws), tuple(float(n) for n in norms2))
 
 
+def classified(p):
+    """classify of a vector whose effective weights are p's."""
+    lines = tuple(WeightLine(f"w{i}", w) for i, w in enumerate(p.weights))
+    return classify(RepVector(lines, {ln.label: 1.0 for ln in lines}))
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracles
 
@@ -114,21 +120,23 @@ def test_kn_eval_matches_finite_differences():
 
 def test_kn_minimize_closed_form():
     p = problem([(1,), (-1,)], norms2=[4.0, 1.0])
-    res = kn_minimize(p)
+    res = kn_minimize(p, classified(p))
     assert res.status == CONVERGED
     assert res.minimizer[0] == pytest.approx(-math.log(2) / 2, abs=1e-8)
     assert res.value == pytest.approx(4.0, abs=1e-8)
 
 
 def test_kn_minimize_symmetric():
-    res = kn_minimize(problem([(1,), (-1,)]))
+    p = problem([(1,), (-1,)])
+    res = kn_minimize(p, classified(p))
     assert res.status == CONVERGED
     assert res.minimizer[0] == pytest.approx(0.0, abs=1e-9)
     assert res.value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_kn_minimize_diverging_with_ray():
-    res = kn_minimize(problem([(1,), (2,)]))
+    p = problem([(1,), (2,)])
+    res = kn_minimize(p, classified(p))
     assert res.status == DIVERGING
     ray = np.array(res.descent_ray, dtype=float)
     # the functional strictly decreases along the certified ray
@@ -138,7 +146,7 @@ def test_kn_minimize_diverging_with_ray():
 
 def test_kn_minimize_flat_directions():
     p = problem([(1, 0), (-1, 0)])
-    res = kn_minimize(p)
+    res = kn_minimize(p, classified(p))
     assert res.status == FLAT_DIRECTIONS
     assert res.flat_space is not None and res.flat_space.rank == 1
     # value is invariant along the flat lattice
@@ -151,14 +159,35 @@ def test_kn_minimize_flat_directions():
 
 def test_kn_minimize_moment_map_small_at_minimizer():
     p = problem([(1, 1), (-1, 0), (0, -1)], norms2=[1.0, 2.0, 3.0])
-    res = kn_minimize(p)
+    res = kn_minimize(p, classified(p))
     assert res.status == CONVERGED
     assert np.linalg.norm(moment_map(p, res.minimizer)) < 1e-9
 
 
 def test_kn_minimize_rejects_bad_tol():
+    p = problem([(1,), (-1,)])
+    cls = classified(p)
     with pytest.raises(ValueError):
-        kn_minimize(problem([(1,), (-1,)]), tol=0.0)
+        kn_minimize(p, cls, tol=0.0)
+
+
+def test_kn_minimize_rejects_classification_of_other_weights():
+    p = problem([(1,), (-1,)])
+    other = classified(problem([(1,), (-2,)]))
+    with pytest.raises(ValueError, match="other weights"):
+        kn_minimize(p, other)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_kn_minimize_scale_invariant(scale):
+    # minimize s e^{2x} + 2s e^{-2x}: x = ln 2 / 4 at every scale s
+    p = problem([(1,), (-1,)], norms2=[scale, 2 * scale])
+    res = kn_minimize(p, classified(p))
+    assert res.status == CONVERGED
+    assert res.minimizer[0] == pytest.approx(math.log(2) / 4, abs=1e-12)
+    # value and gradient are reported at the input scale
+    assert res.value == pytest.approx(2 * math.sqrt(2) * scale, rel=1e-12)
+    assert res.gradient_norm < 1e-12 * scale
 
 
 weight2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -169,14 +198,14 @@ weight2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 def test_kn_minimize_status_matches_classify(ws):
     lines = tuple(WeightLine(f"l{i}", w) for i, w in enumerate(ws))
     v = RepVector(lines, {ln.label: 1.0 for ln in lines})
-    cls = classify(v).stability
-    res = kn_minimize(KNProblem.from_vector(v))
+    cls = classify(v)
+    res = kn_minimize(KNProblem.from_vector(v), cls)
     expected = {
         "Stable": CONVERGED,
         "PolystableNotStable": FLAT_DIRECTIONS,
         "SemistableNotPolystable": DIVERGING,
         "Unstable": DIVERGING,
-    }[cls]
+    }[cls.stability]
     assert res.status == expected
 
 

@@ -1,12 +1,16 @@
+import dataclasses
+import importlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import torstab.kempf_ness as kempf_ness
+import torstab.polytope as polytope
 from torstab.errors import NotStableError, ZeroVectorError
 from torstab.kempf_ness import CONVERGED, FLAT_DIRECTIONS
-from torstab.stability import STABLE, classify
+from torstab.stability import POLYSTABLE_NOT_STABLE, STABLE, classify
 from torstab.stratify import (
     StratifyOptions,
     stage_kn_minimizers,
@@ -268,3 +272,72 @@ def test_stage_kn_minimizers_flat_stage():
     res = stratify(u)
     outs = stage_kn_minimizers(res)
     assert all(kn.status in (CONVERGED, FLAT_DIRECTIONS) for kn, _ in outs)
+
+
+# ---------------------------------------------------------------------------
+# each stage's classification is decided once and reused
+
+
+def two_stage_example():
+    return graded(
+        [("l0", (1, 0), 1), ("l1", (-1, 0), 1), ("l2", (0, 1), 1), ("l3", (0, -1), 2)]
+    )
+
+
+def test_stage_classification_decided_once(monkeypatch):
+    classify_calls, relint_calls = [], []
+    relint = polytope._relint_lp
+
+    def counted_classify(v):
+        classify_calls.append(v)
+        return classify(v)
+
+    def counted_relint(p, q):
+        relint_calls.append(q)
+        return relint(p, q)
+
+    # the package re-exports the function stratify under the module's name
+    stratify_mod = importlib.import_module("torstab.stratify")
+    for module in (stratify_mod, kempf_ness):
+        if hasattr(module, "classify"):
+            monkeypatch.setattr(module, "classify", counted_classify)
+    monkeypatch.setattr(polytope, "_relint_lp", counted_relint)
+
+    u = two_stage_example()
+    res = stratify(u)
+    assert verify_decomposition(res, u).all_ok
+    outs = stage_kn_minimizers(res)
+    assert res.num_stages == 2
+    assert [kn.status for kn, _ in outs] == [FLAT_DIRECTIONS, CONVERGED]
+    # the input, then one classification per stage; no relint LP elsewhere
+    assert (len(classify_calls), len(relint_calls)) == (3, 3)
+    assert [st.projection.stability for st in res.stages] == [
+        POLYSTABLE_NOT_STABLE, STABLE]
+
+
+def _with_stage(res, i, **changes):
+    stages = list(res.stages)
+    stages[i] = dataclasses.replace(stages[i], **changes)
+    return dataclasses.replace(res, stages=tuple(stages))
+
+
+def _failed(rep):
+    return [name for name, _ in rep.failures()]
+
+
+def test_verify_rejects_certificate_of_other_weights():
+    u = two_stage_example()
+    res = stratify(u)
+    s0, s1 = res.stages
+    swapped = _with_stage(res, 0, projection=s1.projection)
+    assert _failed(verify_decomposition(swapped, u)) == ["stage0-polystable"]
+
+
+def test_verify_rejects_forged_combination():
+    u = two_stage_example()
+    res = stratify(u)
+    proj = res.stages[1].projection
+    assert proj.stability == STABLE and proj.weights == ((-1,), (1,))
+    forged = dataclasses.replace(proj, combination=(Fraction(1), Fraction(0)))
+    tampered = _with_stage(res, 1, projection=forged)
+    assert _failed(verify_decomposition(tampered, u)) == ["stage1-polystable"]
