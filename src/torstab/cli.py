@@ -33,7 +33,7 @@ from .graded_kuranishi import (
     random_graded_complex,
 )
 from .kempf_ness import KNProblem, kn_minimize
-from .stability import classify, destabilizer_bruteforce
+from .stability import classify, destabilizer_bruteforce, witness_bound
 from .stratify import StratifyOptions, stage_kn_minimizers, stratify, verify_decomposition
 from .torus_rep import RepVector, Subtorus, WeightLine
 
@@ -239,6 +239,8 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
         body = runner(doc["payload"], options, tol=tol, convention=convention,
                       emit_certificates=emit_certificates, box_bound=box_bound)
         status, code = "ok", 0
+    except np.linalg.LinAlgError:
+        raise  # a ValueError, but a numerical failure, not bad input
     except (NotStableError, ZeroVectorError, TorstabError, ValueError, KeyError) as exc:
         body = {"reason": str(exc)}
         if isinstance(exc, NotStableError) and exc.result is not None:
@@ -275,6 +277,7 @@ def _run_stability(payload, options, *, tol, convention, emit_certificates, box_
     if box_bound:
         witness = destabilizer_bruteforce(v, box_bound)
         body["bruteforce_witness"] = None if witness is None else list(witness)
+        body["box_sound"] = witness_bound(res.weights) <= box_bound
     return body
 
 

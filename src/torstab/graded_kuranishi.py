@@ -47,13 +47,10 @@ class GradedComplex:
             n0, n1, n2 = self.dims[g]
             if self.d0[g].shape != (n1, n0) or self.d1[g].shape != (n2, n1):
                 raise ValueError(f"differential shape mismatch at grade {g}")
+            # relative to the scales of d1 and d0, which d1 d0 scales with
             comp = self.d1[g] @ self.d0[g]
-            scale = max(
-                1.0,
-                float(np.abs(self.d1[g]).max(initial=0.0)),
-                float(np.abs(self.d0[g]).max(initial=0.0)),
-            )
-            if comp.size and float(np.abs(comp).max()) > 1e-12 * scale * scale:
+            scale = np.abs(self.d1[g]).max(initial=0.0) * np.abs(self.d0[g]).max(initial=0.0)
+            if np.abs(comp).max(initial=0.0) > 1e-12 * scale:
                 raise ValueError(f"d1 d0 != 0 at grade {g}")
         for (g1, g2), t in self.bracket.items():
             if g1 not in self.dims or g2 not in self.dims or g1 + g2 not in self.dims:

@@ -199,14 +199,24 @@ def _check_phi(phi) -> np.ndarray:
     return phi
 
 
+# The hermitian and traceless tests are relative to the largest entry, so a
+# matrix is judged the same at every scale.
+def _check_hermitian(a: np.ndarray, what: str):
+    if np.abs(a - a.conj().T).max(initial=0.0) > 1e-10 * np.abs(a).max(initial=0.0):
+        raise ValueError(f"{what} must be hermitian")
+
+
+def _check_traceless(a: np.ndarray, what: str):
+    if abs(np.trace(a)) > 1e-10 * np.abs(a).max(initial=0.0):
+        raise ValueError(f"{what} must be traceless")
+
+
 def _check_direction(v, n) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (n, n):
         raise ValueError("direction of wrong shape")
-    if not np.allclose(v, v.conj().T, atol=1e-12):
-        raise ValueError("direction must be hermitian")
-    if abs(np.trace(v)) > 1e-10 * max(1.0, np.abs(v).max()):
-        raise ValueError("direction must be traceless")
+    _check_hermitian(v, "direction")
+    _check_traceless(v, "direction")
     return v
 
 
@@ -231,8 +241,7 @@ def kn_conjugation_eval(phi, g):
     g = np.asarray(g, dtype=complex)
     if g.shape != (n, n):
         raise ValueError("dimension mismatch between phi and g")
-    if not np.allclose(g, g.conj().T, atol=1e-12):
-        raise ValueError("g must be hermitian")
+    _check_hermitian(g, "g")
     eg = expm(g)
     eg_inv = expm(-g)
     conj = eg @ phi @ eg_inv
@@ -291,8 +300,7 @@ class ConjugationProblem:
     def make(phi, directions=None) -> "ConjugationProblem":
         phi = _check_phi(phi)
         n = phi.shape[0]
-        if abs(np.trace(phi)) > 1e-10 * max(1.0, float(np.abs(phi).max())):
-            raise ValueError("phi must be traceless")
+        _check_traceless(phi, "phi")
         dirs = tuple(directions) if directions is not None else standard_hermitian_directions(n)
         dirs = tuple(_check_direction(v, n) for v in dirs)
         return ConjugationProblem(phi, dirs)

@@ -20,7 +20,7 @@ the test suite run under both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .errors import TorstabError
@@ -275,29 +275,49 @@ def _set_partitions(n: int):
         yield smaller + [[n - 1]]
 
 
+@lru_cache(maxsize=None)
+def _merges(n: int) -> tuple:
+    """The set partitions of n parts that merge at least two of them."""
+    return tuple(tuple(map(tuple, m)) for m in _set_partitions(n) if len(m) < n)
+
+
+def _signature(id_parts) -> tuple:
+    """A partition's poset element: the sorted multiset of its parts' sorted
+    multisets of block-data ids."""
+    return tuple(sorted(tuple(sorted(part)) for part in id_parts))
+
+
 @dataclass(frozen=True)
 class PartitionPoset:
     partitions: tuple[PartitionP, ...]
-    # classes[i]: every partition of the index set deduplicated into
-    # partitions[i]; only the order reads them
-    classes: tuple[tuple[PartitionP, ...], ...] = field(repr=False, compare=False)
+    # ids[i]: class of block i's data; partitions with the same multiset of
+    # part id-multisets are one element of the poset
+    ids: tuple[int, ...] = field(repr=False, compare=False)
+
+    def _id_parts(self, p: PartitionP) -> list:
+        return [[self.ids[i] for i in part] for part in p.parts]
+
+    @cached_property
+    def _index(self) -> dict:
+        return {_signature(self._id_parts(p)): i for i, p in enumerate(self.partitions)}
 
     @cached_property
     def order(self) -> frozenset:
         """Pairs (i, j) with partitions[i] > partitions[j] (strict
-        coarsening), built on first read."""
+        coarsening), built on first read: each strict coarsening of
+        partitions[j] merges its parts along a set partition of them."""
         order = set()
-        for ia in range(len(self.partitions)):
-            for ib, pb in enumerate(self.partitions):
-                if ia == ib:
-                    continue
-                # pb fixed; pa > pb iff some member of pa's class is coarser
-                if any(pb.refines(cand) and pb != cand for cand in self.classes[ia]):
-                    order.add((ia, ib))
+        for ib, pb in enumerate(self.partitions):
+            id_parts = self._id_parts(pb)
+            for merge in _merges(len(id_parts)):
+                coarser = ([c for j in group for c in id_parts[j]] for group in merge)
+                order.add((self._index[_signature(coarser)], ib))
         return frozenset(order)
 
     def greater(self, a: PartitionP, b: PartitionP) -> bool:
-        return (self.partitions.index(a), self.partitions.index(b)) in self.order
+        index = self._index
+        return (index[_signature(self._id_parts(a))],
+                index[_signature(self._id_parts(b))]) in self.order
 
     @property
     def maximum(self) -> PartitionP:
@@ -313,24 +333,14 @@ def partitions_with_order(shb: SHBSpec) -> PartitionPoset:
     k = shb.k
     if k > MAX_PARTITION_BLOCKS:
         raise TorstabError(f"partition enumeration capped at {MAX_PARTITION_BLOCKS} blocks")
-
-    def block_key(i):
-        b = shb.blocks[i]
-        return (b.ranks, b.degrees, b.tag)
-
-    def signature(p: PartitionP):
-        return tuple(
-            sorted(tuple(sorted(block_key(i) for i in part)) for part in p.parts)
-        )
-
-    classes: dict = {}
+    data_ids: dict = {}
+    ids = tuple(data_ids.setdefault((b.ranks, b.degrees, b.tag), len(data_ids))
+                for b in shb.blocks)
+    reps: dict = {}
     for parts in _set_partitions(k):
-        p = PartitionP.of(parts)
-        classes.setdefault(signature(p), []).append(p)
-    return PartitionPoset(
-        tuple(members[0] for members in classes.values()),
-        tuple(tuple(members) for members in classes.values()),
-    )
+        reps.setdefault(_signature([ids[i] for i in part] for part in parts),
+                        PartitionP.of(parts))
+    return PartitionPoset(tuple(reps.values()), ids)
 
 
 def rr_h1_lower_bound(r1: int, r2: int, deg: int, g: int):

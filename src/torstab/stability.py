@@ -12,9 +12,11 @@ never enters a stability decision here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -37,9 +39,10 @@ SEMISTABLE_NOT_POLYSTABLE = "SemistableNotPolystable"
 POLYSTABLE_NOT_STABLE = "PolystableNotStable"
 STABLE = "Stable"
 
-# Largest integer box destabilizer_bruteforce will materialise: the grid and
-# the weight products cost tens of bytes per point, so this keeps a scan
-# near 100 MB while admitting the rank-3 box at bound 50 (101^3 points).
+# Largest integer box destabilizer_bruteforce will scan.  The scan holds one
+# slice of (2B+1)^(k-1) points at a time, never the whole box, so this caps
+# the work of a scan rather than its memory; it admits the rank-3 box at
+# bound 50 (101^3 points).
 MAX_BOX_POINTS = 2_000_000
 
 
@@ -148,25 +151,78 @@ def classify(v: RepVector) -> StabilityResult:
     return StabilityResult(UNSTABLE, weights, cocharacter=_separating_cocharacter(weights))
 
 
-@lru_cache(maxsize=8)
-def _box_points(rank: int, bound: int) -> np.ndarray:
-    """All integer points of [-B, B]^rank, each axis ordered by increasing
-    magnitude with the positive value first (0, 1, -1, 2, -2, ...)."""
+def witness_bound(weights) -> int:
+    """A bound M >= 1 such that, if the cone {x : <w, x> >= 0 for every
+    weight w} holds a nonzero integer point, it holds one with every
+    |x_i| <= M.
+
+    Such a point exists among the lineality vectors and extreme rays of the
+    cone, and Cramer's rule on at most k-1 tight weights gives it with
+    entries that are minors of the weight matrix of size at most k-1
+    (Schrijver, Theory of Linear and Integer Programming, ch. 10).  M is the
+    largest such |minor|: exact at rank <= 3, Hadamard's bound (the product
+    of the k-1 largest nonzero row norms) above.
+    """
+    rows = list(weights)
+    k = len(rows[0]) if rows else 0
+    if k > 3:
+        norms2 = sorted((sum(c * c for c in w) for w in rows), reverse=True)
+        return max(1, math.isqrt(math.prod(n for n in norms2[: k - 1] if n)))
+    minors = [abs(c) for w in rows for c in w] if k > 1 else []
+    if k == 3:
+        minors += [
+            abs(a[i] * b[j] - a[j] * b[i])
+            for a, b in combinations(rows, 2)
+            for i, j in ((0, 1), (0, 2), (1, 2))
+        ]
+    return max([1] + minors)
+
+
+def _axis(bound: int) -> np.ndarray:
     axis = np.zeros(2 * bound + 1, dtype=np.int64)
     axis[1::2] = np.arange(1, bound + 1)
     axis[2::2] = -np.arange(1, bound + 1)
-    grid = np.meshgrid(*([axis] * rank), indexing="ij")
+    return axis
+
+
+@lru_cache(maxsize=8)
+def _box_points(rank: int, bound: int) -> np.ndarray:
+    """All integer points of [-B, B]^rank in scan order: each axis ordered by
+    increasing magnitude with the positive value first (0, 1, -1, 2, -2, ...),
+    the first coordinate varying slowest."""
+    if rank == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    grid = np.meshgrid(*([_axis(bound)] * rank), indexing="ij")
     return np.stack(grid, axis=-1).reshape(-1, rank)
 
 
+def _first_hit(w: np.ndarray, bound: int):
+    """First nonzero x of [-bound, bound]^k in scan order with w @ x >= 0, or
+    None.  Each value of the first coordinate is one slice, tested against
+    the pairings of the cached (k-1)-dimensional grid; the first slice with
+    a hit holds the first hit."""
+    rest = _box_points(w.shape[1] - 1, bound)
+    pairings = rest @ w[:, 1:].T
+    for c in _axis(bound):
+        ok = (pairings >= -c * w[:, 0]).all(axis=1)
+        if c == 0:
+            ok[0] = False  # rest[0] is the origin
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return (int(c),) + tuple(int(t) for t in rest[hits[0]])
+    return None
+
+
 def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
-    """Scan the integer box for a nonzero cocharacter x with <w, x> >= 0 for
-    every effective weight, witnessing that v is not stable.
+    """Scan the integer box [-B, B]^k for a nonzero cocharacter x with
+    <w, x> >= 0 for every effective weight, witnessing that v is not stable.
 
     Returns the first hit of a fixed deterministic scan (each coordinate
-    ordered by increasing magnitude, positive before negative) or None when
-    the box holds no witness.  Soundness of the box bound is a property of
-    the weight scale, not of this function.
+    ordered by increasing magnitude, positive before negative, the first
+    coordinate varying slowest) or None when the box holds no witness.
+    Only the part of the box within M = witness_bound(weights) is scanned,
+    because the first hit always lies there.  When M <= B, None proves v
+    stable.
     """
     if box_bound < 1:
         raise ValueError("box_bound must be >= 1")
@@ -182,11 +238,19 @@ def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
             f"brute-force box of {points} points (rank {k}, bound {box_bound}) "
             f"exceeds the limit of {MAX_BOX_POINTS}"
         )
-    pts = _box_points(k, box_bound)
-    w = np.array(weights, dtype=np.int64)
-    ok = (pts @ w.T >= 0).all(axis=1)
-    ok &= (pts != 0).any(axis=1)
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
-        return None
-    return tuple(int(c) for c in pts[hits[0]])
+    largest = max(abs(c) for w in weights for c in w)
+    if largest * k * box_bound >= 2**63:
+        raise ValueError(
+            f"weights up to {largest} overflow the 64-bit pairings of the "
+            f"brute-force scan at bound {box_bound}"
+        )
+    # Why the first hit lies within M: if the cone meets x_1 = 0 beyond the
+    # origin, the first hit lies in that slice, the cone of W without its
+    # first column, whose minors are minors of W (induction on k).
+    # Otherwise the cone is a line or x_1 has one sign on it, and either way
+    # it is spanned by rays through integer points r with r_1 != 0 and
+    # |r_i| <= M (Cramer).  The first slice x_1 = c holding a cone point has
+    # |c| <= |r_1| for each r, so it is the hull of the points c r / r_1,
+    # all within M.
+    bound = min(box_bound, witness_bound(weights))
+    return _first_hit(np.array(weights, dtype=np.int64), bound)

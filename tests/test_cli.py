@@ -453,3 +453,39 @@ def test_document_options_beat_flags(key, flag, option, make_doc):
     option_only = run_document(doc)
     assert both == option_only
     assert both != flag_only
+
+
+def test_box_sound_reported_next_to_the_witness():
+    report, _ = run_document(stability_doc(), box_bound=5)
+    assert report["report"]["bruteforce_witness"] is None
+    assert report["report"]["box_sound"] is True
+    # the witness bound of (4, -1), (-3, 1) is 4: an empty 2-box proves nothing
+    report, _ = run_document(unstable_box_doc(), box_bound=2)
+    assert report["report"]["bruteforce_witness"] is None
+    assert report["report"]["box_sound"] is False
+    assert report["report"]["class"] != "Stable"
+    report, _ = run_document(stability_doc())
+    assert "box_sound" not in report["report"]
+
+
+def test_numerical_failure_is_not_a_rejection(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError subclasses ValueError, the rejection type
+    import numpy as np
+
+    import torstab.cli as cli
+
+    def fail(cx):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "greens_operator", fail)
+    doc = {
+        "schema_version": "1",
+        "kind": "kuranishi",
+        "payload": {"generator": {"seed": 5, "grades": [1, 2, 3], "max_dim": 4}},
+    }
+    p = tmp_path / "kuranishi.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--input", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: SVD did not converge" in captured.err

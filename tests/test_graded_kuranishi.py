@@ -48,6 +48,22 @@ def test_complex_validation_rejects_bad_d1d0():
         GradedComplex((1,), dims, d0, d1, {})
 
 
+def test_complex_validation_rejects_bad_d1d0_at_tiny_scale():
+    dims = {1: (1, 1, 1)}
+    d0 = {1: np.array([[1e-8]], dtype=complex)}
+    d1 = {1: np.array([[1e-8]], dtype=complex)}
+    with pytest.raises(ValueError, match="d1 d0"):
+        GradedComplex((1,), dims, d0, d1, {})
+
+
+@pytest.mark.parametrize("s0, s1", [(1e-12, 1e-12), (1e-12, 1e12), (1e12, 1e-12), (1e12, 1e12)])
+def test_complex_validation_accepts_any_scale(s0, s1):
+    cx = random_graded_complex(np.random.default_rng(7), (1, 2, 3), max_dim=4)
+    d0 = {g: s0 * cx.d0[g] for g in cx.grades}
+    d1 = {g: s1 * cx.d1[g] for g in cx.grades}
+    GradedComplex(cx.grades, cx.dims, d0, d1, cx.bracket)
+
+
 def test_complex_validation_rejects_asymmetric_bracket():
     dims = {1: (0, 2, 0), 2: (0, 1, 2)}
     d0 = {1: np.zeros((2, 0)), 2: np.zeros((1, 0))}

@@ -275,3 +275,35 @@ def test_conjugation_gradient_matches_finite_differences():
         ref = fd_conjugation_pairing(phi, g, v)
         got = conjugation_gradient_pairing(phi, g, v)
         assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
+
+
+SCALES = [10.0**e for e in range(-12, 13, 3)]
+
+
+def test_conjugation_checks_reject_bad_tiny_matrices():
+    from torstab.kempf_ness import ConjugationProblem
+
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="hermitian"):
+        ConjugationProblem.make(nil, [1e-14 * nil])
+    with pytest.raises(ValueError, match="traceless"):
+        ConjugationProblem.make(nil, [1e-13 * np.diag([1.0, 2.0])])
+    with pytest.raises(ValueError, match="traceless"):
+        ConjugationProblem.make(1e-13 * np.diag([1.0, 2.0]))
+    with pytest.raises(ValueError, match="hermitian"):
+        kn_conjugation_eval(nil, 1e-14 * nil)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_conjugation_checks_accept_valid_matrices_at_every_scale(scale):
+    from torstab.kempf_ness import ConjugationProblem, standard_hermitian_directions
+
+    rng = np.random.default_rng(5)
+    phi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    phi -= np.trace(phi) / 3 * np.eye(3)
+    dirs = [scale * v for v in standard_hermitian_directions(3)]
+    dirs.append(scale * hermitian_traceless(rng, 3))
+    assert len(ConjugationProblem.make(scale * phi, dirs).directions) == 9
+    if scale <= 1.0:
+        value, _ = kn_conjugation_eval(phi, scale * hermitian_traceless(rng, 3))
+        assert math.isfinite(value)

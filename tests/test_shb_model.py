@@ -256,6 +256,27 @@ def test_partitions_lazy_order_matches_eager(blocks):
             assert poset.greater(a, b) == ((ia, ib) in poset.order)
 
 
+def stirling2(n, j):
+    if n == j:
+        return 1
+    if j == 0 or j > n:
+        return 0
+    return j * stirling2(n - 1, j) + stirling2(n - 1, j - 1)
+
+
+def test_partitions_distinct_blocks_order_size():
+    # with distinct blocks a partition into j parts has Bell(j) - 1 strict
+    # coarsenings, one per set partition of its parts that merges two
+    def bell(j):
+        return sum(stirling2(j, i) for i in range(j + 1))
+
+    for n in range(1, 9):
+        shb = SHBSpec(2, tuple(line_block(f"b{i}") for i in range(n)))
+        expected = sum(stirling2(n, j) * (bell(j) - 1) for j in range(1, n + 1))
+        assert len(partitions_with_order(shb).order) == expected
+    assert expected == 163_754
+
+
 def test_partitions_cap():
     shb = SHBSpec(2, tuple(line_block(f"b{i}") for i in range(9)))
     with pytest.raises(TorstabError):

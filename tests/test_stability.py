@@ -1,3 +1,7 @@
+import itertools
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +14,10 @@ from torstab.stability import (
     SEMISTABLE_NOT_POLYSTABLE,
     STABLE,
     UNSTABLE,
+    _box_points,
     classify,
     destabilizer_bruteforce,
+    witness_bound,
 )
 from torstab.torus_rep import RepVector, WeightLine
 
@@ -128,6 +134,113 @@ def test_certificates_always_verify(ws):
     assert classify(vec(ws)).verify()
 
 
+@pytest.mark.parametrize(
+    "weights", [[(2**62, 1), (-(2**62), 1), (0, -1)], [(2**63,), (-1,)]], ids=["wrap", "int64"]
+)
+def test_bruteforce_refuses_pairings_beyond_int64(weights):
+    # the first is stable; 64-bit pairings would wrap and report (2, 0)
+    with pytest.raises(ValueError, match="overflow"):
+        destabilizer_bruteforce(vec(weights), 5)
+
+
 def test_bruteforce_rejects_bad_box():
     with pytest.raises(ValueError):
         destabilizer_bruteforce(vec([(1,)]), 0)
+
+
+def full_scan(v, box_bound):
+    """Reference scan: every point of [-B, B]^k in scan order, tested at
+    once; the first nonzero x with <w, x> >= 0 for every weight."""
+    weights = sorted(v.effective_g_weights())
+    k = len(weights[0])
+    axis = sorted(range(-box_bound, box_bound + 1), key=lambda c: (abs(c), -c))
+    grid = np.meshgrid(*([np.array(axis, dtype=np.int64)] * k), indexing="ij")
+    pts = np.stack(grid, axis=-1).reshape(-1, k)
+    ok = (pts @ np.array(weights, dtype=np.int64).T >= 0).all(axis=1)
+    ok &= (pts != 0).any(axis=1)
+    hits = np.flatnonzero(ok)
+    return None if hits.size == 0 else tuple(int(c) for c in pts[hits[0]])
+
+
+@st.composite
+def ranked_weight_sets(draw, ranks=(1, 2, 3), lo=-4, hi=4):
+    k = draw(st.sampled_from(ranks))
+    coords = st.tuples(*[st.integers(lo, hi)] * k)
+    return draw(st.lists(coords, min_size=1, max_size=8, unique=True))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 50])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ws=ranked_weight_sets())
+def test_bruteforce_matches_full_scan(ws, bound):
+    v = vec(ws)
+    assert destabilizer_bruteforce(v, bound) == full_scan(v, bound)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ranked_weight_sets())
+def test_witness_bound_box_holds_a_witness(ws):
+    # a vector that is not stable has a witness inside the bound's box
+    v = vec(ws)
+    if classify(v).stability != STABLE:
+        assert full_scan(v, witness_bound(ws)) is not None
+
+
+def test_witness_bound_examples():
+    assert witness_bound([(5,), (-3,)]) == 1
+    assert witness_bound([(5, -7), (1, 0)]) == 7
+    # 2x2 minor 3*3 - (-2)*2 = 13 beats every entry
+    assert witness_bound([(3, 2, 0), (-2, 3, 0)]) == 13
+    # rank 4: isqrt of the product of the three largest squared norms
+    assert witness_bound([(1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)]) == 2
+    assert witness_bound([()]) == 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-4, 4)] * 4), min_size=1, max_size=8, unique=True))
+def test_witness_bound_dominates_minors_at_rank_4(ws):
+    w = np.array(ws, dtype=float)
+    largest = 0.0
+    for size in (1, 2, 3):
+        for rows in itertools.combinations(range(len(ws)), size):
+            for cols in itertools.combinations(range(4), size):
+                largest = max(largest, abs(np.linalg.det(w[np.ix_(rows, cols)])))
+    assert witness_bound(ws) >= round(largest)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.one_of(ranked_weight_sets(), ranked_weight_sets(ranks=(4,), lo=-1, hi=1)),
+    st.sampled_from([1, 2, 5, 8, 50]),
+)
+def test_sound_box_decides_stability(ws, bound):
+    # box_sound: a witness exists in the box exactly when v is not stable
+    v = vec(ws)
+    if len(ws[0]) == 4:
+        bound = min(bound, 8)
+    if witness_bound(ws) <= bound:
+        stable = classify(v).stability == STABLE
+        assert (destabilizer_bruteforce(v, bound) is None) == stable
+
+
+@pytest.mark.parametrize(
+    "weights, witness",
+    [
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], None),
+        # witness bound 60 > 50: the whole 50-box is scanned
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (60, 0, 1)], None),
+        ([(0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (-60, 0, 0)], (-1, 0, 0)),
+    ],
+    ids=["stable", "stable-whole-box", "witness-whole-box"],
+)
+def test_bruteforce_memory_at_rank_3(weights, witness):
+    if witness is None:
+        assert classify(vec(weights)).stability == STABLE
+    _box_points.cache_clear()
+    tracemalloc.start()
+    try:
+        assert destabilizer_bruteforce(vec(weights), 50) == witness
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
