@@ -4,7 +4,12 @@ Hodge-bundle pipeline (automorphism torus, positive slice, cyclic stable
 vector, stratification, conformal degree table) on a three-block system.
 
     python scripts/stratify_demo.py
+
+Exits 1 when a bridge identity fails; the check is explicit, so it also
+runs under python -O.
 """
+
+import sys
 
 from torstab.shb_model import (
     SHBSpec,
@@ -72,11 +77,17 @@ def main():
     table = conformal_degree_table(shb, res.x, res.sigma)
     degs = {lab: table.degree_of_label(lab) for lab in res.exponents}
     print(f"  conformal degrees of effective classes: {degs}")
+    wrong = []
     for lab, e in res.exponents.items():
         expected = 2 * e - 2 * res.sigma if lab.startswith("phi") else 2 * e
-        assert degs[lab] == expected
+        if degs[lab] != expected:
+            wrong.append(f"{lab}: degree {degs[lab]}, expected {expected}")
+    if wrong:
+        print("  bridge identities FAIL: " + "; ".join(wrong))
+        return 1
     print("  bridge identities hold exactly")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -231,7 +231,8 @@ def kn_conjugation_eval(phi, g):
 
     The gradient is returned as the traceless hermitian matrix M with
     directional derivative Re tr(M v) along any traceless hermitian v; at
-    g = 0 it reduces to 2 [phi, phi*].
+    g = 0 it reduces to 2 [phi, phi*].  Raises FloatingPointError when the
+    value or the gradient overflows.
     """
     # imported here: scipy.linalg is about half of every torstab start-up
     from scipy.linalg import expm, expm_frechet
@@ -242,22 +243,32 @@ def kn_conjugation_eval(phi, g):
     if g.shape != (n, n):
         raise ValueError("dimension mismatch between phi and g")
     _check_hermitian(g, "g")
-    eg = expm(g)
-    eg_inv = expm(-g)
-    conj = eg @ phi @ eg_inv
-    value = float(np.real(np.trace(conj @ conj.conj().T)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        eg = expm(g)
+        eg_inv = expm(-g)
+        conj = eg @ phi @ eg_inv
+        value = float(np.real(np.trace(conj @ conj.conj().T)))
 
-    # first variation: D_g l(v) = Re tr(W v_g) with v_g the derivative of
-    # exp(2(g+tv)); transposing the exponential's Frechet map (self-adjoint
-    # for hermitian 2g) turns the pairing into an explicit gradient matrix
-    e2g = eg @ eg
-    e2g_inv = eg_inv @ eg_inv
-    w = (phi @ e2g_inv @ phi.conj().T @ e2g - e2g_inv @ phi.conj().T @ e2g @ phi) @ e2g_inv
+        # first variation: D_g l(v) = Re tr(W v_g) with v_g the derivative of
+        # exp(2(g+tv)); transposing the exponential's Frechet map (self-adjoint
+        # for hermitian 2g) turns the pairing into an explicit gradient matrix
+        e2g = eg @ eg
+        e2g_inv = eg_inv @ eg_inv
+        w = (phi @ e2g_inv @ phi.conj().T @ e2g - e2g_inv @ phi.conj().T @ e2g @ phi) @ e2g_inv
+    _check_finite(value, w)
     _, lw = expm_frechet(2.0 * g, w.conj().T)
     m = 2.0 * lw.conj().T
     m = (m + m.conj().T) / 2.0
     m = m - np.trace(m) / n * np.eye(n)
+    _check_finite(m)
     return value, m
+
+
+def _check_finite(*arrays):
+    """Overflow is a numerical failure, not bad input: FloatingPointError
+    (an ArithmeticError) rather than scipy's ValueError on infs."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise FloatingPointError("the conjugation functional overflows at this g")
 
 
 def conjugation_gradient_pairing(phi, g, v) -> float:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalError
-from .qexact import QVec, qvec, rational_rank, vsub
+from .qexact import QVec, dot, qvec, rational_rank, solve_affine, vsub
 from .simplex import OPTIMAL, solve_lp, solve_lp_mixed
 
 # hull_position verdicts
@@ -220,53 +220,72 @@ def solve_mixed_system(
     the slack t is maximized first (capped at 1, an epsilon made concrete);
     with t pinned, coordinates are fixed one at a time to their minimal
     absolute value, preferring the nonnegative sign.  The result is the
-    same point on every run.
+    same point on every run.  Every value chosen is an LP optimum, so the
+    point does not depend on how the LPs are solved.
+
+    The equalities are settled first by one exact elimination (Schrijver,
+    Theory of Linear and Integer Programming, ch. 3): x = y + N z with z
+    free.  LPs run over z only.  When N is empty there are none, and t is
+    min(1, <g,y> - h) over the strict rows.  A coordinate whose row of N is
+    zero is already fixed at y_i.  Fixing any other coordinate substitutes
+    one z out, so at most 1 + 2 dim N LPs are solved.  Zero coordinates
+    are the int 0 and all others are Fractions.
     """
     for a, _ in [*equalities, *strict_inequalities]:
         if len(a) != nvars:
             raise DimensionMismatch("constraint of wrong arity")
-
-    # variables: x_1..x_nvars, t
-    def with_t(coeffs, tcoef):
-        return [*coeffs, tcoef]
-
-    eq_rows = [(with_t(a, 0), b) for a, b in equalities]
-    ge_rows = [(with_t(g, -1), h) for g, h in strict_inequalities]
-    ge_rows.append((with_t([0] * nvars, -1), -1))  # t <= 1
-    ge_rows.append((with_t([0] * nvars, 1), 0))    # t >= 0
-    obj = with_t([0] * nvars, 1)
-    res = solve_lp_mixed(eq_rows, ge_rows, obj)
-    if res.status != OPTIMAL or res.x[nvars] <= 0:
+    sol = solve_affine([a for a, _ in equalities], [b for _, b in equalities], nvars)
+    if sol is None:
         return None
-    tstar = res.x[nvars]
-    eq_rows.append((with_t([0] * nvars, 1), tstar))
+    y, basis = sol
 
-    fixed = []
+    def over_z(t):
+        # <g, y + N z> >= h + t  as  <g N, z> >= h + t - <g, y>
+        return [([dot(g, v) for v in basis], h + t - dot(g, y))
+                for g, h in strict_inequalities]
+
+    if basis:
+        k = len(basis)
+        ge = [([*c, -1], h) for c, h in over_z(0)]
+        ge += [([0] * k + [-1], -1), ([0] * k + [1], 0)]  # 0 <= t <= 1
+        res = solve_lp_mixed([], ge, [0] * k + [1])
+        if res.status != OPTIMAL:
+            return None
+        tstar = res.value
+    else:
+        tstar = min([1, *(dot(g, y) - h for g, h in strict_inequalities)])
+    if tstar <= 0:
+        return None
+
+    ge = over_z(tstar)
     for i in range(nvars):
+        row = [v[i] for v in basis]
+        j = next((j for j, c in enumerate(row) if c), None)
+        if j is None:
+            continue
         # achievable x_i values form an interval by convexity; pick the one
         # of minimal absolute value (0 whenever the interval straddles it);
         # the upper end is needed only when the lower one is not positive
-        lo = _coordinate_extreme(eq_rows, ge_rows, nvars, i, maximize=False)
-        if lo is not None and lo > 0:
-            val = lo
+        lo = _extreme(ge, row, maximize=False)
+        if lo is not None and y[i] + lo > 0:
+            val = y[i] + lo
         else:
-            hi = _coordinate_extreme(eq_rows, ge_rows, nvars, i, maximize=True)
-            val = hi if hi is not None and hi < 0 else 0
-        eq_rows.append((_unit_row(nvars, i), val))
-        fixed.append(val)
-    return tuple(fixed)
+            hi = _extreme(ge, row, maximize=True)
+            val = y[i] + hi if hi is not None and y[i] + hi < 0 else 0
+        # <row, z> = val - y_i solved for z_j
+        nj = basis[j]
+        step = Fraction(val - y[i], row[j])
+        y = tuple(a + step * b for a, b in zip(y, nj))
+        basis = [tuple(a - Fraction(c, row[j]) * b for a, b in zip(v, nj))
+                 for l, (c, v) in enumerate(zip(row, basis)) if l != j]
+        ge = over_z(tstar)
+    return tuple(Fraction(v) if v else 0 for v in y)
 
 
-def _unit_row(nvars, i):
-    row = [0] * (nvars + 1)
-    row[i] = 1
-    return row
-
-
-def _coordinate_extreme(eq_rows, ge_rows, nvars, i, maximize):
-    obj = [0] * (nvars + 1)
-    obj[i] = 1 if maximize else -1
-    res = solve_lp_mixed(eq_rows, ge_rows, obj)
+def _extreme(ge, obj, maximize):
+    """max (or min) of <obj, z> over free z with the rows <c, z> >= h of
+    ge, or None when unbounded in that direction."""
+    res = solve_lp_mixed([], ge, obj if maximize else [-c for c in obj])
     if res.status != OPTIMAL:
-        return None  # unbounded in this direction
-    return res.x[i]
+        return None
+    return res.value if maximize else -res.value

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 QVec = tuple[int | Fraction, ...]
@@ -72,40 +72,72 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rational_rank(vectors: Sequence[Sequence]) -> int:
-    return len(rref(vectors)[0])
+    """Rank over Q, by fraction-free elimination on ints only.
+
+    Each vector is scaled to an integer row by clear_denominators, which
+    changes no rank.  A nonzero row is taken as pivot, and every other row
+    with an entry in its pivot column c becomes p_c * row - row_c * pivot
+    (the 2x2 minors of Bareiss' elimination), divided by its gcd so entries
+    stay small; rows that vanish are dropped.  Each pivot adds one to the
+    rank.
+    """
+    rows = [r for r in (clear_denominators(v)[1] for v in vectors) if any(r)]
+    rank = 0
+    while rows:
+        prow = rows.pop()
+        c = next(j for j, x in enumerate(prow) if x)
+        p = prow[c]
+        rest = []
+        for row in rows:
+            f = row[c]
+            if f:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                if g != 1:
+                    row = [x // g for x in row]
+            rest.append(row)
+        rows = rest
+        rank += 1
+    return rank
+
+
+def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: int) -> tuple[QVec, list[QVec]] | None:
+    """All rational solutions of A x = b (A given by rows of length n) as
+    (x0, kernel basis): the solutions are x0 + sum_j z_j N_j over rational
+    z.  Both are read from one rref of [A | b]; None if A x = b is
+    inconsistent.  x0 is zero off the pivot columns, and each kernel vector
+    has a 1 at its free column and 0 at the other free columns."""
+    red, pivots = rref([[*r, b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == n:
+        return None
+    x0 = [0] * n
+    for i, p in enumerate(pivots):
+        x0[p] = red[i][n]
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(tuple(v))
+    return tuple(x0), basis
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[QVec]:
     """Basis of {x : A x = 0} over the rationals (A given by rows)."""
     if not rows:
         raise ValueError("need at least one row to know the dimension")
-    n = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(tuple(v))
-    return basis
+    return solve_affine(rows, [0] * len(rows), len(rows[0]))[1]
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> QVec | None:
     """One rational solution of A x = b, or None if inconsistent."""
-    aug = [[*r, b] for r, b in zip(rows, rhs)]
-    n = len(rows[0]) if rows else 0
-    red, pivots = rref(aug)
-    for i, row in enumerate(red):
-        if (i >= len(pivots) or pivots[i] == n) and row[n] != 0:
-            return None
-    if pivots and pivots[-1] == n:
-        return None
-    x = [0] * n
-    for i, p in enumerate(pivots):
-        x[p] = red[i][n]
-    return tuple(x)
+    sol = solve_affine(rows, rhs, len(rows[0]) if rows else 0)
+    return None if sol is None else sol[0]
 
 
 def _int_rows(vectors: Sequence[Sequence]) -> list[list[int]]:

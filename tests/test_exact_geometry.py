@@ -32,6 +32,7 @@ from torstab.qexact import (
     nullspace,
     qvec,
     rational_rank,
+    rref,
     saturated_kernel,
     smith_normal_form,
     solve_linear,
@@ -499,21 +500,42 @@ def test_solve_mixed_no_constraints():
     assert solve_mixed_system([], [], 2) == (F(0), F(0))
 
 
-def test_solve_mixed_skips_upper_bound_above_zero(monkeypatch):
-    # x_0 > 1 has a positive lower end, so its upper end is never solved for
-    import torstab.polytope as polytope
+def _count_lps(monkeypatch):
+    """Record the objective of every exact LP solved from here on."""
+    import torstab.simplex as simplex
 
     calls = []
-    real = polytope._coordinate_extreme
+    real = simplex.solve_lp
 
-    def counting(eq_rows, ge_rows, nvars, i, maximize):
-        calls.append((i, maximize))
-        return real(eq_rows, ge_rows, nvars, i, maximize)
+    def counting(a, b, c):
+        calls.append(tuple(c))
+        return real(a, b, c)
 
-    monkeypatch.setattr(polytope, "_coordinate_extreme", counting)
+    monkeypatch.setattr(simplex, "solve_lp", counting)
+    return calls
+
+
+def test_solve_mixed_skips_upper_bound_above_zero(monkeypatch):
+    # x_0 > 1 has a positive lower end, so its upper end is never solved
+    # for: one LP for the slack t, one for x_0's lower end, and both ends of
+    # x_1 (whose interval straddles 0); a fifth would be x_0's upper end
+    calls = _count_lps(monkeypatch)
     stricts = [((1, 0), 1), ((0, 1), -1), ((0, -1), -1)]
     assert solve_mixed_system([], stricts, 2) == (2, 0)
-    assert calls == [(0, False), (1, False), (1, True)]
+    assert len(calls) == 4
+    # with no equalities z = x: the x_0 LP minimizes (objective -x_0)
+    assert calls[1][0] == -1
+
+
+def test_solve_mixed_determined_system_solves_no_lp(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    eqs = [((1, 1), 3), ((1, -1), F(1, 2))]
+    assert solve_mixed_system(eqs, [((1, 0), 1)], 2) == (F(7, 4), F(5, 4))
+    assert solve_mixed_system(eqs, [((1, 0), 2)], 2) is None
+    assert solve_mixed_system(eqs + [((2, 0), 1)], [], 2) is None
+    sol = solve_mixed_system([((1, 0), 0), ((0, 1), 0)], [], 2)
+    assert sol == (0, 0) and all(type(v) is int for v in sol)
+    assert calls == []
 
 
 def test_solve_mixed_deterministic():
@@ -536,6 +558,121 @@ def test_solve_mixed_satisfies_constraints(eqs, stricts):
             assert dot(a, sol) == b
         for g, h in stricts:
             assert dot(g, sol) > h
+
+
+def lp_only_solve_mixed(equalities, strict_inequalities, nvars):
+    """Reference: the solver as it was before exact elimination, one LP for
+    the slack t and then both ends of every coordinate over x and t, with
+    the equalities kept as LP rows."""
+    from torstab.simplex import solve_lp_mixed
+
+    def extreme(eq_rows, ge_rows, i, maximize):
+        obj = [0] * (nvars + 1)
+        obj[i] = 1 if maximize else -1
+        res = solve_lp_mixed(eq_rows, ge_rows, obj)
+        return res.x[i] if res.status == OPTIMAL else None
+
+    eq_rows = [([*a, 0], b) for a, b in equalities]
+    ge_rows = [([*g, -1], h) for g, h in strict_inequalities]
+    ge_rows.append(([0] * nvars + [-1], -1))  # t <= 1
+    ge_rows.append(([0] * nvars + [1], 0))    # t >= 0
+    res = solve_lp_mixed(eq_rows, ge_rows, [0] * nvars + [1])
+    if res.status != OPTIMAL or res.x[nvars] <= 0:
+        return None
+    eq_rows.append(([0] * nvars + [1], res.x[nvars]))
+    fixed = []
+    for i in range(nvars):
+        lo = extreme(eq_rows, ge_rows, i, maximize=False)
+        if lo is not None and lo > 0:
+            val = lo
+        else:
+            hi = extreme(eq_rows, ge_rows, i, maximize=True)
+            val = hi if hi is not None and hi < 0 else 0
+        unit = [0] * (nvars + 1)
+        unit[i] = 1
+        eq_rows.append((unit, val))
+        fixed.append(val)
+    return tuple(fixed)
+
+
+small_fraction = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def mixed_systems(draw):
+    """Equality sets that are consistent, inconsistent, redundant and rank
+    deficient, with Fraction right-hand sides and 0-4 strict rows."""
+    n = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-3, 3)] * n)
+    eqs = draw(st.lists(st.tuples(row, small_fraction), max_size=n))
+    # derived rows: an integer combination of the rows drawn, keeping its
+    # right-hand side (redundant) or shifting it (inconsistent unless the
+    # combination's left-hand side is nonzero)
+    for _ in range(draw(st.integers(0, 2)) if eqs else 0):
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=len(eqs), max_size=len(eqs)))
+        lhs = tuple(sum(c * a[j] for c, (a, _) in zip(coefs, eqs)) for j in range(n))
+        rhs = sum(c * b for c, (_, b) in zip(coefs, eqs)) + draw(st.sampled_from([0, 0, 1]))
+        eqs.append((lhs, rhs))
+    stricts = draw(st.lists(st.tuples(row, small_fraction), max_size=4))
+    return eqs, stricts, n
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(mixed_systems())
+def test_solve_mixed_matches_lp_only_reference(system):
+    eqs, stricts, n = system
+    got = solve_mixed_system(eqs, stricts, n)
+    want = lp_only_solve_mixed(eqs, stricts, n)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+
+# ---------------------------------------------------------------------------
+# rational_rank
+
+
+def fraction_rref_rank(vectors):
+    return len(rref(vectors)[0])
+
+
+@st.composite
+def rank_matrices(draw):
+    """Rows with Fraction entries, zero rows, and duplicated and scaled
+    copies of earlier rows; possibly no rows at all."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-5, 5), small_fraction)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        kind = draw(st.sampled_from(["zero", "copy", "scaled", "sum"]))
+        a = draw(st.sampled_from(rows))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "copy":
+            rows.append(list(a))
+        elif kind == "scaled":
+            c = draw(st.sampled_from([F(-3, 2), -1, 2, F(1, 7)]))
+            rows.append([c * x for x in a])
+        else:
+            b = draw(st.sampled_from(rows))
+            rows.append([x + y for x, y in zip(a, b)])
+    pos = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in pos]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rank_matrices())
+def test_rational_rank_matches_fraction_rref(rows):
+    assert rational_rank(rows) == fraction_rref_rank(rows)
+
+
+def test_rational_rank_examples():
+    assert rational_rank([]) == 0
+    assert rational_rank([[0, 0], [0, 0]]) == 0
+    assert rational_rank([[F(1, 2), F(1, 3)], [3, 2]]) == 1
+    assert rational_rank([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
+    assert rational_rank([[10**30, 1], [1, 0]]) == 2
 
 
 # ---------------------------------------------------------------------------

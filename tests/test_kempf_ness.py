@@ -307,3 +307,19 @@ def test_conjugation_checks_accept_valid_matrices_at_every_scale(scale):
     if scale <= 1.0:
         value, _ = kn_conjugation_eval(phi, scale * hermitian_traceless(rng, 3))
         assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("s", [150, 300, 1000])
+def test_conjugation_overflow_is_a_numerical_failure(s):
+    # not a ValueError, which would read as an input-check failure
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(FloatingPointError, match="overflows"):
+        kn_conjugation_eval(nil, s * np.diag([1.0, -1.0]))
+
+
+def test_conjugation_large_finite_value_still_returned():
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    value, grad = kn_conjugation_eval(nil, 100 * np.diag([1.0, -1.0]))
+    # ||e^g phi e^-g||^2 = e^(4 s) for this g
+    assert value == pytest.approx(math.exp(400), rel=1e-9)
+    assert np.all(np.isfinite(grad))
