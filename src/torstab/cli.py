@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -51,6 +52,13 @@ def problem_validator() -> Draft202012Validator:
 
 
 @lru_cache(maxsize=1)
+def _problem_accepts():
+    from .schema_check import compile_schema
+
+    return compile_schema(problem_validator().schema)
+
+
+@lru_cache(maxsize=1)
 def report_validator() -> Draft202012Validator:
     return Draft202012Validator(_load_schema("report.schema.json"))
 
@@ -77,16 +85,33 @@ def _dump(doc: dict) -> str:
 # validation
 
 
+def _non_finite(token: str):
+    raise ValidationError([f"parse error: {token} is not a finite number"])
+
+
+def _finite_float(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):  # a literal such as 1e400 overflows to inf
+        _non_finite(token)
+    return x
+
+
 def validate_document(text: str) -> dict:
     """Parse and fully validate a problem document, collecting every schema
-    and semantic violation instead of stopping at the first."""
+    and semantic violation instead of stopping at the first.
+
+    Validity against the problem schema is judged by one predicate compiled
+    from it (``schema_check``); jsonschema runs only on a document the
+    predicate rejects, to write the sorted list of messages.  NaN, Infinity
+    and overflowing literals, which Python's json module turns into floats,
+    are parse errors."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
-    errors = [
+    errors = [] if _problem_accepts()(doc) else [
         f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
         for err in sorted(problem_validator().iter_errors(doc), key=str)
     ]

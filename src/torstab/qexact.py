@@ -5,7 +5,7 @@ lattices.
 Everything here is exact; no floating point enters any computation.
 Integer data stays int up to the first division: sums, products and
 differences are computed on the values given, and a Fraction is built only
-where the exact layer divides (rref here, the simplex read-off) or where
+where the exact layer divides (the rref and simplex read-offs) or where
 input is neither int nor Fraction (qvec).
 """
 
@@ -46,29 +46,37 @@ def clear_denominators(v: Iterable) -> tuple[int, IVec]:
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    """Reduced row echelon form; returns (rref rows, pivot column indices).
+
+    Eliminates fraction-free on ints, as rational_rank does: rows are
+    scaled to integers by clear_denominators, and the pivot p in column c
+    turns every other row with an entry f there into p * row - f * pivot
+    row, divided by its gcd.  A pivot row is divided by its pivot only at
+    the read-off, which gives the unique RREF with Fraction entries.
+    """
+    m = [list(clear_denominators(r)[1]) for r in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
     pivots = []
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)], pivots
 
 
 def rational_rank(vectors: Sequence[Sequence]) -> int:

@@ -455,6 +455,40 @@ def test_document_options_beat_flags(key, flag, option, make_doc):
     assert both != flag_only
 
 
+def norm2_nan_doc():
+    doc = kempf_ness_doc()
+    doc["payload"]["lines"][0]["norm2"] = float("nan")
+    return json.dumps(doc)
+
+
+def tol_nan_doc():
+    doc = kempf_ness_doc()
+    doc["options"] = {"tol": float("nan")}
+    return json.dumps(doc)
+
+
+def infinite_amplitude_doc():
+    doc = kempf_ness_doc()
+    doc["payload"]["amplitudes"]["a"] = float("inf")
+    return json.dumps(doc)
+
+
+def overflowing_amplitude_doc():
+    return json.dumps(kempf_ness_doc()).replace("2.0", "1e400")
+
+
+@pytest.mark.parametrize("make_text", [
+    norm2_nan_doc, tol_nan_doc, infinite_amplitude_doc, overflowing_amplitude_doc,
+])
+def test_non_finite_numbers_are_parse_errors(make_text, tmp_path, capsys):
+    # Python's json module reads NaN, Infinity and 1e400 as floats
+    p = tmp_path / "doc.json"
+    p.write_text(make_text())
+    assert main(["run", "--input", str(p)]) == 2
+    errors = json.loads(capsys.readouterr().out)["report"]["validation_errors"]
+    assert len(errors) == 1 and errors[0].startswith("parse error")
+
+
 def test_box_sound_reported_next_to_the_witness():
     report, _ = run_document(stability_doc(), box_bound=5)
     assert report["report"]["bruteforce_witness"] is None

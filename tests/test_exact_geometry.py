@@ -633,8 +633,34 @@ def test_solve_mixed_matches_lp_only_reference(system):
 # rational_rank
 
 
+def fraction_rref(rows):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan elimination:
+    the reference for qexact.rref's fraction-free elimination."""
+    m = [[F(x) for x in r] for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
 def fraction_rref_rank(vectors):
-    return len(rref(vectors)[0])
+    return len(fraction_rref(vectors)[0])
 
 
 @st.composite
@@ -665,6 +691,15 @@ def rank_matrices(draw):
 @given(rank_matrices())
 def test_rational_rank_matches_fraction_rref(rows):
     assert rational_rank(rows) == fraction_rref_rank(rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rank_matrices())
+def test_rref_matches_fraction_rref(rows):
+    got, pivots = rref(rows)
+    want, want_pivots = fraction_rref(rows)
+    assert (got, pivots) == (want, want_pivots)
+    assert all(type(x) is F for row in got for x in row)
 
 
 def test_rational_rank_examples():
