@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """One digest line per document of `torstab run` output on a fixed corpus,
-to check that a change leaves every report byte-identical.
+to check that a change leaves the content of every report unchanged.
 
     python3 scripts/corpus_digest.py > digest.txt
 
@@ -16,7 +16,11 @@ documents) is
 Each document goes through `torstab.cli.main(["run", "--input", ...])` in
 this process, under the benchmark worker's environment (PYTHONHASHSEED=0,
 one BLAS thread), and one line `sha256  exit  name` is printed for it:
-the sha256 of the standard output, the exit code and the document's name.
+the sha256 of the report's content, the exit code and the document's name.
+The content is `json.dumps(json.loads(out), sort_keys=True)` of the
+standard output, so two sides that lay the same report out differently
+(whitespace, indentation) digest alike; every key, value, type and float
+repr still counts.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ def main() -> int:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli.main(["run", "--input", str(path), *argv])
-            digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            content = json.dumps(json.loads(buf.getvalue()), sort_keys=True)
+            digest = hashlib.sha256(content.encode()).hexdigest()
             print(f"{digest}  {code}  {name}")
     return 0
 

@@ -7,6 +7,10 @@ non-stable stratification input), 1 on internal errors.  Reports are
 deterministic: rerunning the same specification reproduces them byte for
 byte, and exact rationals are serialized as integers or "p/q" strings,
 never as floats.
+
+JSON output is JSON Lines: ``run`` writes one compact, key-sorted line per
+input document, in input order, and ``gen`` writes its instance as one such
+line.  Pretty-print it with ``python -m json.tool --json-lines``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from jsonschema import Draft202012Validator
 from . import shb_model
 from .errors import NotStableError, TorstabError, ValidationError, ZeroVectorError
 from .graded_kuranishi import (
+    MAX_COMPLEX_DIM,
+    MAX_COMPLEX_GRADES,
     GradedComplex,
     greens_operator,
     gvec_norm,
@@ -78,7 +84,10 @@ def _cplx(z: complex):
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """One compact line with sorted keys, written by json's C encoder (which
+    json uses only without ``indent``).  Strings escape every control
+    character, so a report never spans two lines."""
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +213,32 @@ def shb_from_payload(payload: dict) -> shb_model.SHBSpec:
     return shb_model.SHBSpec(payload["genus"], blocks)
 
 
+def _check_complex_size(grades, dims=()) -> None:
+    if len(grades) > MAX_COMPLEX_GRADES:
+        raise TorstabError(
+            f"complex of {len(grades)} grades exceeds the limit of {MAX_COMPLEX_GRADES}"
+        )
+    largest = max(dims, default=0)
+    if largest > MAX_COMPLEX_DIM:
+        raise TorstabError(
+            f"complex dimension {largest} exceeds the limit of {MAX_COMPLEX_DIM}"
+        )
+
+
 def complex_from_payload(payload: dict) -> GradedComplex:
+    """The complex a kuranishi payload describes; oversized ones are refused
+    before any array is built."""
     if "generator" in payload:
         gen = payload["generator"]
+        grades = tuple(gen.get("grades", (1, 2, 3, 4)))
+        max_dim = gen.get("max_dim", 5)
+        _check_complex_size(grades, [max_dim])
         rng = np.random.default_rng(gen["seed"])
-        return random_graded_complex(
-            rng,
-            grades=tuple(gen.get("grades", (1, 2, 3, 4))),
-            max_dim=gen.get("max_dim", 5),
-        )
+        return random_graded_complex(rng, grades=grades, max_dim=max_dim)
     grades = tuple(sorted(payload["grades"]))
+    _check_complex_size(grades)
     dims = {g: tuple(payload["dims"][str(g)]) for g in grades}
+    _check_complex_size(grades, [n for dim in dims.values() for n in dim])
 
     def matrix(block, g, shape):
         rows = block.get(str(g))

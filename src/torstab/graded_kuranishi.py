@@ -31,6 +31,14 @@ GVec = dict  # grade -> complex ndarray
 
 _RCOND = 1e-12
 
+# Largest complex a problem document may ask for: grades, and each of n0, n1,
+# n2 per grade (for a generator, its max_dim).  A bracket tensor holds up to
+# MAX_COMPLEX_DIM^3 entries per pair of grades, so the caps keep a complex
+# within a few MB; the benchmark and `torstab gen` use max_dim <= 5 and at
+# most 6 grades.
+MAX_COMPLEX_GRADES = 16
+MAX_COMPLEX_DIM = 16
+
 
 @dataclass(frozen=True)
 class GradedComplex:

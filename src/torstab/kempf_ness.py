@@ -132,6 +132,13 @@ def kn_minimize(
     basis = _flat_complement(flat, p.rank)
     total = sum(p.norms2)
     unit = KNProblem(p.weights, tuple(n / total for n in p.norms2))
+    w, n2 = np.array(unit.weights, dtype=float), np.array(unit.norms2)
+
+    def unit_value(z):
+        # kn_eval(unit, basis @ z)[0] without the gradient and hessian
+        with np.errstate(over="ignore"):
+            return float((n2 * np.exp(2.0 * (w @ (basis @ z)))).sum())
+
     status = CONVERGED if stability.stability == STABLE else FLAT_DIRECTIONS
     z = np.zeros(basis.shape[1])
     it = 0
@@ -152,13 +159,13 @@ def kn_minimize(
             # convergence is quadratic, so one more step takes the gradient
             # down to roundoff
             cand = z + step
-            if kn_eval(unit, basis @ cand)[0] <= value + slack:
+            if unit_value(cand) <= value + slack:
                 z = cand
             break
         alpha, ok = 1.0, False
         for _ in range(60):
             cand = z + alpha * step
-            vnew = kn_eval(unit, basis @ cand)[0]
+            vnew = unit_value(cand)
             if np.isfinite(vnew) and vnew <= value + 1e-4 * alpha * float(step @ g) + slack:
                 z, ok = cand, True
                 break

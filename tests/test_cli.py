@@ -17,6 +17,7 @@ from torstab.cli import (
     validate_document,
 )
 from torstab.errors import InternalError, TorstabError, ValidationError
+from torstab.graded_kuranishi import MAX_COMPLEX_DIM, MAX_COMPLEX_GRADES
 from torstab.simplex import INFEASIBLE, LPResult
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -523,3 +524,97 @@ def test_numerical_failure_is_not_a_rejection(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal error: SVD did not converge" in captured.err
+
+
+# JSON output is JSON Lines: one compact, key-sorted line per document
+
+
+def unstable_stratify_doc():
+    doc = stratify_doc()
+    doc["payload"]["lines"][1]["weight"] = [2]  # not stable: rejected by analysis
+    return doc
+
+
+def test_main_run_writes_one_line_per_document_in_input_order(tmp_path, capsys):
+    invalid = stratify_doc()
+    invalid["payload"]["lines"][0]["rho"] = 0  # fails validation
+    paths = []
+    for name, doc in (("ok", stability_doc()), ("rejected", unstable_stratify_doc()),
+                      ("invalid", invalid)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc))
+        paths.append(str(p))
+    singles = []
+    for p in paths:
+        main(["run", "--input", p])
+        singles.append(json.loads(capsys.readouterr().out))
+    assert main(["run", "--input", *paths]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert [json.loads(line) for line in lines] == singles
+    assert [s["status"] for s in singles] == ["ok", "rejected", "rejected"]
+    assert "validation_errors" in singles[2]["report"]
+
+
+def test_dump_is_one_compact_sorted_line():
+    from torstab.cli import _dump
+
+    report = {"status": "rejected", "kind": "unknown",
+              "report": {"reason": "line one\nline two\r\t — ü ∞", "b": [1.5, None]}}
+    text = _dump(report)
+    assert text == json.dumps(report, sort_keys=True) + "\n"
+    assert text.count("\n") == 1 and text.isascii()
+    assert json.loads(text) == report
+
+
+def test_main_gen_out_is_one_line_that_run_accepts(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--kind", "shb", "--seed", "3", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert main(["run", "--input", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+# oversized kuranishi complexes are refused before any array is built
+
+
+def kuranishi_doc(payload):
+    return {"schema_version": "1", "kind": "kuranishi", "payload": payload}
+
+
+@pytest.mark.parametrize("payload, reason", [
+    ({"generator": {"seed": 0, "max_dim": 10**9}},
+     f"complex dimension {10**9} exceeds the limit of {MAX_COMPLEX_DIM}"),
+    ({"generator": {"seed": 0, "grades": list(range(1, 10_001))}},
+     f"complex of 10000 grades exceeds the limit of {MAX_COMPLEX_GRADES}"),
+    ({"grades": list(range(1, 10_001)), "dims": {}, "d0": {}, "d1": {}},
+     f"complex of 10000 grades exceeds the limit of {MAX_COMPLEX_GRADES}"),
+    ({"grades": [1], "dims": {"1": [0, MAX_COMPLEX_DIM + 1, 0]}, "d0": {}, "d1": {}},
+     f"complex dimension {MAX_COMPLEX_DIM + 1} exceeds the limit of {MAX_COMPLEX_DIM}"),
+])
+def test_oversized_kuranishi_complex_is_rejected_up_front(payload, reason, tmp_path,
+                                                          capsys, monkeypatch):
+    import torstab.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the complex was built")
+
+    monkeypatch.setattr(cli, "random_graded_complex", unreachable)
+    monkeypatch.setattr(cli, "GradedComplex", unreachable)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(kuranishi_doc(payload)))
+    t0 = time.perf_counter()
+    assert main(["run", "--input", str(p)]) == 2
+    assert time.perf_counter() - t0 < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"schema_version": "1", "kind": "kuranishi", "status": "rejected",
+                      "report": {"reason": reason}}
+
+
+def test_largest_admitted_kuranishi_complex_runs():
+    payload = {"generator": {"seed": 1, "grades": list(range(1, MAX_COMPLEX_GRADES + 1)),
+                             "max_dim": MAX_COMPLEX_DIM}}
+    report, code = run_document(kuranishi_doc(payload))
+    assert code == 0, report
+    assert report["report"]["round_trip_residual"] < 1e-9

@@ -3,7 +3,9 @@
 `tests/golden/<kind>-<seed>.problem.json` is `torstab gen --kind <kind>
 --seed <seed>` for all five kinds and seeds 0-9, and the matching
 `.report.json` is what `torstab run --input <problem>` printed for it when
-the corpus was recorded.  Strings, ints, bools, nulls and the shape of the
+the corpus was recorded.  Reports are compared after parsing, so their
+layout does not count: the recorded ones are indented, and a re-recorded one
+is a single compact line.  Strings, ints, bools, nulls and the shape of the
 JSON must match exactly; JSON floats must match to a relative 1e-9.  Floats
 that are roundoff residuals (gradient norms, round-trip residuals near
 1e-15) vary with the BLAS build, so floats also pass within an absolute
