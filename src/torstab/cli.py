@@ -11,6 +11,10 @@ never as floats.
 JSON output is JSON Lines: ``run`` writes one compact, key-sorted line per
 input document, in input order, and ``gen`` writes its instance as one such
 line.  Pretty-print it with ``python -m json.tool --json-lines``.
+
+numpy is loaded only by the float layers (Kempf-Ness, the Green's operator,
+the brute-force scan) and by ``gen``; jsonschema only to write a rejected
+document's error list.
 """
 
 from __future__ import annotations
@@ -22,27 +26,18 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-
-import numpy as np
-from jsonschema import Draft202012Validator
+from typing import TYPE_CHECKING
 
 from . import shb_model
 from .errors import NotStableError, TorstabError, ValidationError, ZeroVectorError
-from .graded_kuranishi import (
-    MAX_COMPLEX_DIM,
-    MAX_COMPLEX_GRADES,
-    GradedComplex,
-    greens_operator,
-    gvec_norm,
-    kuranishi_forward,
-    kuranishi_inverse_graded,
-    obstruction,
-    random_graded_complex,
-)
-from .kempf_ness import KNProblem, kn_minimize
 from .stability import classify, destabilizer_bruteforce, witness_bound
 from .stratify import StratifyOptions, stage_kn_minimizers, stratify, verify_decomposition
 from .torus_rep import RepVector, Subtorus, WeightLine
+
+if TYPE_CHECKING:
+    from jsonschema import Draft202012Validator
+
+    from .graded_kuranishi import GradedComplex
 
 SCHEMA_VERSION = "1"
 
@@ -54,6 +49,10 @@ def _load_schema(name: str) -> dict:
 
 @lru_cache(maxsize=1)
 def problem_validator() -> Draft202012Validator:
+    """Writes a rejected document's error list.  _problem_accepts judges
+    acceptance, so a valid document never loads jsonschema."""
+    from jsonschema import Draft202012Validator
+
     return Draft202012Validator(_load_schema("problem.schema.json"))
 
 
@@ -61,11 +60,13 @@ def problem_validator() -> Draft202012Validator:
 def _problem_accepts():
     from .schema_check import compile_schema
 
-    return compile_schema(problem_validator().schema)
+    return compile_schema(_load_schema("problem.schema.json"))
 
 
 @lru_cache(maxsize=1)
 def report_validator() -> Draft202012Validator:
+    from jsonschema import Draft202012Validator
+
     return Draft202012Validator(_load_schema("report.schema.json"))
 
 
@@ -214,6 +215,8 @@ def shb_from_payload(payload: dict) -> shb_model.SHBSpec:
 
 
 def _check_complex_size(grades, dims=()) -> None:
+    from .graded_kuranishi import MAX_COMPLEX_DIM, MAX_COMPLEX_GRADES
+
     if len(grades) > MAX_COMPLEX_GRADES:
         raise TorstabError(
             f"complex of {len(grades)} grades exceeds the limit of {MAX_COMPLEX_GRADES}"
@@ -225,18 +228,37 @@ def _check_complex_size(grades, dims=()) -> None:
         )
 
 
+def _distinct_grades(grades) -> tuple[int, ...]:
+    grades = tuple(sorted(grades))
+    repeated = sorted({g for g, h in zip(grades, grades[1:]) if g == h})
+    if repeated:
+        raise ValidationError(
+            [f"grades must be distinct, but {g} is given more than once" for g in repeated]
+        )
+    return grades
+
+
 def complex_from_payload(payload: dict) -> GradedComplex:
     """The complex a kuranishi payload describes; oversized ones are refused
     before any array is built."""
+    import numpy as np
+
+    from .graded_kuranishi import GradedComplex, random_graded_complex
+
     if "generator" in payload:
         gen = payload["generator"]
         grades = tuple(gen.get("grades", (1, 2, 3, 4)))
         max_dim = gen.get("max_dim", 5)
         _check_complex_size(grades, [max_dim])
+        grades = _distinct_grades(grades)
         rng = np.random.default_rng(gen["seed"])
         return random_graded_complex(rng, grades=grades, max_dim=max_dim)
-    grades = tuple(sorted(payload["grades"]))
+    grades = tuple(payload["grades"])
     _check_complex_size(grades)
+    grades = _distinct_grades(grades)
+    missing = [g for g in grades if str(g) not in payload["dims"]]
+    if missing:
+        raise ValidationError([f"dims has no entry for grade {g}" for g in missing])
     dims = {g: tuple(payload["dims"][str(g)]) for g in grades}
     _check_complex_size(grades, [n for dim in dims.values() for n in dim])
 
@@ -288,9 +310,12 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
         body = runner(doc["payload"], options, tol=tol, convention=convention,
                       emit_certificates=emit_certificates, box_bound=box_bound)
         status, code = "ok", 0
-    except np.linalg.LinAlgError:
-        raise  # a ValueError, but a numerical failure, not bad input
     except (NotStableError, ZeroVectorError, TorstabError, ValueError, KeyError) as exc:
+        # numpy's LinAlgError is a ValueError, but a numerical failure, not
+        # bad input; it can occur only once numpy is loaded
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(exc, numpy.linalg.LinAlgError):
+            raise
         body = {"reason": str(exc)}
         if isinstance(exc, NotStableError) and exc.result is not None:
             body["stability"] = exc.result.stability
@@ -331,6 +356,8 @@ def _run_stability(payload, options, *, tol, convention, emit_certificates, box_
 
 
 def _run_kempf_ness(payload, options, *, tol, convention, emit_certificates, box_bound):
+    from .kempf_ness import KNProblem, kn_minimize
+
     v = rep_from_payload(payload)
     res = kn_minimize(KNProblem.from_vector(v), classify(v), tol=tol)
     body = {"status": res.status}
@@ -461,6 +488,16 @@ def _run_shb(payload, options, *, tol, convention, emit_certificates, box_bound)
 
 
 def _run_kuranishi(payload, options, *, tol, convention, emit_certificates, box_bound):
+    import numpy as np
+
+    from .graded_kuranishi import (
+        greens_operator,
+        gvec_norm,
+        kuranishi_forward,
+        kuranishi_inverse_graded,
+        obstruction,
+    )
+
     cx = complex_from_payload(payload)
     greens = greens_operator(cx)
     body: dict = {
@@ -530,6 +567,8 @@ def render_text(report: dict) -> str:
 
 def generate_instances(kind: str, seed: int, count: int) -> list[dict]:
     """Seeded random problem instances; instance i derives from seed + i."""
+    import numpy as np
+
     out = []
     for i in range(count):
         rng = np.random.default_rng(seed + i)

@@ -49,8 +49,8 @@ class GradedComplex:
     bracket: dict  # (g1, g2) -> (n2[g1+g2] x n1[g1] x n1[g2])
 
     def __post_init__(self):
-        if tuple(sorted(self.grades)) != self.grades:
-            raise ValueError("grades must be sorted")
+        if any(g >= h for g, h in zip(self.grades, self.grades[1:])):
+            raise ValueError("grades must be strictly increasing")
         for g in self.grades:
             n0, n1, n2 = self.dims[g]
             if self.d0[g].shape != (n1, n0) or self.d1[g].shape != (n2, n1):

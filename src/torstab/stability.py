@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InternalError, ZeroVectorError
 from .polytope import (
@@ -33,6 +32,9 @@ from .polytope import (
 from .qexact import Lattice, clear_denominators, dot, saturated_kernel
 from .simplex import OPTIMAL, solve_lp_mixed
 from .torus_rep import RepVector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNSTABLE = "Unstable"
 SEMISTABLE_NOT_POLYSTABLE = "SemistableNotPolystable"
@@ -179,6 +181,8 @@ def witness_bound(weights) -> int:
 
 
 def _axis(bound: int) -> np.ndarray:
+    import numpy as np
+
     axis = np.zeros(2 * bound + 1, dtype=np.int64)
     axis[1::2] = np.arange(1, bound + 1)
     axis[2::2] = -np.arange(1, bound + 1)
@@ -190,17 +194,22 @@ def _box_points(rank: int, bound: int) -> np.ndarray:
     """All integer points of [-B, B]^rank in scan order: each axis ordered by
     increasing magnitude with the positive value first (0, 1, -1, 2, -2, ...),
     the first coordinate varying slowest."""
+    import numpy as np
+
     if rank == 0:
         return np.zeros((1, 0), dtype=np.int64)
     grid = np.meshgrid(*([_axis(bound)] * rank), indexing="ij")
     return np.stack(grid, axis=-1).reshape(-1, rank)
 
 
-def _first_hit(w: np.ndarray, bound: int):
-    """First nonzero x of [-bound, bound]^k in scan order with w @ x >= 0, or
-    None.  Each value of the first coordinate is one slice, tested against
-    the pairings of the cached (k-1)-dimensional grid; the first slice with
-    a hit holds the first hit."""
+def _first_hit(weights, bound: int):
+    """First nonzero x of [-bound, bound]^k in scan order with <w, x> >= 0
+    for every weight w, or None.  Each value of the first coordinate is one
+    slice, tested against the pairings of the cached (k-1)-dimensional grid;
+    the first slice with a hit holds the first hit."""
+    import numpy as np
+
+    w = np.array(weights, dtype=np.int64)
     rest = _box_points(w.shape[1] - 1, bound)
     pairings = rest @ w[:, 1:].T
     for c in _axis(bound):
@@ -253,4 +262,4 @@ def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
     # |c| <= |r_1| for each r, so it is the hull of the points c r / r_1,
     # all within M.
     bound = min(box_bound, witness_bound(weights))
-    return _first_hit(np.array(weights, dtype=np.int64), bound)
+    return _first_hit(weights, bound)

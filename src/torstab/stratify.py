@@ -29,13 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import InternalError, NotStableError, StratifyInternalError, ZeroVectorError
-from .kempf_ness import KNProblem, KNResult, kn_minimize
 from .polytope import PolytopeQ, face_support, ray_intersect, solve_mixed_system
 from .qexact import Lattice, QVec, clear_denominators, dot, saturated_kernel
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult, classify
 from .torus_rep import RepVector, Subtorus
+
+if TYPE_CHECKING:
+    from .kempf_ness import KNResult
 
 
 @dataclass(frozen=True)
@@ -368,7 +371,10 @@ def verify_decomposition(result: StratifyResult, u: RepVector) -> CheckReport:
 def stage_kn_minimizers(result: StratifyResult) -> list[tuple[KNResult, dict]]:
     """Per-stage Kempf-Ness minimizers of P_Si(u) under G_i, together with
     the rescaled amplitudes of the minimizing metric.  Diagnostic only: the
-    combinatorial stratification never depends on these numbers."""
+    combinatorial stratification never depends on these numbers, and only
+    they load numpy."""
+    from .kempf_ness import KNProblem, kn_minimize
+
     out = []
     for st in result.stages:
         proj = result.u.project_labels(st.s_labels).restrict(st.torus)

@@ -405,8 +405,10 @@ def test_options_oversized_box_bound_rejected(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_scipy_linalg():
-    # scipy.linalg serves only the matrix-conjugation Kempf-Ness variant
-    code = "import sys, torstab.cli; print('scipy.linalg' in sys.modules)"
+    # scipy.linalg serves only the matrix-conjugation Kempf-Ness variant, and
+    # numpy and jsonschema load only with the layers that use them
+    code = ("import sys, torstab.cli; "
+            "print(any(m in sys.modules for m in ('scipy', 'numpy', 'jsonschema')))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -507,12 +509,12 @@ def test_numerical_failure_is_not_a_rejection(tmp_path, capsys, monkeypatch):
     # numpy's LinAlgError subclasses ValueError, the rejection type
     import numpy as np
 
-    import torstab.cli as cli
+    import torstab.graded_kuranishi as graded_kuranishi
 
     def fail(cx):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(cli, "greens_operator", fail)
+    monkeypatch.setattr(graded_kuranishi, "greens_operator", fail)
     doc = {
         "schema_version": "1",
         "kind": "kuranishi",
@@ -595,18 +597,39 @@ def kuranishi_doc(payload):
 ])
 def test_oversized_kuranishi_complex_is_rejected_up_front(payload, reason, tmp_path,
                                                           capsys, monkeypatch):
-    import torstab.cli as cli
+    import torstab.graded_kuranishi as graded_kuranishi
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the complex was built")
 
-    monkeypatch.setattr(cli, "random_graded_complex", unreachable)
-    monkeypatch.setattr(cli, "GradedComplex", unreachable)
+    monkeypatch.setattr(graded_kuranishi, "random_graded_complex", unreachable)
+    monkeypatch.setattr(graded_kuranishi, "GradedComplex", unreachable)
     p = tmp_path / "big.json"
     p.write_text(json.dumps(kuranishi_doc(payload)))
     t0 = time.perf_counter()
     assert main(["run", "--input", str(p)]) == 2
     assert time.perf_counter() - t0 < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"schema_version": "1", "kind": "kuranishi", "status": "rejected",
+                      "report": {"reason": reason}}
+
+
+@pytest.mark.parametrize("payload, reason", [
+    ({"grades": [1, 2], "dims": {"1": [0, 2, 0]}, "d0": {}, "d1": {}},
+     "dims has no entry for grade 2"),
+    ({"grades": [1, 1], "dims": {"1": [0, 2, 0]}, "d0": {}, "d1": {}},
+     "grades must be distinct, but 1 is given more than once"),
+    ({"generator": {"seed": 0, "grades": [1, 1]}},
+     "grades must be distinct, but 1 is given more than once"),
+    ({"generator": {"seed": 0, "grades": [3, 1, 3, 1, 2]}},
+     "grades must be distinct, but 1 is given more than once; "
+     "grades must be distinct, but 3 is given more than once"),
+])
+def test_malformed_kuranishi_complex_is_rejected_by_field(payload, reason, tmp_path,
+                                                          capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(kuranishi_doc(payload)))
+    assert main(["run", "--input", str(p)]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report == {"schema_version": "1", "kind": "kuranishi", "status": "rejected",
                       "report": {"reason": reason}}

@@ -64,6 +64,15 @@ def test_complex_validation_accepts_any_scale(s0, s1):
     GradedComplex(cx.grades, cx.dims, d0, d1, cx.bracket)
 
 
+@pytest.mark.parametrize("grades", [(1, 1), (2, 1), (1, 2, 2)])
+def test_complex_validation_requires_strictly_increasing_grades(grades):
+    dims = {g: (0, 2, 0) for g in grades}
+    d0 = {g: np.zeros((2, 0)) for g in grades}
+    d1 = {g: np.zeros((0, 2)) for g in grades}
+    with pytest.raises(ValueError, match="strictly increasing"):
+        GradedComplex(grades, dims, d0, d1, {})
+
+
 def test_complex_validation_rejects_asymmetric_bracket():
     dims = {1: (0, 2, 0), 2: (0, 1, 2)}
     d0 = {1: np.zeros((2, 0)), 2: np.zeros((1, 0))}

@@ -1,0 +1,132 @@
+"""Import cost follows use.
+
+The exact layers and `torstab validate` load neither numpy, scipy nor
+jsonschema: numpy arrives with the float diagnostics (Kempf-Ness, the
+Green's operator, the brute-force scan, `torstab gen`) and jsonschema only
+to write a rejected document's error list.  Each check runs in a fresh
+interpreter, since this test process has long loaded all three.
+`tests/test_cli.py::test_cli_import_leaves_out_scipy_linalg` checks that
+`import torstab.cli` alone loads none of them."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import torstab
+from torstab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+HEAVY = ("numpy", "scipy", "jsonschema")
+
+# the package's exports, by defining module
+EXPORTS = {
+    "errors": ("NotStableError", "StratifyInternalError", "TorstabError",
+               "ValidationError", "ZeroVectorError"),
+    "graded_kuranishi": ("GradedComplex", "GreensOperator", "SliceVector",
+                         "greens_operator", "kuranishi_forward",
+                         "kuranishi_inverse_graded", "obstruction",
+                         "random_graded_complex"),
+    "kempf_ness": ("ConjugationProblem", "KNProblem", "KNResult",
+                   "kn_conjugation_eval", "kn_eval", "kn_minimize",
+                   "moment_map_conjugation"),
+    "polytope": ("PolytopeQ", "RayInterval", "hull_position", "minimal_face",
+                 "ray_intersect", "solve_mixed_system"),
+    "qexact": ("Lattice", "saturated_kernel", "smith_normal_form"),
+    "shb_model": ("ConformalDegreeTable", "PartitionP", "SHBSpec", "StableBlock",
+                  "automorphism_torus", "conformal_degree_table",
+                  "cyclic_phi_weights", "expected_dim_central_locus",
+                  "partition_dim", "partitions_with_order",
+                  "positive_slice_lines", "rr_h1_lower_bound", "slice_vector"),
+    "stability": ("StabilityResult", "classify", "destabilizer_bruteforce"),
+    "stratify": ("StratifyOptions", "StratifyResult", "stage_kn_minimizers",
+                 "stratify", "verify_decomposition"),
+    "torus_rep": ("RepVector", "Subtorus", "Torus", "WeightLine"),
+}
+
+# `torstab.cli.main(argv)` with its output swallowed; prints the exit code
+# and which of HEAVY are loaded afterwards
+RUN = """
+import contextlib, io, json, sys
+from torstab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in HEAVY if m in sys.modules)]))
+"""
+
+
+def fresh(code: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", f"HEAVY = {HEAVY!r}\n{code}", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def main_in_fresh_interpreter(argv: list[str]):
+    return tuple(json.loads(fresh(RUN, json.dumps(argv))))
+
+
+def goldens(kind: str = "*") -> list[str]:
+    paths = sorted(str(p) for p in GOLDEN.glob(f"{kind}-*.problem.json"))
+    assert paths
+    return paths
+
+
+def test_validate_every_golden_loads_no_float_or_schema_library():
+    assert main_in_fresh_interpreter(["validate", "--input", *goldens()]) == (0, [])
+
+
+def test_run_shb_goldens_loads_no_float_or_schema_library():
+    assert main_in_fresh_interpreter(["run", "--input", *goldens("shb")]) == (0, [])
+
+
+def test_run_stability_goldens_without_box_loads_no_float_or_schema_library():
+    paths = goldens("stability")
+    assert not any("box_bound" in Path(p).read_text() for p in paths)
+    assert main_in_fresh_interpreter(["run", "--input", *paths]) == (0, [])
+
+
+def test_float_kinds_load_numpy_only():
+    # the probe does see numpy when a document needs it
+    for kind in ("kempf-ness", "stratify", "kuranishi"):
+        path = goldens(kind)[0]
+        assert main_in_fresh_interpreter(["run", "--input", path]) == (0, ["numpy"]), kind
+
+
+def test_export_list_is_pinned():
+    assert sorted(torstab.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+
+
+def test_every_export_imports_from_the_package():
+    importlib.import_module("torstab.stratify")  # the submodule the function shares a name with
+    for mod, names in EXPORTS.items():
+        module = importlib.import_module(f"torstab.{mod}")
+        for name in names:
+            ns: dict = {}
+            exec(f"from torstab import {name}", ns)
+            assert ns[name] is getattr(module, name), f"{mod}.{name}"
+    assert callable(torstab.stratify)
+    assert not hasattr(torstab, "no_such_name")
+
+
+def test_rejected_document_prints_jsonschema_error_list(tmp_path, capsys):
+    doc = {"schema_version": "2", "kind": "stability", "extra": True,
+           "payload": {"rank": 0, "lines": [{"label": "a", "weight": [1.5]}, {"weight": [1]}],
+                       "amplitudes": {"a": "x"}}}
+    p = tmp_path / "invalid.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", "--input", str(p)]) == 2
+    assert capsys.readouterr().out.splitlines() == [f"{p}: {msg}" for msg in (
+        "schema_version: '1' was expected",
+        "payload/lines/1: 'label' is a required property",
+        "payload/amplitudes/a: 'x' is not valid under any of the given schemas",
+        "payload/lines/0/weight/0: 1.5 is not of type 'integer'",
+        "<root>: Additional properties are not allowed ('extra' was unexpected)",
+    )]
+    # and in a fresh interpreter, where only this rejection loads jsonschema
+    assert main_in_fresh_interpreter(["validate", "--input", str(p)]) == (2, ["jsonschema"])
