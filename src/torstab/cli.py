@@ -238,9 +238,23 @@ def _distinct_grades(grades) -> tuple[int, ...]:
     return grades
 
 
+def _check_shape(field: str, value, shape: tuple[int, ...]) -> None:
+    """Refuse a nested list whose lengths are not shape, naming the field.
+    A block with no entries may also be given as []."""
+    if value == [] and 0 in shape:
+        return
+    level = [value]
+    for n in shape:
+        if any(not isinstance(v, list) or len(v) != n for v in level):
+            dims = " x ".join(map(str, shape))
+            raise ValidationError([f"{field} must have shape {dims} to match dims"])
+        level = [x for v in level for x in v]
+
+
 def complex_from_payload(payload: dict) -> GradedComplex:
     """The complex a kuranishi payload describes; oversized ones are refused
-    before any array is built."""
+    before any array is built, and every array is checked against dims
+    before numpy reads it."""
     import numpy as np
 
     from .graded_kuranishi import GradedComplex, random_graded_complex
@@ -262,22 +276,27 @@ def complex_from_payload(payload: dict) -> GradedComplex:
     dims = {g: tuple(payload["dims"][str(g)]) for g in grades}
     _check_complex_size(grades, [n for dim in dims.values() for n in dim])
 
-    def matrix(block, g, shape):
-        rows = block.get(str(g))
+    def matrix(name, g, shape):
+        rows = payload[name].get(str(g))
         if rows is None:
             return np.zeros(shape, dtype=complex)
-        m = np.array([[_amp(v) for v in row] for row in rows], dtype=complex)
-        return m.reshape(shape) if m.size == 0 else m
+        _check_shape(f"{name}[{g}]", rows, shape)
+        return np.array([[_amp(v) for v in row] for row in rows],
+                        dtype=complex).reshape(shape)
 
-    d0 = {g: matrix(payload["d0"], g, (dims[g][1], dims[g][0])) for g in grades}
-    d1 = {g: matrix(payload["d1"], g, (dims[g][2], dims[g][1])) for g in grades}
+    d0 = {g: matrix("d0", g, (dims[g][1], dims[g][0])) for g in grades}
+    d1 = {g: matrix("d1", g, (dims[g][2], dims[g][1])) for g in grades}
     bracket = {}
     for ent in payload.get("bracket", []):
         g1, g2 = ent["g1"], ent["g2"]
+        if g1 not in dims or g2 not in dims or g1 + g2 not in dims:
+            raise ValidationError([f"bracket grades ({g1}, {g2}) leave the range"])
+        shape = (dims[g1 + g2][2], dims[g1][1], dims[g2][1])
+        _check_shape(f"bracket ({g1}, {g2}) tensor", ent["tensor"], shape)
         t = np.array(
             [[[_amp(v) for v in row] for row in sheet] for sheet in ent["tensor"]],
             dtype=complex,
-        )
+        ).reshape(shape)
         bracket[(g1, g2)] = t
         bracket.setdefault((g2, g1), np.transpose(t, (0, 2, 1)))
     return GradedComplex(grades, dims, d0, d1, bracket)
@@ -487,6 +506,26 @@ def _run_shb(payload, options, *, tol, convention, emit_certificates, box_bound)
     return body
 
 
+def _input_from_payload(vectors: dict, cx: GradedComplex) -> dict:
+    """The kuranishi input by grade; a grade outside the complex or a vector
+    whose length is not n1 at its grade is refused."""
+    import numpy as np
+
+    x = {}
+    for key, vec in vectors.items():
+        try:
+            g = int(key)
+        except ValueError:
+            g = None
+        if g not in cx.dims:
+            raise ValidationError(
+                [f"input grade {key} is not a grade of the complex {list(cx.grades)}"]
+            )
+        _check_shape(f"input[{key}]", vec, (cx.n1(g),))
+        x[g] = np.array([_amp(v) for v in vec], dtype=complex)
+    return x
+
+
 def _run_kuranishi(payload, options, *, tol, convention, emit_certificates, box_bound):
     import numpy as np
 
@@ -507,10 +546,7 @@ def _run_kuranishi(payload, options, *, tol, convention, emit_certificates, box_
         "greens_condition": greens.condition,
     }
     if "input" in payload:
-        x = {
-            int(g): np.array([_amp(v) for v in vec], dtype=complex)
-            for g, vec in payload["input"].items()
-        }
+        x = _input_from_payload(payload["input"], cx)
     else:
         seed = int(options.get("seed", 0))
         rng = np.random.default_rng(seed)

@@ -22,7 +22,8 @@ class NotStableError(TorstabError):
 
 class StratifyInternalError(TorstabError):
     """Internal assertion failure of the stratification iteration (empty ray
-    slice, non-increasing c_n, vertex face, failed polystability check).
+    slice, non-increasing c_n, vertex face, infeasible cocharacter system,
+    torus that does not shrink).
     These indicate an input violating the preconditions, never ignored."""
 
     def __init__(self, kind, message):

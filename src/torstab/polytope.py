@@ -145,11 +145,31 @@ def face_support(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction]) -> 
     given combination, are merged to skip indices already known to be on
     the face.
     """
+    return _face_search(p, q, combination)[0]
+
+
+def face_combination(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """A convex combination of the generators equal to q that is positive
+    exactly on minimal_face(p, q), given any convex combination equal to q.
+
+    It is the mean of the given combination and the maximizers face_support
+    merges: each is a convex representation of q, and the supports of the
+    mean's terms cover the face.  So q lies in the relative interior of the
+    hull of the face generators, certified by this combination.
+    """
+    found = [tuple(combination), *_face_search(p, q, combination)[1]]
+    return tuple(Fraction(sum(col), len(found)) for col in zip(*found))
+
+
+def _face_search(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction]):
+    """face_support's search: the face, and the maximizers whose supports
+    were merged into it."""
     q = _check_point(p, q)
     gens = p.generators
     m = len(gens)
     d = p.ambient_dim
     face = {i for i in range(m) if combination[i] > 0}
+    found = []
     rows = [[g[i] for g in gens] for i in range(d)] + [[1] * m]
     rhs = list(q) + [1]
     for i in range(m):
@@ -162,7 +182,8 @@ def face_support(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction]) -> 
             raise InternalError(f"face LP is {res.status}, but q is in the hull")
         if res.value > 0:
             face.update(j for j in range(m) if res.x[j] > 0)
-    return tuple(sorted(face))
+            found.append(res.x)
+    return tuple(sorted(face)), found
 
 
 @dataclass(frozen=True)
@@ -171,6 +192,39 @@ class RayInterval:
     hi: Fraction
     lo_combination: tuple[Fraction, ...]
     hi_combination: tuple[Fraction, ...]
+
+
+def _ray_lp(p: PolytopeQ, axis_complement_dims: Sequence[int], positive_coord: int):
+    """Rows, right-hand side and rho objective of the LPs over the convex
+    combinations whose point has the listed coordinates zero."""
+    gens = p.generators
+    m = len(gens)
+    axis = list(axis_complement_dims)
+    if positive_coord in axis or positive_coord >= p.ambient_dim:
+        raise DimensionMismatch("bad coordinate split")
+    rows = [[g[i] for g in gens] for i in axis] + [[1] * m]
+    rhs = [0] * len(axis) + [1]
+    return rows, rhs, [g[positive_coord] for g in gens]
+
+
+def ray_entry(
+    p: PolytopeQ,
+    axis_complement_dims: Sequence[int],
+    positive_coord: int,
+) -> tuple[Fraction, tuple[Fraction, ...]] | None:
+    """(lo, combination) for the least rho with the point (0,...,0,rho) in
+    the hull, where the listed coordinates are pinned to zero and
+    positive_coord carries rho, or None when no hull point has them zero.
+
+    One LP minimizes rho over that slice.  lo is not clamped, so it may be
+    <= 0, and combination is a convex combination of the generators equal
+    to the point at rho = lo.
+    """
+    rows, rhs, obj = _ray_lp(p, axis_complement_dims, positive_coord)
+    bot = solve_lp(rows, rhs, [-x for x in obj])
+    if bot.status != OPTIMAL:
+        return None  # slice empty
+    return -bot.value, tuple(bot.x)
 
 
 def ray_intersect(
@@ -186,26 +240,18 @@ def ray_intersect(
     reaches rho <= 0 the closure endpoint max(lo, 0) is reported; with the
     stratification preconditions in force this does not occur.
     """
-    gens = p.generators
-    m = len(gens)
-    axis = list(axis_complement_dims)
-    if positive_coord in axis or positive_coord >= p.ambient_dim:
-        raise DimensionMismatch("bad coordinate split")
-    rows = [[g[i] for g in gens] for i in axis] + [[1] * m]
-    rhs = [0] * len(axis) + [1]
-    obj = [g[positive_coord] for g in gens]
+    entry = ray_entry(p, axis_complement_dims, positive_coord)
+    if entry is None:
+        return None
+    lo, lo_comb = entry
+    rows, rhs, obj = _ray_lp(p, axis_complement_dims, positive_coord)
     top = solve_lp(rows, rhs, obj)
-    if top.status != OPTIMAL:
-        return None  # slice empty
     if top.value <= 0:
         return None
-    bot = solve_lp(rows, rhs, [-x for x in obj])
-    lo = -bot.value
-    lo_comb = bot.x
     if lo < 0:
         # closure of the positive part; certificate left at the attained end
         lo = 0
-    return RayInterval(lo, top.value, tuple(lo_comb), tuple(top.x))
+    return RayInterval(lo, top.value, lo_comb, tuple(top.x))
 
 
 def solve_mixed_system(

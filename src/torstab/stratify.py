@@ -15,10 +15,15 @@ one-parameter subgroup (x, sigma) under which every projected piece scales
 with a single integer exponent d_i = c_i * sigma and the strict ladder
 0 < d_0 < ... < d_{k-1} holds.
 
-Each exact fact is decided once: F_n is read off the convex combination
-certifying c_n, and each stage carries its projection's classification,
-which verify_decomposition re-checks against weights recomputed from u and
-stage_kn_minimizers passes to the minimizer.
+Each exact fact is decided once: c_n and a convex combination certifying
+it come from one LP, and F_n is read off that combination together with a
+convex combination positive exactly on F_n.  That combination puts 0 in
+the relative interior of the projection's restricted weights, so each
+stage's classification is read off the face certificate rather than
+decided again: Stable when the weights span, PolystableNotStable with
+their saturated kernel as flat lattice otherwise.  verify_decomposition
+re-checks it against weights recomputed from u, and stage_kn_minimizers
+passes it to the minimizer.
 
 The combinatorial output depends only on which amplitudes are nonzero;
 per-stage Kempf-Ness minimizers (the metric updates) are computed
@@ -32,7 +37,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InternalError, NotStableError, StratifyInternalError, ZeroVectorError
-from .polytope import PolytopeQ, face_support, ray_intersect, solve_mixed_system
+from .polytope import PolytopeQ, face_combination, ray_entry, solve_mixed_system
 from .qexact import Lattice, QVec, clear_denominators, dot, saturated_kernel
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult, classify
 from .torus_rep import RepVector, Subtorus
@@ -64,8 +69,8 @@ class Stage:
     d: int
     dim_hull: int
     dim_projected_hull: int
-    # classification of P_Sn(u) under G_n, reused by verification and the
-    # stage minimizers
+    # classification of P_Sn(u) under G_n, read off the face certificate
+    # and reused by verification and the stage minimizers
     projection: StabilityResult
 
 
@@ -121,7 +126,8 @@ def stratify(
     stages: list[dict] = []
     removed: set[str] = set()
     x_prev: QVec = (0,) * k
-    effective = {ln.label for ln in u.effective_lines()}
+    lines = {ln.label: ln for ln in u.effective_lines()}
+    effective = set(lines)
 
     while tori[-1].dim > 0:
         n = len(stages)
@@ -131,7 +137,7 @@ def stratify(
         nu_labels = tuple(sorted(ln.label for ln in nu.effective_lines()))
         removed.update(nu_labels)
 
-        active = [u.line(lab) for lab in sorted(effective - removed)]
+        active = [lines[lab] for lab in sorted(effective - removed)]
         if not active:
             raise StratifyInternalError(
                 "EmptyResidual", f"no weights left at stage {n} with dim G_n > 0"
@@ -144,33 +150,24 @@ def stratify(
             pts.setdefault(point, []).append(ln)
         gens = sorted(pts)
         hull = PolytopeQ.from_points(gens, ambient_dim=gn.dim + 1)
-        iv = ray_intersect(hull, list(range(gn.dim)), gn.dim)
-        if iv is None:
-            raise StratifyInternalError("RayEmpty", f"positive rho-ray misses C_{n}")
-        c_n = iv.lo
+        entry = ray_entry(hull, list(range(gn.dim)), gn.dim)
+        if entry is None:
+            raise StratifyInternalError("RayEmpty", f"the rho-axis misses C_{n}")
+        c_n, entry_combination = entry
         c_prev = stages[-1]["c"] if stages else 0
         if not c_prev < c_n:
             raise StratifyInternalError(
                 "NonIncreasingC", f"c_{n} = {c_n} is not above c_{n - 1} = {c_prev}"
             )
-        # lo is unclamped here (a clamp gives c_n = 0, rejected above), so
-        # its certificate is a convex combination equal to the axis point
         axis_point = (0,) * gn.dim + (c_n,)
-        face_idx = face_support(hull, axis_point, iv.lo_combination)
-        face_pts = [gens[i] for i in face_idx]
-        if len(set(face_pts)) < 2:
+        face_comb = face_combination(hull, axis_point, entry_combination)
+        face_pts = [g for g, a in zip(gens, face_comb) if a > 0]
+        if len(face_pts) < 2:
             raise StratifyInternalError("VertexFace", f"F_{n} degenerates to a vertex")
         s_labels = tuple(
             sorted(ln.label for p in face_pts for ln in pts[p])
         )
-        s_weights = frozenset(u.line(lab).full_weight for lab in s_labels)
-
-        proj = u.project_labels(s_labels)
-        pcls = classify(proj.restrict(gn))
-        if pcls.stability not in (STABLE, POLYSTABLE_NOT_STABLE):
-            raise StratifyInternalError(
-                "NotPolystable", f"P_S{n}(u) is {pcls.stability} under G_{n}"
-            )
+        s_weights = frozenset(lines[lab].full_weight for lab in s_labels)
 
         # exact system for x_n inside the span of G_n, in basis coordinates
         eqs, stricts = [], []
@@ -185,8 +182,21 @@ def stratify(
         x_n = tuple(sum(yj * b[i] for yj, b in zip(y, gn.basis)) for i in range(k))
         x_prev = tuple(a + b for a, b in zip(x_prev, x_n))
 
-        restricted = sorted({p[: gn.dim] for p in face_pts})
+        # face_comb weights the restricted face points to 0 with every
+        # coefficient positive, so 0 is in the relative interior of their
+        # hull: P_Sn(u) is polystable under G_n, and stable iff they span
+        weight_comb: dict[tuple, Fraction] = {}
+        for p, a in zip(gens, face_comb):
+            if a > 0:
+                weight_comb[p[: gn.dim]] = weight_comb.get(p[: gn.dim], 0) + a
+        restricted = sorted(weight_comb)
         ker = saturated_kernel(restricted, ambient_dim=gn.dim)
+        projection = StabilityResult(
+            POLYSTABLE_NOT_STABLE if ker.rank else STABLE,
+            tuple(restricted),
+            combination=tuple(weight_comb[w] for w in restricted),
+            flat_lattice=ker if ker.rank else None,
+        )
         # a saturated kernel lifted through a saturated basis is saturated
         lifted = tuple(
             tuple(
@@ -216,7 +226,7 @@ def stratify(
                 x_stage=x_n,
                 dim_hull=dim_hull,
                 dim_projected_hull=dim_proj,
-                projection=pcls,
+                projection=projection,
             )
         )
         removed.update(s_labels)
@@ -225,7 +235,7 @@ def stratify(
     residual = tuple(sorted(effective - removed))
 
     q_of = {
-        lab: u.line(lab).rho + dot(u.line(lab).weight, x_prev)
+        lab: lines[lab].rho + dot(lines[lab].weight, x_prev)
         for lab in sorted(effective)
     }
     # minimal sigma clearing every denominator of x and q, times the

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .qexact import Lattice, clear_denominators, dot, saturated_kernel
@@ -59,7 +60,10 @@ class Subtorus:
             raise ValueError("cocharacter lattice must be saturated")
 
     @staticmethod
+    @lru_cache(maxsize=8)
     def full(rank: int) -> "Subtorus":
+        # built once per rank: the instance is frozen, and building one
+        # checks saturation by a Smith normal form
         basis = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
         return Subtorus(rank, Lattice(rank, basis))
 

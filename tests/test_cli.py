@@ -624,6 +624,26 @@ def test_oversized_kuranishi_complex_is_rejected_up_front(payload, reason, tmp_p
     ({"generator": {"seed": 0, "grades": [3, 1, 3, 1, 2]}},
      "grades must be distinct, but 1 is given more than once; "
      "grades must be distinct, but 3 is given more than once"),
+    ({"grades": [1], "dims": {"1": [0, 2, 0]}, "d0": {}, "d1": {}, "input": {"7": [1, 2]}},
+     "input grade 7 is not a grade of the complex [1]"),
+    ({"generator": {"seed": 0, "grades": [1, 2]}, "input": {"x": [1]}},
+     "input grade x is not a grade of the complex [1, 2]"),
+    ({"grades": [1], "dims": {"1": [0, 2, 0]}, "d0": {}, "d1": {}, "input": {"1": [1, 2, 3]}},
+     "input[1] must have shape 2 to match dims"),
+    ({"grades": [1], "dims": {"1": [0, 2, 0]}, "d0": {}, "d1": {}, "input": {"1": 5}},
+     "input[1] must have shape 2 to match dims"),
+    ({"grades": [1], "dims": {"1": [2, 2, 0]}, "d0": {"1": [[1], [0, 1]]}, "d1": {}},
+     "d0[1] must have shape 2 x 2 to match dims"),
+    ({"grades": [1], "dims": {"1": [2, 2, 0]}, "d0": {"1": [[1, 0]]}, "d1": {}},
+     "d0[1] must have shape 2 x 2 to match dims"),
+    ({"grades": [1], "dims": {"1": [0, 2, 1]}, "d0": {}, "d1": {"1": [[1, 0], [0, 1]]}},
+     "d1[1] must have shape 1 x 2 to match dims"),
+    ({"grades": [1, 2], "dims": {"1": [0, 2, 0], "2": [0, 1, 1]}, "d0": {}, "d1": {},
+      "bracket": [{"g1": 1, "g2": 1, "tensor": [[[1, 0], [0]]]}]},
+     "bracket (1, 1) tensor must have shape 1 x 2 x 2 to match dims"),
+    ({"grades": [1], "dims": {"1": [0, 2, 0]}, "d0": {}, "d1": {},
+      "bracket": [{"g1": 1, "g2": 1, "tensor": []}]},
+     "bracket grades (1, 1) leave the range"),
 ])
 def test_malformed_kuranishi_complex_is_rejected_by_field(payload, reason, tmp_path,
                                                           capsys):
@@ -633,6 +653,19 @@ def test_malformed_kuranishi_complex_is_rejected_by_field(payload, reason, tmp_p
     report = json.loads(capsys.readouterr().out)
     assert report == {"schema_version": "1", "kind": "kuranishi", "status": "rejected",
                       "report": {"reason": reason}}
+
+
+@pytest.mark.parametrize("payload", [
+    {"grades": [1], "dims": {"1": [0, 2, 0]}, "d0": {"1": []}, "d1": {"1": []},
+     "input": {"1": [1, 2]}},
+    {"grades": [1], "dims": {"1": [0, 2, 0]}, "d0": {"1": [[], []]}, "d1": {}},
+    {"grades": [1, 2], "dims": {"1": [0, 2, 0], "2": [0, 1, 0]}, "d0": {}, "d1": {},
+     "bracket": [{"g1": 1, "g2": 1, "tensor": []}], "input": {"1": [1, [0, 1]]}},
+])
+def test_kuranishi_blocks_without_entries_may_be_empty_lists(payload):
+    report, code = run_document(kuranishi_doc(payload))
+    assert code == 0, report
+    assert report["report"]["round_trip_residual"] < 1e-9
 
 
 def test_largest_admitted_kuranishi_complex_runs():

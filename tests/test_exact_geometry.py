@@ -21,8 +21,10 @@ from torstab.polytope import (
     RELATIVE_INTERIOR_ONLY,
     PolytopeQ,
     convex_combination,
+    face_combination,
     hull_position,
     minimal_face,
+    ray_entry,
     ray_intersect,
     solve_mixed_system,
 )
@@ -396,6 +398,27 @@ def test_minimal_face_matches_oracle(data):
     assert minimal_face(p, q) == oracle_minimal_face(pts, q)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.tuples(st.just(d), _points(d, min_n=2),
+                        st.lists(st.integers(0, 3), min_size=6, max_size=6))))
+def test_face_combination_is_positive_exactly_on_minimal_face(data):
+    dim, pts, weights = data
+    weights = weights[: len(pts)]
+    if not any(weights):
+        weights[0] = 1
+    # q from a combination that may leave out part of its minimal face
+    total = sum(weights)
+    given = tuple(F(w, total) for w in weights)
+    q = tuple(sum(a * g[i] for a, g in zip(given, pts)) for i in range(dim))
+    p = PolytopeQ.from_points(pts, ambient_dim=dim)
+    comb = face_combination(p, q, given)
+    assert sum(comb) == 1 and all(a >= 0 for a in comb)
+    assert all(sum(a * g[i] for a, g in zip(comb, pts)) == q[i] for i in range(dim))
+    face = tuple(i for i, a in enumerate(comb) if a > 0)
+    assert face == oracle_minimal_face(pts, q) == minimal_face(p, q)
+
+
 # ---------------------------------------------------------------------------
 # minimal_face
 
@@ -479,6 +502,28 @@ def test_ray_intersect_vs_membership(pts, num, den):
         assert not inside or rho <= 0
     elif rho > 0:
         assert inside == (iv.lo <= rho <= iv.hi) or (rho == iv.lo == 0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(st.just(d), _points(d, min_n=1))))
+def test_ray_entry_is_the_lower_end_of_ray_intersect(data):
+    dim, pts = data
+    p = PolytopeQ.from_points(pts, ambient_dim=dim)
+    axis = list(range(dim - 1))
+    entry = ray_entry(p, axis, dim - 1)
+    iv = ray_intersect(p, axis, dim - 1)
+    if entry is None:
+        assert iv is None and not any(
+            oracle_member(pts, (0,) * (dim - 1) + (F(r, 2),)) for r in range(-8, 9))
+        return
+    lo, comb = entry
+    assert sum(comb) == 1 and all(a >= 0 for a in comb)
+    point = [sum(a * g[i] for a, g in zip(comb, pts)) for i in range(dim)]
+    assert point == [0] * (dim - 1) + [lo]
+    if iv is not None and iv.lo > 0:
+        assert (lo, comb) == (iv.lo, iv.lo_combination)
+    elif lo > 0:
+        raise AssertionError("ray_intersect missed a positive entry")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import torstab.kempf_ness as kempf_ness
 import torstab.polytope as polytope
@@ -285,8 +287,9 @@ def two_stage_example():
 
 
 def test_stage_classification_decided_once(monkeypatch):
-    classify_calls, relint_calls = [], []
+    classify_calls, relint_calls, lp_calls = [], [], []
     relint = polytope._relint_lp
+    solve_lp = polytope.solve_lp
 
     def counted_classify(v):
         classify_calls.append(v)
@@ -302,6 +305,8 @@ def test_stage_classification_decided_once(monkeypatch):
         if hasattr(module, "classify"):
             monkeypatch.setattr(module, "classify", counted_classify)
     monkeypatch.setattr(polytope, "_relint_lp", counted_relint)
+    monkeypatch.setattr(
+        polytope, "solve_lp", lambda *a: lp_calls.append(a) or solve_lp(*a))
 
     u = two_stage_example()
     res = stratify(u)
@@ -309,8 +314,11 @@ def test_stage_classification_decided_once(monkeypatch):
     outs = stage_kn_minimizers(res)
     assert res.num_stages == 2
     assert [kn.status for kn, _ in outs] == [FLAT_DIRECTIONS, CONVERGED]
-    # the input, then one classification per stage; no relint LP elsewhere
-    assert (len(classify_calls), len(relint_calls)) == (3, 3)
+    # the input is classified once; each stage reads its classification off
+    # its face certificate, so no relint LP runs after the input's
+    assert (len(classify_calls), len(relint_calls)) == (1, 1)
+    # the input's relint LP, then per stage one ray LP and the face LPs
+    assert len(lp_calls) == 5
     assert [st.projection.stability for st in res.stages] == [
         POLYSTABLE_NOT_STABLE, STABLE]
 
@@ -341,3 +349,40 @@ def test_verify_rejects_forged_combination():
     forged = dataclasses.replace(proj, combination=(Fraction(1), Fraction(0)))
     tampered = _with_stage(res, 1, projection=forged)
     assert _failed(verify_decomposition(tampered, u)) == ["stage1-polystable"]
+
+
+@st.composite
+def stable_graded_under_subtorus(draw):
+    """A graded vector of rank 1-3 with rho in [1, 4] and, half the time, a
+    subtorus cut out by random characters; kept when stable under that
+    torus.  Its weights come in opposite pairs, so 0 is a positive
+    combination of them and pairs crossing the rho-axis low give
+    lower-dimensional faces and more stages, plus a few free weights."""
+    rank = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3)
+    pairs = draw(st.lists(st.tuples(*[coord] * rank), min_size=rank, max_size=rank + 1))
+    weights = [w for v in pairs for w in (v, tuple(-c for c in v))]
+    weights += draw(st.lists(st.tuples(*[coord] * rank), max_size=2))
+    rhos = draw(st.lists(st.integers(1, 4), min_size=len(weights), max_size=len(weights)))
+    u = graded([(f"l{i}", w, r) for i, (w, r) in enumerate(zip(weights, rhos))])
+    torus = None
+    if draw(st.booleans()):
+        chars = draw(st.lists(st.tuples(*[coord] * rank), max_size=rank - 1))
+        torus = Subtorus.kernel_of(chars, rank)
+    assume(classify(u.restrict(torus or Subtorus.full(rank))).stability == STABLE)
+    return u, torus
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(stable_graded_under_subtorus())
+def test_stage_projection_matches_classify(case):
+    u, torus = case
+    res = stratify(u, torus=torus)
+    for stage in res.stages:
+        proj = u.project_labels(stage.s_labels).restrict(stage.torus)
+        expected = classify(proj)
+        got = stage.projection
+        assert (got.stability, got.weights, got.flat_lattice) == (
+            expected.stability, expected.weights, expected.flat_lattice)
+        assert got.verify()
+    assert verify_decomposition(res, u).all_ok
