@@ -238,17 +238,40 @@ def _distinct_grades(grades) -> tuple[int, ...]:
     return grades
 
 
-def _check_shape(field: str, value, shape: tuple[int, ...]) -> None:
-    """Refuse a nested list whose lengths are not shape, naming the field.
-    A block with no entries may also be given as []."""
+# the types json gives a number as (a bool is neither)
+_JSON_NUMBER = (int, float)
+
+
+def _complex_array(field: str, value, shape: tuple[int, ...]):
+    """value as a complex array of the given shape, naming the field when
+    its lengths are not shape or an entry is neither a number nor a
+    [re, im] pair of numbers (a bool is not a number), or is an integer
+    too large for a float.  A block with no entries may also be given as
+    []."""
+    import numpy as np
+
     if value == [] and 0 in shape:
-        return
+        return np.zeros(shape, dtype=complex)
     level = [value]
     for n in shape:
         if any(not isinstance(v, list) or len(v) != n for v in level):
             dims = " x ".join(map(str, shape))
             raise ValidationError([f"{field} must have shape {dims} to match dims"])
         level = [x for v in level for x in v]
+    entries = []
+    for pos, v in enumerate(level):
+        re, im = v if type(v) is list and len(v) == 2 else (v, 0)
+        if type(re) in _JSON_NUMBER and type(im) in _JSON_NUMBER:
+            try:
+                entries.append(complex(re, im))
+                continue
+            except OverflowError:
+                problem = "is too large for a float"
+        else:
+            problem = "must be a number or a [re, im] pair of numbers"
+        at = "".join(f"[{i}]" for i in np.unravel_index(pos, shape))
+        raise ValidationError([f"{field}{at} {problem}"])
+    return np.array(entries, dtype=complex).reshape(shape)
 
 
 def complex_from_payload(payload: dict) -> GradedComplex:
@@ -273,6 +296,11 @@ def complex_from_payload(payload: dict) -> GradedComplex:
     missing = [g for g in grades if str(g) not in payload["dims"]]
     if missing:
         raise ValidationError([f"dims has no entry for grade {g}" for g in missing])
+    keys = {str(g) for g in grades}
+    stray = [f"{name} grade {key} is not a grade of the complex {list(grades)}"
+             for name in ("dims", "d0", "d1") for key in payload[name] if key not in keys]
+    if stray:
+        raise ValidationError(stray)
     dims = {g: tuple(payload["dims"][str(g)]) for g in grades}
     _check_complex_size(grades, [n for dim in dims.values() for n in dim])
 
@@ -280,9 +308,7 @@ def complex_from_payload(payload: dict) -> GradedComplex:
         rows = payload[name].get(str(g))
         if rows is None:
             return np.zeros(shape, dtype=complex)
-        _check_shape(f"{name}[{g}]", rows, shape)
-        return np.array([[_amp(v) for v in row] for row in rows],
-                        dtype=complex).reshape(shape)
+        return _complex_array(f"{name}[{g}]", rows, shape)
 
     d0 = {g: matrix("d0", g, (dims[g][1], dims[g][0])) for g in grades}
     d1 = {g: matrix("d1", g, (dims[g][2], dims[g][1])) for g in grades}
@@ -292,11 +318,7 @@ def complex_from_payload(payload: dict) -> GradedComplex:
         if g1 not in dims or g2 not in dims or g1 + g2 not in dims:
             raise ValidationError([f"bracket grades ({g1}, {g2}) leave the range"])
         shape = (dims[g1 + g2][2], dims[g1][1], dims[g2][1])
-        _check_shape(f"bracket ({g1}, {g2}) tensor", ent["tensor"], shape)
-        t = np.array(
-            [[[_amp(v) for v in row] for row in sheet] for sheet in ent["tensor"]],
-            dtype=complex,
-        ).reshape(shape)
+        t = _complex_array(f"bracket ({g1}, {g2}) tensor", ent["tensor"], shape)
         bracket[(g1, g2)] = t
         bracket.setdefault((g2, g1), np.transpose(t, (0, 2, 1)))
     return GradedComplex(grades, dims, d0, d1, bracket)
@@ -451,11 +473,12 @@ def _run_stratify(payload, options, *, tol, convention, emit_certificates, box_b
 
 def _run_shb(payload, options, *, tol, convention, emit_certificates, box_bound):
     shb = shb_from_payload(payload)
+    block_ranks = shb.block_ranks()
     body: dict = {
         "total_rank": shb.total_rank,
         "genus": shb.genus,
         "abelian": shb.abelian,
-        "block_ranks": list(shb.block_ranks()),
+        "block_ranks": list(block_ranks),
     }
     if shb.total_rank >= 2:
         body["expected_dim_central_locus"] = shb_model.expected_dim_central_locus(
@@ -464,9 +487,7 @@ def _run_shb(payload, options, *, tol, convention, emit_certificates, box_bound)
     poset = shb_model.partitions_with_order(shb)
     table = []
     for p in poset.partitions:
-        dim, strict = shb_model.partition_dim_comparison(
-            p, shb.block_ranks(), shb.genus
-        )
+        dim, strict = shb_model.partition_dim_comparison(p, block_ranks, shb.genus)
         table.append(
             {
                 "parts": [list(part) for part in p.parts],
@@ -488,7 +509,7 @@ def _run_shb(payload, options, *, tol, convention, emit_certificates, box_bound)
             for ln in shb_model.positive_slice_lines(shb, convention)
         ]
         if shb.k >= 2:
-            cyc, verdict = shb_model.cyclic_phi_weights(shb, convention)
+            cyc, verdict = shb_model.cyclic_phi_weights(shb, convention, torus)
             body["cyclic_phi"] = {
                 "stability": verdict.stability,
                 "restricted_weights": sorted(
@@ -507,22 +528,18 @@ def _run_shb(payload, options, *, tol, convention, emit_certificates, box_bound)
 
 
 def _input_from_payload(vectors: dict, cx: GradedComplex) -> dict:
-    """The kuranishi input by grade; a grade outside the complex or a vector
-    whose length is not n1 at its grade is refused."""
-    import numpy as np
-
+    """The kuranishi input by grade; a grade outside the complex, or a vector
+    whose length is not n1 at its grade or whose entries are not numbers,
+    is refused."""
+    grade_of = {str(g): g for g in cx.grades}
     x = {}
     for key, vec in vectors.items():
-        try:
-            g = int(key)
-        except ValueError:
-            g = None
-        if g not in cx.dims:
+        g = grade_of.get(key)
+        if g is None:
             raise ValidationError(
                 [f"input grade {key} is not a grade of the complex {list(cx.grades)}"]
             )
-        _check_shape(f"input[{key}]", vec, (cx.n1(g),))
-        x[g] = np.array([_amp(v) for v in vec], dtype=complex)
+        x[g] = _complex_array(f"input[{key}]", vec, (cx.n1(g),))
     return x
 
 

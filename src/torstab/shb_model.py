@@ -327,20 +327,46 @@ class PartitionPoset:
 
 def partitions_with_order(shb: SHBSpec) -> PartitionPoset:
     """All partitions of the block multiset, ordered by strict coarsening
-    (P > P' when P' refines P).  Partitions identifying the same multiset of
-    block-data multisets are deduplicated; the order is computed only when
-    read."""
+    (P > P' when P' refines P); the order is computed only when read.
+
+    Partitions identifying the same multiset of block-data multisets are one
+    class, listed once by its first set partition in restricted-growth order
+    (block i joins one of the parts opened before it, or opens a new one),
+    in that order.  The classes are built directly, not by filtering the
+    Bell(k) set partitions: restricted-growth prefixes are extended one
+    block at a time in lexicographic order, and a prefix is pruned when an
+    earlier one of the same length has the same state, the sorted multiset
+    of its parts' sorted block-data ids.  Both prefixes reach the same
+    classes, and every completion of the earlier one comes first, so no
+    class loses its first representative; at full length the state is the
+    class."""
     k = shb.k
     if k > MAX_PARTITION_BLOCKS:
         raise TorstabError(f"partition enumeration capped at {MAX_PARTITION_BLOCKS} blocks")
     data_ids: dict = {}
     ids = tuple(data_ids.setdefault((b.ranks, b.degrees, b.tag), len(data_ids))
                 for b in shb.blocks)
-    reps: dict = {}
-    for parts in _set_partitions(k):
-        reps.setdefault(_signature([ids[i] for i in part] for part in parts),
-                        PartitionP.of(parts))
-    return PartitionPoset(tuple(reps.values()), ids)
+    # the surviving prefixes of each length, as (parts, id_parts) keyed by
+    # state: parts[j] holds the blocks of part j, id_parts[j] their sorted
+    # data ids.  A level lists its prefixes in lexicographic order, and so
+    # does the next one, built from them in turn; the first prefix to reach
+    # a state is kept.
+    prefixes = [((), ())]
+    for i, x in enumerate(ids):
+        level: dict = {}
+        for parts, id_parts in prefixes:
+            for j, (part, id_part) in enumerate(zip(parts, id_parts)):
+                child = id_parts[:j] + (tuple(sorted(id_part + (x,))),) + id_parts[j + 1:]
+                state = tuple(sorted(child))
+                if state not in level:
+                    level[state] = (parts[:j] + (part + (i,),) + parts[j + 1:], child)
+            child = id_parts + ((x,),)
+            state = tuple(sorted(child))
+            if state not in level:
+                level[state] = (parts + ((i,),), child)
+        prefixes = level.values()
+    reps = [PartitionP(parts) for parts, _ in prefixes]
+    return PartitionPoset(tuple(reps), ids)
 
 
 def rr_h1_lower_bound(r1: int, r2: int, deg: int, g: int):
@@ -356,16 +382,19 @@ def rr_h1_lower_bound(r1: int, r2: int, deg: int, g: int):
 # cyclic Higgs direction
 
 
-def cyclic_phi_weights(shb: SHBSpec, convention: str = DEFAULT):
+def cyclic_phi_weights(shb: SHBSpec, convention: str = DEFAULT,
+                       torus: AutomorphismTorus | None = None):
     """Unit-amplitude vector on the cyclic Higgs classes, last Hodge summand
     of each block mapping into the first summand of the next block, with its
-    stability verdict under the relation torus."""
+    stability verdict under the relation torus.  A caller that holds
+    automorphism_torus(shb) passes it as torus instead of solving it again."""
     if not shb.abelian:
         raise TorstabError("cyclic construction needs pairwise distinct blocks")
     if shb.k < 2:
         raise TorstabError("cyclic construction needs at least two blocks")
     _check_convention(convention)
-    torus = automorphism_torus(shb)
+    if torus is None:
+        torus = automorphism_torus(shb)
     lines = []
     for i, blk in enumerate(shb.blocks, start=1):
         j = i % shb.k + 1
@@ -425,5 +454,8 @@ def conformal_degree_table(
     entries = {}
     for cod, dom in index_classes(shb):
         w, rho_beta = class_weight_data(cod, dom, shb.k, convention)
-        entries[(cod, dom)] = 2 * sigma * rho_beta + 2 * dot(w, xs)
+        # w is supported on the two blocks of the class (and zero when they
+        # coincide), so <w, x> needs only those entries
+        p, q = cod[0] - 1, dom[0] - 1
+        entries[(cod, dom)] = 2 * sigma * rho_beta + 2 * (w[p] * xs[p] + w[q] * xs[q])
     return ConformalDegreeTable(xs, sigma, convention, entries)

@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torstab.stability as stability
 from torstab.cli import (
@@ -674,3 +676,94 @@ def test_largest_admitted_kuranishi_complex_runs():
     report, code = run_document(kuranishi_doc(payload))
     assert code == 0, report
     assert report["report"]["round_trip_residual"] < 1e-9
+
+
+# kuranishi entries must be numbers or [re, im] pairs, and every block key a grade
+
+KURANISHI_LINE = {"grades": [1], "dims": {"1": [0, 2, 0]}, "d0": {}, "d1": {}}
+
+
+@pytest.mark.parametrize("payload, reason", [
+    (dict(KURANISHI_LINE, input={"1": [None, 2]}),
+     "input[1][0] must be a number or a [re, im] pair of numbers"),
+    (dict(KURANISHI_LINE, input={"1": ["1+2j", 2]}),
+     "input[1][0] must be a number or a [re, im] pair of numbers"),
+    (dict(KURANISHI_LINE, input={"1": [1, True]}),
+     "input[1][1] must be a number or a [re, im] pair of numbers"),
+    (dict(KURANISHI_LINE, input={"1": [1, [0, False]]}),
+     "input[1][1] must be a number or a [re, im] pair of numbers"),
+    (dict(KURANISHI_LINE, input={"1": [1, [0, 1, 2]]}),
+     "input[1][1] must be a number or a [re, im] pair of numbers"),
+    ({"grades": [1], "dims": {"1": [1, 2, 0]}, "d0": {"1": [[1], ["x"]]}, "d1": {}},
+     "d0[1][1][0] must be a number or a [re, im] pair of numbers"),
+    ({"grades": [1], "dims": {"1": [0, 2, 1]}, "d0": {}, "d1": {"1": [[0, {}]]}},
+     "d1[1][0][1] must be a number or a [re, im] pair of numbers"),
+    ({"grades": [1, 2], "dims": {"1": [0, 1, 0], "2": [0, 0, 1]}, "d0": {}, "d1": {},
+      "bracket": [{"g1": 1, "g2": 1, "tensor": [[[None]]]}]},
+     "bracket (1, 1) tensor[0][0][0] must be a number or a [re, im] pair of numbers"),
+    ({"grades": [1], "dims": {"1": [0, 2, 0], "9": [1, 1, 1]}, "d0": {"5": [[1]]},
+      "d1": {"x": 3}, "input": {"1": [1, 2]}},
+     "dims grade 9 is not a grade of the complex [1]; "
+     "d0 grade 5 is not a grade of the complex [1]; "
+     "d1 grade x is not a grade of the complex [1]"),
+    (dict(KURANISHI_LINE, d0={"01": []}), "d0 grade 01 is not a grade of the complex [1]"),
+    (dict(KURANISHI_LINE, input={" 1": [1, 2]}), "input grade  1 is not a grade of the complex [1]"),
+    (dict(KURANISHI_LINE, input={"1": [1, [10**400, 0]]}), "input[1][1] is too large for a float"),
+])
+def test_kuranishi_entries_and_keys_are_refused_by_field(payload, reason, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(kuranishi_doc(payload)))
+    assert main(["run", "--input", str(p)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["report"] == {"reason": reason}
+
+
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.just(10**400),
+    st.floats(-100, 100, allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(-3, 3) | st.booleans() | st.none(), max_size=3), st.just({}),
+)
+
+
+@st.composite
+def kuranishi_payloads(draw):
+    """Schema-valid explicit kuranishi payloads, mostly of the right shape,
+    with entries and keys that are often not what the complex needs."""
+    grades = draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3))
+    keys = [str(g) for g in grades] + ["7", "x"]
+    dims = {str(g): draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+            for g in grades if draw(st.integers(0, 9))}
+    if draw(st.booleans()):
+        dims[draw(st.sampled_from(keys))] = [1, 1, 1]
+
+    def vector(n):
+        return [draw(st.integers(-1, 1) if draw(st.integers(0, 5)) else _json_leaf)
+                for _ in range(n)]
+
+    def block(rows, cols):
+        if draw(st.integers(0, 4)) == 0:
+            return draw(_json_leaf)
+        return [vector(cols) for _ in range(rows)]
+
+    payload = {"grades": grades, "dims": dims, "d0": {}, "d1": {}}
+    for name in ("d0", "d1"):
+        for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
+            n = dims.get(key, [1, 1, 1])
+            payload[name][key] = block(n[1], n[0]) if name == "d0" else block(n[2], n[1])
+    if draw(st.booleans()):
+        payload["input"] = {key: vector(dims.get(key, [0, 1, 0])[1])
+                            if draw(st.integers(0, 3)) else draw(_json_leaf)
+                            for key in draw(st.lists(st.sampled_from(keys), max_size=2))}
+    if draw(st.booleans()):
+        g1, g2 = draw(st.sampled_from(grades)), draw(st.sampled_from(grades))
+        payload["bracket"] = [{"g1": g1, "g2": g2,
+                               "tensor": [block(1, 1) for _ in range(draw(st.integers(0, 2)))]}]
+    return payload
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kuranishi_payloads())
+def test_schema_valid_kuranishi_documents_never_exit_1(payload):
+    doc = validate_document(json.dumps(kuranishi_doc(payload)))
+    report, code = run_document(doc)
+    assert code in (0, 2), report

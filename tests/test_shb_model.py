@@ -1,17 +1,23 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import torstab.shb_model as shb_model
+from torstab.cli import run_document
 from torstab.errors import TorstabError
 from torstab.qexact import dot
 from torstab.shb_model import (
     CONVENTIONS,
     DEFAULT,
+    MAX_PARTITION_BLOCKS,
     PartitionP,
     SHBSpec,
     StableBlock,
     automorphism_torus,
     class_label,
+    class_weight_data,
     conformal_degree_table,
     cyclic_phi_weights,
     expected_dim_central_locus,
@@ -281,6 +287,92 @@ def test_partitions_cap():
     shb = SHBSpec(2, tuple(line_block(f"b{i}") for i in range(9)))
     with pytest.raises(TorstabError):
         partitions_with_order(shb)
+
+
+def rgs_set_partitions(n):
+    """All set partitions of range(n) in restricted-growth order: those of
+    range(n - 1) in that order, each followed by n - 1 placed in each of its
+    parts in turn and then in a part of its own."""
+    if n == 0:
+        yield []
+        return
+    for smaller in rgs_set_partitions(n - 1):
+        for i in range(len(smaller)):
+            yield smaller[:i] + [smaller[i] + [n - 1]] + smaller[i + 1:]
+        yield smaller + [[n - 1]]
+
+
+def bell_first_hits(shb):
+    """The reference classes: every one of the Bell(k) set partitions in
+    restricted-growth order, keeping the first of each class."""
+    keys = [(b.ranks, b.degrees, b.tag) for b in shb.blocks]
+    reps = {}
+    for parts in rgs_set_partitions(shb.k):
+        signature = tuple(sorted(tuple(sorted(keys[i] for i in part)) for part in parts))
+        reps.setdefault(signature, PartitionP.of(parts))
+    return tuple(reps.values())
+
+
+KINDS = (line_block("a"), line_block("b"), StableBlock((1, 1), (1, -1)),
+         StableBlock((2, 1), (2, -2)), StableBlock((1, 1, 1), (1, 0, -1)), line_block("c"),
+         StableBlock((1,), (0,)), StableBlock((2, 2), (1, -1)))
+
+
+@st.composite
+def block_multisets(draw):
+    k = draw(st.integers(1, MAX_PARTITION_BLOCKS))
+    kinds = draw(st.integers(1, k))
+    picks = [i % kinds for i in range(k)]
+    return SHBSpec(2, tuple(KINDS[p] for p in draw(st.permutations(picks))))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(block_multisets())
+def test_partition_classes_are_the_first_set_partition_of_each_class(shb):
+    assert partitions_with_order(shb).partitions == bell_first_hits(shb)
+
+
+def test_partition_classes_are_built_once_each(monkeypatch):
+    built = []
+    post_init = PartitionP.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PartitionP, "__post_init__", counting)
+    shb = SHBSpec(2, tuple(KINDS[i % 2] for i in (0, 1, 1, 0, 0, 1, 0)))
+    poset = partitions_with_order(shb)
+    assert len(poset.partitions) == 57
+    assert built == list(poset.partitions)
+
+
+def test_shb_run_solves_the_automorphism_torus_once(monkeypatch):
+    calls = []
+    solve = shb_model.automorphism_torus
+
+    def counting(shb):
+        calls.append(shb)
+        return solve(shb)
+
+    monkeypatch.setattr(shb_model, "automorphism_torus", counting)
+    payload = {"genus": 2, "blocks": [{"ranks": [1], "degrees": [0], "tag": t}
+                                      for t in ("a", "b", "c")], "x": [1, 0, -1]}
+    report, code = run_document({"schema_version": "1", "kind": "shb", "payload": payload})
+    assert code == 0
+    assert "cyclic_phi" in report["report"] and "automorphism_torus" in report["report"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_conformal_degrees_pair_the_class_weight_with_x(conv):
+    shb = SHBSpec(2, (line_block("a"), StableBlock((1, 1), (1, -1)),
+                      StableBlock((1, 1, 1), (1, 0, -1))))
+    x, sigma = (2, -1, 3), 2
+    table = conformal_degree_table(shb, x, sigma, conv)
+    for cod, dom in index_classes(shb):
+        w, rho_beta = class_weight_data(cod, dom, shb.k, conv)
+        assert table.degree(cod, dom) == 2 * sigma * rho_beta + 2 * dot(w, x)
 
 
 def test_rr_bound_examples():
