@@ -190,17 +190,26 @@ def _amp(value) -> complex:
     return complex(value)
 
 
+def _fits(convert, value, field: str):
+    """convert(value), refusing an integer too large for a float by field."""
+    try:
+        return convert(value)
+    except OverflowError:
+        raise ValidationError([f"{field} is too large for a float"]) from None
+
+
 def rep_from_payload(payload: dict) -> RepVector:
     lines = tuple(
         WeightLine(
             ln["label"],
             tuple(ln["weight"]),
             rho=ln.get("rho"),
-            norm2=float(ln.get("norm2", 1.0)),
+            norm2=_fits(float, ln.get("norm2", 1.0), f"line {ln['label']!r}: norm2"),
         )
         for ln in payload["lines"]
     )
-    amps = {lab: _amp(v) for lab, v in payload["amplitudes"].items()}
+    amps = {lab: _fits(_amp, v, f"amplitude of line {lab!r}")
+            for lab, v in payload["amplitudes"].items()}
     return RepVector(lines, amps)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qexact import clear_denominators, nullspace, rational_rank
+from .qexact import nullspace, rational_rank
 
 GVec = dict  # grade -> complex ndarray
 
@@ -254,19 +254,15 @@ def satisfies_slice_conditions(cx: GradedComplex, u: GVec, tol: float = 1e-9) ->
 
 
 def _int_matrix(rng, rows, cols, lo=-2, hi=3):
-    return rng.integers(lo, hi, size=(rows, cols)).astype(complex)
+    return rng.integers(lo, hi, size=(rows, cols))
 
 
 def _integer_kernel_matrix(m) -> np.ndarray:
-    """Integer matrix whose columns span ker(m) exactly (m integer)."""
+    """int64 matrix whose columns span ker(m) exactly (m an int64 matrix)."""
     n_rows, n_cols = m.shape
     if n_rows == 0:
-        return np.eye(n_cols, dtype=complex)
-    rows = [[int(v.real) for v in row] for row in m]
-    cols = [clear_denominators(v)[1] for v in nullspace(rows)]
-    if not cols:
-        return np.zeros((len(rows[0]), 0), dtype=complex)
-    return np.array(cols, dtype=complex).T
+        return np.eye(n_cols, dtype=np.int64)
+    return np.array(nullspace(m.tolist()), dtype=np.int64).reshape(-1, n_cols).T
 
 
 def random_graded_complex(
@@ -281,6 +277,7 @@ def random_graded_complex(
     d0 is built inside ker(d1) so d1 d0 = 0 holds exactly.  When
     surjective_d1_above is set, every grade above it gets a full-row-rank
     d1, killing harmonic C2 there (used by slice-instance construction).
+    The matrices stay int64 until the complex is built.
     """
     grades = tuple(sorted(grades))
     dims, d0, d1 = {}, {}, {}
@@ -290,18 +287,18 @@ def random_graded_complex(
         if surjective_d1_above is not None and g > surjective_d1_above and n2 > 0:
             while True:
                 m = _int_matrix(rng, n2, n1)
-                if rational_rank([[int(v.real) for v in row] for row in m]) == n2:
+                if rational_rank(m.tolist()) == n2:
                     break
         else:
             m = _int_matrix(rng, n2, n1)
         ker = _integer_kernel_matrix(m)
         n0 = int(rng.integers(0, ker.shape[1] + 1))
         mix = _int_matrix(rng, ker.shape[1], n0, lo=-1, hi=2) if n0 else np.zeros(
-            (ker.shape[1], 0), dtype=complex
+            (ker.shape[1], 0), dtype=np.int64
         )
         dims[g] = (n0, n1, n2)
-        d1[g] = m
-        d0[g] = ker @ mix if ker.size else np.zeros((n1, n0), dtype=complex)
+        d1[g] = m.astype(complex)
+        d0[g] = (ker @ mix).astype(complex)
     bracket = {}
     for a in grades:
         for b in grades:
@@ -314,8 +311,9 @@ def random_graded_complex(
             t = np.where(rng.random(t.shape) < bracket_density, t, 0)
             if a == b:
                 t = t + np.transpose(t, (0, 2, 1))
-                bracket[(a, a)] = t
+                bracket[(a, a)] = t.astype(complex)
             else:
+                t = t.astype(complex)
                 bracket[(a, b)] = t
                 bracket[(b, a)] = np.transpose(t, (0, 2, 1))
     return GradedComplex(grades, dims, d0, d1, bracket)
@@ -350,7 +348,7 @@ def random_slice_instance(rng, grades=(1, 2, 3, 4), max_dim=5):
         x = {}
         for g in grades:
             n1 = cx.n1(g)
-            ker = _integer_kernel_matrix(cx.d1[g])
+            ker = _integer_kernel_matrix(cx.d1[g].real.astype(np.int64)).astype(complex)
             if ker.shape[1]:
                 coeff = rng.normal(size=ker.shape[1]) + 1j * rng.normal(size=ker.shape[1])
                 x[g] = ker @ coeff

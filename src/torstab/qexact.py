@@ -45,14 +45,14 @@ def clear_denominators(v: Iterable) -> tuple[int, IVec]:
     return m, tuple(x.numerator * (m // x.denominator) for x in fr)
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column indices).
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced echelon form on ints: (pivot rows, pivot
+    columns), where pivot row i is zero in every pivot column but its own.
 
-    Eliminates fraction-free on ints, as rational_rank does: rows are
-    scaled to integers by clear_denominators, and the pivot p in column c
-    turns every other row with an entry f there into p * row - f * pivot
-    row, divided by its gcd.  A pivot row is divided by its pivot only at
-    the read-off, which gives the unique RREF with Fraction entries.
+    Rows are scaled to integers by clear_denominators, and the pivot p in
+    column c turns every other row with an entry f there into p * row -
+    f * pivot row, divided by its gcd.  Dividing pivot row i by its pivot
+    gives row i of the RREF.
     """
     m = [list(clear_denominators(r)[1]) for r in rows]
     if not m:
@@ -76,6 +76,17 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == len(m):
             break
+    return m[:r], pivots
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rref rows, pivot column indices).
+
+    Eliminates fraction-free on ints (_echelon), as rational_rank does; a
+    pivot row is divided by its pivot only at the read-off, which gives the
+    unique RREF with Fraction entries.
+    """
+    m, pivots = _echelon(rows)
     return [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)], pivots
 
 
@@ -135,11 +146,26 @@ def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: int) -> tuple[QVec,
     return tuple(x0), basis
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[QVec]:
-    """Basis of {x : A x = 0} over the rationals (A given by rows)."""
+def nullspace(rows: Sequence[Sequence]) -> list[IVec]:
+    """Integer basis of {x : A x = 0} (A given by rows), one vector per free
+    column f: the RREF kernel vector with 1 at f and 0 at the other free
+    columns, times the least positive integer that clears its denominators
+    (as clear_denominators would).  Read off the fraction-free echelon rows
+    in ints: the entry at pivot column c of row i is -row_i[f] / row_i[c]."""
     if not rows:
         raise ValueError("need at least one row to know the dimension")
-    return solve_affine(rows, [0] * len(rows), len(rows[0]))[1]
+    m, pivots = _echelon(rows)
+    basis = []
+    for f in range(len(rows[0])):
+        if f in pivots:
+            continue
+        scale = lcm(*(row[c] // gcd(row[f], row[c]) for row, c in zip(m, pivots)))
+        v = [0] * len(rows[0])
+        v[f] = scale
+        for row, c in zip(m, pivots):
+            v[c] = -row[f] * scale // row[c]
+        basis.append(tuple(v))
+    return basis
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> QVec | None:

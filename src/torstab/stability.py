@@ -41,10 +41,11 @@ SEMISTABLE_NOT_POLYSTABLE = "SemistableNotPolystable"
 POLYSTABLE_NOT_STABLE = "PolystableNotStable"
 STABLE = "Stable"
 
-# Largest integer box destabilizer_bruteforce will scan.  The scan holds one
-# slice of (2B+1)^(k-1) points at a time, never the whole box, so this caps
-# the work of a scan rather than its memory; it admits the rank-3 box at
-# bound 50 (101^3 points).
+# Largest integer box destabilizer_bruteforce will scan, counted at the bound
+# it scans, min(B, witness_bound).  The scan holds the (2B+1)^(k-1) grid of
+# x_2..x_k and its pairings, never the whole box, so this caps the work of a
+# scan rather than its memory; it admits the rank-3 box at bound 50 (101^3
+# points).
 MAX_BOX_POINTS = 2_000_000
 
 
@@ -204,22 +205,51 @@ def _box_points(rank: int, bound: int) -> np.ndarray:
 
 def _first_hit(weights, bound: int):
     """First nonzero x of [-bound, bound]^k in scan order with <w, x> >= 0
-    for every weight w, or None.  Each value of the first coordinate is one
-    slice, tested against the pairings of the cached (k-1)-dimensional grid;
-    the first slice with a hit holds the first hit."""
+    for every weight w, or None.
+
+    The box is the cached (k-1)-dimensional grid of x_2..x_k times the
+    values c of x_1, and scan order is (scan rank of c, grid row).  The
+    slice c = 0 is tested first: a hit there has the lowest rank.  Without
+    one, if w_0 >= 0 for every weight, (1, 0, ..., 0) is the next point of
+    the scan and a hit; if w_0 <= 0, (-1, 0, ..., 0) is the first hit,
+    since a hit (1, y) would make (0, y) one.  Otherwise, on a grid row
+    with pairings p, the witnesses c w_0 + p >= 0 form an interval
+    [lo, hi] of c clipped to the box.  Off the origin row it excludes 0,
+    which would be a hit in the slice c = 0, so the row's first witness in
+    the order 0, 1, -1, 2, -2, ... is clip(0, lo, hi).
+    """
+    first = [w[0] for w in weights]
+    axis_c = 1 if min(first) >= 0 else -1 if max(first) <= 0 else None
+    if len(weights[0]) == 1:  # the grid is the origin alone
+        return None if axis_c is None else (axis_c,)
     import numpy as np
 
     w = np.array(weights, dtype=np.int64)
     rest = _box_points(w.shape[1] - 1, bound)
     pairings = rest @ w[:, 1:].T
-    for c in _axis(bound):
-        ok = (pairings >= -c * w[:, 0]).all(axis=1)
-        if c == 0:
-            ok[0] = False  # rest[0] is the origin
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return (int(c),) + tuple(int(t) for t in rest[hits[0]])
-    return None
+    ok = (pairings >= 0).all(axis=1)
+    ok[0] = False  # rest[0] is the origin
+    hits = np.flatnonzero(ok)
+    if hits.size:
+        return (0,) + tuple(int(t) for t in rest[hits[0]])
+    if axis_c is not None:
+        return (axis_c,) + (0,) * (w.shape[1] - 1)
+    w0 = w[:, 0]
+    pos, neg, zero = w0 > 0, w0 < 0, w0 == 0
+    # c >= ceil(-p / w_0) where w_0 > 0, c <= floor(p / -w_0) where w_0 < 0
+    lo = np.maximum(-(pairings[:, pos] // w0[pos]).min(axis=1), -bound)
+    hi = np.minimum((pairings[:, neg] // -w0[neg]).min(axis=1), bound)
+    ok = lo <= hi
+    if zero.any():
+        ok &= (pairings[:, zero] >= 0).all(axis=1)
+    ok[0] = False  # the origin row's interval is {0}
+    rows = np.flatnonzero(ok)
+    if not rows.size:
+        return None
+    c = np.clip(0, lo[rows], hi[rows])
+    # argmin keeps the first, so the lowest row, of the lowest scan rank
+    i = int(np.argmin(np.where(c > 0, 2 * c - 1, -2 * c)))
+    return (int(c[i]),) + tuple(int(t) for t in rest[rows[i]])
 
 
 def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
@@ -231,7 +261,7 @@ def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
     coordinate varying slowest) or None when the box holds no witness.
     Only the part of the box within M = witness_bound(weights) is scanned,
     because the first hit always lies there.  When M <= B, None proves v
-    stable.
+    stable.  A scanned box of more than MAX_BOX_POINTS points is refused.
     """
     if box_bound < 1:
         raise ValueError("box_bound must be >= 1")
@@ -241,10 +271,11 @@ def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
     k = len(weights[0])
     if k == 0:
         return None
-    points = (2 * box_bound + 1) ** k
+    bound = min(box_bound, witness_bound(weights))
+    points = (2 * bound + 1) ** k
     if points > MAX_BOX_POINTS:
         raise ValueError(
-            f"brute-force box of {points} points (rank {k}, bound {box_bound}) "
+            f"brute-force box of {points} points (rank {k}, bound {bound}) "
             f"exceeds the limit of {MAX_BOX_POINTS}"
         )
     largest = max(abs(c) for w in weights for c in w)
@@ -261,5 +292,4 @@ def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
     # |r_i| <= M (Cramer).  The first slice x_1 = c holding a cone point has
     # |c| <= |r_1| for each r, so it is the hull of the points c r / r_1,
     # all within M.
-    bound = min(box_bound, witness_bound(weights))
     return _first_hit(weights, bound)

@@ -294,14 +294,18 @@ def test_run_shb_with_conformal_table():
     assert degs["1.1|2.1"] == -degs["2.1|1.1"] != 0
 
 
-def test_main_rejects_oversized_bruteforce_box(tmp_path, capsys):
-    # rank 4 at bound 50 is 101^4 points; refused before any grid is built
+def rank4_doc(*weights):
     doc = stability_doc()
     doc["payload"]["rank"] = 4
-    doc["payload"]["lines"] = [
-        {"label": "a", "weight": [1, 0, 0, 0]},
-        {"label": "b", "weight": [-1, 0, 0, 0]},
-    ]
+    doc["payload"]["lines"] = [{"label": f"l{i}", "weight": w} for i, w in enumerate(weights)]
+    doc["payload"]["amplitudes"] = {f"l{i}": 1.0 for i in range(len(weights))}
+    return doc
+
+
+def test_main_rejects_oversized_bruteforce_box(tmp_path, capsys):
+    # the witness bound is 2500, so the scan at bound 50 would cover 101^4
+    # points; refused before any grid is built
+    doc = rank4_doc([50, 0, 0, 0], [-50, 0, 0, 0])
     p = tmp_path / "rank4.json"
     p.write_text(json.dumps(doc))
     t0 = time.perf_counter()
@@ -310,6 +314,17 @@ def test_main_rejects_oversized_bruteforce_box(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "rejected"
     assert str(101**4) in report["report"]["reason"]
+
+
+def test_bruteforce_box_cap_counts_the_box_scanned():
+    # witness bound 2: the scan at box bound 50 covers 5^4 points, not 101^4
+    doc = rank4_doc([1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, -1, 1, 0],
+                    [0, 0, -1, 1], [0, 0, 0, -1])
+    report, code = run_document(doc, box_bound=50)
+    assert code == 0
+    assert report["report"]["class"] == "Stable"
+    assert report["report"]["bruteforce_witness"] is None
+    assert report["report"]["box_sound"] is True
 
 
 def test_run_stability_with_bruteforce_scan():
@@ -391,12 +406,7 @@ def test_options_emit_certificates_false_drops_certificate():
 
 
 def test_options_oversized_box_bound_rejected(tmp_path, capsys):
-    doc = stability_doc()
-    doc["payload"]["rank"] = 4
-    doc["payload"]["lines"] = [
-        {"label": "a", "weight": [1, 0, 0, 0]},
-        {"label": "b", "weight": [-1, 0, 0, 0]},
-    ]
+    doc = rank4_doc([50, 0, 0, 0], [-50, 0, 0, 0])
     doc["options"] = {"box_bound": 50}
     p = tmp_path / "rank4.json"
     p.write_text(json.dumps(doc))
@@ -716,6 +726,36 @@ def test_kuranishi_entries_and_keys_are_refused_by_field(payload, reason, tmp_pa
     assert main(["run", "--input", str(p)]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["report"] == {"reason": reason}
+
+
+def overflowing_doc(kind, field):
+    doc = stratify_doc() if kind == "stratify" else stability_doc()
+    doc["kind"] = kind
+    payload = doc["payload"]
+    if field == "amplitude":
+        payload["amplitudes"]["a"] = 10**400
+    elif field == "imaginary part":
+        payload["amplitudes"]["b"] = [0, -(10**400)]
+    else:
+        payload["lines"][0]["norm2"] = 10**400
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["stability", "kempf-ness", "stratify"])
+@pytest.mark.parametrize("field, reason", [
+    ("amplitude", "amplitude of line 'a' is too large for a float"),
+    ("imaginary part", "amplitude of line 'b' is too large for a float"),
+    ("norm2", "line 'a': norm2 is too large for a float"),
+])
+def test_integers_too_large_for_a_float_are_refused_by_field(kind, field, reason, tmp_path,
+                                                             capsys):
+    # schema-valid: json reads the literal as an int, and only float() fails
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(overflowing_doc(kind, field)))
+    assert main(["run", "--input", str(p), "--box-bound", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["report"] == {"reason": reason}
 
 
 _json_leaf = st.one_of(

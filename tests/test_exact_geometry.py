@@ -7,6 +7,7 @@ detection by exhaustive supporting-hyperplane enumeration in affine
 coordinates of the hull.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -745,6 +746,26 @@ def test_rref_matches_fraction_rref(rows):
     want, want_pivots = fraction_rref(rows)
     assert (got, pivots) == (want, want_pivots)
     assert all(type(x) is F for row in got for x in row)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rank_matrices().filter(bool))
+def test_nullspace_is_the_fraction_rref_kernel_cleared(rows):
+    # one vector per free column f: 1 at f, minus the rref's column f at
+    # the pivots, times the lcm of its denominators
+    n = len(rows[0])
+    red, pivots = fraction_rref(rows)
+    want = []
+    for f in (f for f in range(n) if f not in pivots):
+        v = [F(int(j == f)) for j in range(n)]
+        for row, c in zip(red, pivots):
+            v[c] = -row[f]
+        scale = math.lcm(*(x.denominator for x in v))
+        want.append(tuple(int(x * scale) for x in v))
+    got = nullspace(rows)
+    assert got == want
+    assert all(type(x) is int for v in got for x in v)
+    assert all(dot(r, v) == 0 for r in rows for v in got)
 
 
 def test_rational_rank_examples():

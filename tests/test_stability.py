@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torstab import polytope
@@ -15,6 +15,7 @@ from torstab.stability import (
     STABLE,
     UNSTABLE,
     _box_points,
+    _first_hit,
     classify,
     destabilizer_bruteforce,
     witness_bound,
@@ -175,6 +176,94 @@ def ranked_weight_sets(draw, ranks=(1, 2, 3), lo=-4, hi=4):
 def test_bruteforce_matches_full_scan(ws, bound):
     v = vec(ws)
     assert destabilizer_bruteforce(v, bound) == full_scan(v, bound)
+
+
+@st.composite
+def first_column_cases(draw):
+    """Weight sets whose first column is as drawn, half zero, or of one
+    sign, the cases where a grid row's interval of x_1 is open on one side
+    or the origin row is the hit."""
+    ws = draw(ranked_weight_sets())
+    first = draw(st.sampled_from(["drawn", "half zero", "nonnegative", "nonpositive"]))
+    if first == "half zero":
+        ws = [(0, *w[1:]) if i % 2 else w for i, w in enumerate(ws)]
+    elif first != "drawn":
+        sign = 1 if first == "nonnegative" else -1
+        ws = [(sign * abs(w[0]), *w[1:]) for w in ws]
+    return sorted(set(ws))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(first_column_cases(), st.integers(1, 6))
+def test_first_hit_matches_full_scan(ws, bound):
+    assert _first_hit(ws, bound) == full_scan(vec(ws), bound)
+
+
+@pytest.mark.parametrize("weights, hit", [
+    ([(1,), (2,)], (1,)),
+    ([(-3,), (-1,)], (-1,)),
+    ([(0,)], (1,)),
+    ([(-1,), (0,)], (-1,)),
+    ([(-1,), (1,)], None),
+    ([(1, 0), (1, 1)], (0, 1)),
+    ([(1, 1), (1, -1)], (1, 0)),
+    ([(-1, 1), (-1, -1)], (-1, 0)),
+    ([(0, 1), (-1, -1)], (-1, 0)),
+    ([(1, -1), (-1, 2)], (1, 1)),
+])
+def test_first_hit_on_the_single_row_grid_and_the_origin_row(weights, hit):
+    # rank 1: the grid is the origin alone; at rank 2 the origin row gives
+    # (1, 0) when no first entry is negative, else (-1, 0) when none is
+    # positive, unless the slice x_1 = 0 holds a hit
+    assert _first_hit(weights, 3) == hit == full_scan(vec(weights), 3)
+
+
+@st.composite
+def stable_rank_3_sets(draw):
+    """Distinct rank-3 weights spanning R^3 with a zero sum: 0 is interior
+    to their hull, so the scan proves the box empty."""
+    ws = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=3, max_size=7,
+                       unique=True))
+    ws.append(tuple(-sum(c) for c in zip(*ws)))
+    assume(len(set(ws)) == len(ws) and np.linalg.matrix_rank(np.array(ws)) == 3)
+    return sorted(ws)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(stable_rank_3_sets(), st.integers(16, 32))
+def test_first_hit_matches_full_scan_on_stable_rank_3_boxes(ws, bound):
+    # without its last weight the set is often not stable and hits far out
+    assert classify(vec(ws)).stability == STABLE
+    assert _first_hit(ws, bound) is None is full_scan(vec(ws), bound)
+    assert _first_hit(ws[:-1], bound) == full_scan(vec(ws[:-1]), bound)
+
+
+# the rank-3 stable weight sets of the seed-1 stability-routes benchmark
+# workload, whose witness bounds are 16 to 32
+ROUTES_RANK_3_STABLE = [
+    [(-2, 1, -2), (1, 1, -3), (1, 2, 4), (2, -1, -2), (2, -1, 0), (3, -2, 4)],
+    [(-4, -3, -4), (-4, 4, -4), (-3, -4, 4), (0, -4, -2), (3, -3, 1), (3, -2, -2), (3, 2, 0),
+     (3, 3, 2), (3, 3, 3)],
+    [(-4, 3, 4), (-3, -2, 3), (-1, -2, -1), (0, -3, -3), (2, 4, 4), (3, -4, -3), (3, 2, 4),
+     (4, 4, 1)],
+    [(-4, 3, 2), (-1, -3, -1), (-1, 0, 2), (-1, 4, 3), (2, -4, 2), (2, 1, 3), (4, -2, -4)],
+    [(-4, -4, -3), (-4, 4, -1), (-1, -4, 3), (-1, 3, 0), (0, -2, 3), (1, -4, 2), (2, -4, 2),
+     (3, -2, -3), (3, 0, -4), (4, 0, -1)],
+    [(-4, 2, 4), (-2, -1, 2), (-2, 2, 4), (-1, -4, 1), (1, -3, 2), (1, 4, -2)],
+    [(-4, -4, 3), (-4, -3, 2), (-4, -2, -2), (-1, 0, -1), (0, 1, -3), (2, 0, 0), (2, 0, 2),
+     (3, 4, 0), (4, -2, -4)],
+    [(-3, 1, 2), (1, -4, 4), (2, -1, -2), (3, 2, 4), (3, 4, 0)],
+]
+
+
+@pytest.mark.parametrize("ws", ROUTES_RANK_3_STABLE)
+def test_first_hit_matches_full_scan_on_the_routes_stable_sets(ws):
+    bound = witness_bound(ws)
+    assert 16 <= bound <= 32 and classify(vec(ws)).stability == STABLE
+    assert _first_hit(ws, bound) is None is full_scan(vec(ws), bound)
+    for i in range(len(ws)):
+        rest = ws[:i] + ws[i + 1:]
+        assert _first_hit(rest, bound) == full_scan(vec(rest), bound)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
