@@ -29,7 +29,7 @@ from importlib import resources
 from typing import TYPE_CHECKING
 
 from . import shb_model
-from .errors import NotStableError, TorstabError, ValidationError, ZeroVectorError
+from .errors import NotStableError, TorstabError, ValidationError
 from .stability import classify, destabilizer_bruteforce, witness_bound
 from .stratify import StratifyOptions, stage_kn_minimizers, stratify, verify_decomposition
 from .torus_rep import RepVector, Subtorus, WeightLine
@@ -213,6 +213,13 @@ def rep_from_payload(payload: dict) -> RepVector:
     return RepVector(lines, amps)
 
 
+def _float_weights(payload: dict) -> None:
+    """Refuse, by line, a weight that the Kempf-Ness layer cannot read as a
+    float; the exact layers read weights as ints and need no such check."""
+    for ln in payload["lines"]:
+        _fits(lambda w: [float(c) for c in w], ln["weight"], f"line {ln['label']!r}: weight")
+
+
 def shb_from_payload(payload: dict) -> shb_model.SHBSpec:
     blocks = tuple(
         shb_model.StableBlock(
@@ -345,7 +352,6 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
     options = dict(doc.get("options", {}))
     if seed is not None and "seed" not in options:
         options["seed"] = seed
-    tol = float(options.get("tol", tol))
     emit_certificates = options.get("emit_certificates", emit_certificates)
     box_bound = options.get("box_bound", box_bound)
     convention = options.get("convention", convention or shb_model.DEFAULT)
@@ -357,10 +363,12 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
         "kuranishi": _run_kuranishi,
     }[kind]
     try:
-        body = runner(doc["payload"], options, tol=tol, convention=convention,
-                      emit_certificates=emit_certificates, box_bound=box_bound)
+        body = runner(doc["payload"], options,
+                      tol=_fits(float, options.get("tol", tol), "options.tol"),
+                      convention=convention, emit_certificates=emit_certificates,
+                      box_bound=box_bound)
         status, code = "ok", 0
-    except (NotStableError, ZeroVectorError, TorstabError, ValueError, KeyError) as exc:
+    except (TorstabError, ValueError, KeyError) as exc:
         # numpy's LinAlgError is a ValueError, but a numerical failure, not
         # bad input; it can occur only once numpy is loaded
         numpy = sys.modules.get("numpy")
@@ -408,6 +416,7 @@ def _run_stability(payload, options, *, tol, convention, emit_certificates, box_
 def _run_kempf_ness(payload, options, *, tol, convention, emit_certificates, box_bound):
     from .kempf_ness import KNProblem, kn_minimize
 
+    _float_weights(payload)
     v = rep_from_payload(payload)
     res = kn_minimize(KNProblem.from_vector(v), classify(v), tol=tol)
     body = {"status": res.status}
@@ -426,6 +435,7 @@ def _run_kempf_ness(payload, options, *, tol, convention, emit_certificates, box
 
 
 def _run_stratify(payload, options, *, tol, convention, emit_certificates, box_bound):
+    _float_weights(payload)
     v = rep_from_payload(payload)
     torus = None
     if "subtorus" in payload:
@@ -627,75 +637,70 @@ def render_text(report: dict) -> str:
 # instance generator
 
 
-def generate_instances(kind: str, seed: int, count: int) -> list[dict]:
-    """Seeded random problem instances; instance i derives from seed + i."""
+def generate_instance(kind: str, seed: int) -> dict:
+    """A random problem instance of the given kind, drawn from seed."""
     import numpy as np
 
-    out = []
-    for i in range(count):
-        rng = np.random.default_rng(seed + i)
-        if kind in ("stability", "kempf-ness"):
-            rank = int(rng.integers(1, 4))
-            n = int(rng.integers(1, 9))
+    rng = np.random.default_rng(seed)
+    if kind in ("stability", "kempf-ness"):
+        rank = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 9))
+        lines = [
+            {
+                "label": f"l{j}",
+                "weight": [int(w) for w in rng.integers(-4, 5, size=rank)],
+            }
+            for j in range(n)
+        ]
+        amps = {
+            ln["label"]: [float(rng.normal()), float(rng.normal())] for ln in lines
+        }
+        payload = {"rank": rank, "lines": lines, "amplitudes": amps}
+    elif kind == "stratify":
+        from .stability import STABLE as _STABLE
+
+        rank = int(rng.integers(1, 3))
+        while True:
+            n = int(rng.integers(rank + 1, 7))
             lines = [
                 {
                     "label": f"l{j}",
-                    "weight": [int(w) for w in rng.integers(-4, 5, size=rank)],
+                    "weight": [int(w) for w in rng.integers(-3, 4, size=rank)],
+                    "rho": int(rng.integers(1, 5)),
                 }
                 for j in range(n)
             ]
             amps = {
-                ln["label"]: [float(rng.normal()), float(rng.normal())] for ln in lines
+                ln["label"]: [float(rng.normal()), float(rng.normal())]
+                for ln in lines
             }
             payload = {"rank": rank, "lines": lines, "amplitudes": amps}
-        elif kind == "stratify":
-            from .stability import STABLE as _STABLE
-
-            rank = int(rng.integers(1, 3))
-            while True:
-                n = int(rng.integers(rank + 1, 7))
-                lines = [
-                    {
-                        "label": f"l{j}",
-                        "weight": [int(w) for w in rng.integers(-3, 4, size=rank)],
-                        "rho": int(rng.integers(1, 5)),
-                    }
-                    for j in range(n)
-                ]
-                amps = {
-                    ln["label"]: [float(rng.normal()), float(rng.normal())]
-                    for ln in lines
-                }
-                payload = {"rank": rank, "lines": lines, "amplitudes": amps}
-                v = rep_from_payload(payload)
-                if classify(v.restrict(Subtorus.full(rank))).stability == _STABLE:
-                    break
-        elif kind == "shb":
-            k = int(rng.integers(1, 4))
-            blocks = []
-            for j in range(k):
-                r = int(rng.integers(1, 4))
-                if r == 1:
-                    blocks.append({"ranks": [1], "degrees": [0], "tag": f"b{j}"})
-                else:
-                    blocks.append(
-                        {"ranks": [1, r - 1], "degrees": [1, -1], "tag": f"b{j}"}
-                    )
-            payload = {"genus": int(rng.integers(2, 5)), "blocks": blocks}
-        elif kind == "kuranishi":
-            payload = {
-                "generator": {
-                    "seed": int(seed + i),
-                    "grades": [1, 2, 3, 4],
-                    "max_dim": int(rng.integers(2, 6)),
-                }
+            v = rep_from_payload(payload)
+            if classify(v.restrict(Subtorus.full(rank))).stability == _STABLE:
+                break
+    elif kind == "shb":
+        k = int(rng.integers(1, 4))
+        blocks = []
+        for j in range(k):
+            r = int(rng.integers(1, 4))
+            if r == 1:
+                blocks.append({"ranks": [1], "degrees": [0], "tag": f"b{j}"})
+            else:
+                blocks.append(
+                    {"ranks": [1, r - 1], "degrees": [1, -1], "tag": f"b{j}"}
+                )
+        payload = {"genus": int(rng.integers(2, 5)), "blocks": blocks}
+    elif kind == "kuranishi":
+        payload = {
+            "generator": {
+                "seed": int(seed),
+                "grades": [1, 2, 3, 4],
+                "max_dim": int(rng.integers(2, 6)),
             }
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        out.append(
-            {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
-        )
-    return out
+        }
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +756,7 @@ def main(argv=None) -> int:
             return worst
 
         if args.command == "gen":
-            text = _dump(generate_instances(args.kind, args.seed, 1)[0])
+            text = _dump(generate_instance(args.kind, args.seed))
             if args.out:
                 with open(args.out, "w") as fh:
                     fh.write(text)

@@ -269,7 +269,6 @@ def random_graded_complex(
     rng,
     grades=(1, 2, 3, 4),
     max_dim=5,
-    bracket_density=0.6,
     surjective_d1_above=None,
 ):
     """Random complex with exact integer structure constants.
@@ -308,7 +307,7 @@ def random_graded_complex(
             t = _int_matrix(rng, n2 * dims[a][1], dims[b][1]).reshape(
                 n2, dims[a][1], dims[b][1]
             )
-            t = np.where(rng.random(t.shape) < bracket_density, t, 0)
+            t = np.where(rng.random(t.shape) < 0.6, t, 0)  # sparse brackets
             if a == b:
                 t = t + np.transpose(t, (0, 2, 1))
                 bracket[(a, a)] = t.astype(complex)

@@ -101,7 +101,6 @@ def kn_minimize(
     p: KNProblem,
     stability: StabilityResult,
     tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
 ) -> KNResult:
     """Minimize the torus Kempf-Ness functional, given the classification
     of its weights (classify of any vector with these effective weights).
@@ -142,7 +141,7 @@ def kn_minimize(
     status = CONVERGED if stability.stability == STABLE else FLAT_DIRECTIONS
     z = np.zeros(basis.shape[1])
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         value, grad, hess = kn_eval(unit, basis @ z)
         g = basis.T @ grad
         try:

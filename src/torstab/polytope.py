@@ -273,14 +273,16 @@ def solve_mixed_system(
     Theory of Linear and Integer Programming, ch. 3): x = y + N z with z
     free.  LPs run over z only.  When N is empty there are none, and t is
     min(1, <g,y> - h) over the strict rows.  A coordinate whose row of N is
-    zero is already fixed at y_i.  Fixing any other coordinate substitutes
-    one z out, so at most 1 + 2 dim N LPs are solved.  Zero coordinates
-    are the int 0 and all others are Fractions.
+    zero is already fixed at y_i.  Any other coordinate is fixed by
+    appending x_i = val to the equalities and eliminating again, which
+    shrinks N by one; so at most 1 + 2 dim N LPs are solved.  Zero
+    coordinates are the int 0 and all others are Fractions.
     """
     for a, _ in [*equalities, *strict_inequalities]:
         if len(a) != nvars:
             raise DimensionMismatch("constraint of wrong arity")
-    sol = solve_affine([a for a, _ in equalities], [b for _, b in equalities], nvars)
+    rows, rhs = [a for a, _ in equalities], [b for _, b in equalities]
+    sol = solve_affine(rows, rhs, nvars)
     if sol is None:
         return None
     y, basis = sol
@@ -303,28 +305,23 @@ def solve_mixed_system(
     if tstar <= 0:
         return None
 
-    ge = over_z(tstar)
     for i in range(nvars):
         row = [v[i] for v in basis]
-        j = next((j for j, c in enumerate(row) if c), None)
-        if j is None:
+        if not any(row):
             continue
         # achievable x_i values form an interval by convexity; pick the one
         # of minimal absolute value (0 whenever the interval straddles it);
         # the upper end is needed only when the lower one is not positive
+        ge = over_z(tstar)
         lo = _extreme(ge, row, maximize=False)
         if lo is not None and y[i] + lo > 0:
             val = y[i] + lo
         else:
             hi = _extreme(ge, row, maximize=True)
             val = y[i] + hi if hi is not None and y[i] + hi < 0 else 0
-        # <row, z> = val - y_i solved for z_j
-        nj = basis[j]
-        step = Fraction(val - y[i], row[j])
-        y = tuple(a + step * b for a, b in zip(y, nj))
-        basis = [tuple(a - Fraction(c, row[j]) * b for a, b in zip(v, nj))
-                 for l, (c, v) in enumerate(zip(row, basis)) if l != j]
-        ge = over_z(tstar)
+        rows.append([int(j == i) for j in range(nvars)])
+        rhs.append(val)
+        y, basis = solve_affine(rows, rhs, nvars)
     return tuple(Fraction(v) if v else 0 for v in y)
 
 

@@ -1,8 +1,12 @@
 """Exact rational/integer linear algebra: integer and rational vectors,
-rational Gaussian elimination, Smith normal form, and saturated kernel
-lattices.
+fraction-free Gauss-Jordan elimination, Smith normal form, and saturated
+kernel lattices.
 
 Everything here is exact; no floating point enters any computation.
+One elimination step, _eliminate (the integer-preserving pivot of Bareiss
+1968), serves the whole exact layer: _echelon runs it for rref,
+rational_rank, solve_affine and nullspace, and the simplex tableau
+(simplex.py) pivots with it.
 Integer data stays int up to the first division: sums, products and
 differences are computed on the values given, and a Fraction is built only
 where the exact layer divides (the rref and simplex read-offs) or where
@@ -45,81 +49,58 @@ def clear_denominators(v: Iterable) -> tuple[int, IVec]:
     return m, tuple(x.numerator * (m // x.denominator) for x in fr)
 
 
+def _eliminate(row, prow, p, d, c):
+    """row after the pivot on prow[c] = p, old denominator d (exact)."""
+    f = row[c]
+    if f == 0:
+        return row if p == d else [p * x // d for x in row]
+    return [(p * x - f * y) // d for x, y in zip(row, prow)]
+
+
 def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free reduced echelon form on ints: (pivot rows, pivot
     columns), where pivot row i is zero in every pivot column but its own.
 
-    Rows are scaled to integers by clear_denominators, and the pivot p in
-    column c turns every other row with an entry f there into p * row -
-    f * pivot row, divided by its gcd.  Dividing pivot row i by its pivot
-    gives row i of the RREF.
+    Rows are scaled to integers by clear_denominators and reduced by
+    integer-preserving Gauss-Jordan elimination (Bareiss 1968), the pivot
+    step of the simplex tableau: every row holds D times its row of the
+    rational elimination, D = 1 at the start and the last pivot after, so
+    every pivot entry equals D.  Dividing a pivot row by D gives its row of
+    the RREF.
     """
     m = [list(clear_denominators(r)[1]) for r in rows]
-    if not m:
-        return [], []
     pivots = []
-    r = 0
-    for c in range(len(m[0])):
+    d = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         prow = m[r]
         p = prow[c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                row = [p * x - f * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
+        m = [row if i == r else _eliminate(row, prow, p, d, c) for i, row in enumerate(m)]
+        d = p
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if len(pivots) == len(m):
             break
-    return m[:r], pivots
+    return m[:len(pivots)], pivots
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rref rows, pivot column indices).
 
-    Eliminates fraction-free on ints (_echelon), as rational_rank does; a
-    pivot row is divided by its pivot only at the read-off, which gives the
-    unique RREF with Fraction entries.
+    Eliminates fraction-free on ints (_echelon); a pivot row is divided by
+    its pivot D only at the read-off, which gives the unique RREF with
+    Fraction entries.
     """
     m, pivots = _echelon(rows)
     return [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)], pivots
 
 
 def rational_rank(vectors: Sequence[Sequence]) -> int:
-    """Rank over Q, by fraction-free elimination on ints only.
-
-    Each vector is scaled to an integer row by clear_denominators, which
-    changes no rank.  A nonzero row is taken as pivot, and every other row
-    with an entry in its pivot column c becomes p_c * row - row_c * pivot
-    (the 2x2 minors of Bareiss' elimination), divided by its gcd so entries
-    stay small; rows that vanish are dropped.  Each pivot adds one to the
-    rank.
-    """
-    rows = [r for r in (clear_denominators(v)[1] for v in vectors) if any(r)]
-    rank = 0
-    while rows:
-        prow = rows.pop()
-        c = next(j for j, x in enumerate(prow) if x)
-        p = prow[c]
-        rest = []
-        for row in rows:
-            f = row[c]
-            if f:
-                row = [p * x - f * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                if not g:
-                    continue
-                if g != 1:
-                    row = [x // g for x in row]
-            rest.append(row)
-        rows = rest
-        rank += 1
-    return rank
+    """Rank over Q: the number of pivots of _echelon."""
+    return len(_echelon(vectors)[1])
 
 
 def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: int) -> tuple[QVec, list[QVec]] | None:
@@ -151,19 +132,21 @@ def nullspace(rows: Sequence[Sequence]) -> list[IVec]:
     column f: the RREF kernel vector with 1 at f and 0 at the other free
     columns, times the least positive integer that clears its denominators
     (as clear_denominators would).  Read off the fraction-free echelon rows
-    in ints: the entry at pivot column c of row i is -row_i[f] / row_i[c]."""
+    in ints: the entry at pivot column c of row i is -row_i[f] / D, so the
+    least such integer is |D| / gcd(D, row_1[f], row_2[f], ...)."""
     if not rows:
         raise ValueError("need at least one row to know the dimension")
     m, pivots = _echelon(rows)
+    d = m[0][pivots[0]] if m else 1
     basis = []
     for f in range(len(rows[0])):
         if f in pivots:
             continue
-        scale = lcm(*(row[c] // gcd(row[f], row[c]) for row, c in zip(m, pivots)))
+        scale = abs(d) // gcd(d, *(row[f] for row in m))
         v = [0] * len(rows[0])
         v[f] = scale
         for row, c in zip(m, pivots):
-            v[c] = -row[f] * scale // row[c]
+            v[c] = -row[f] * scale // d
         basis.append(tuple(v))
     return basis
 
@@ -172,16 +155,6 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> QVec | None:
     """One rational solution of A x = b, or None if inconsistent."""
     sol = solve_affine(rows, rhs, len(rows[0]) if rows else 0)
     return None if sol is None else sol[0]
-
-
-def _int_rows(vectors: Sequence[Sequence]) -> list[list[int]]:
-    out = []
-    for v in vectors:
-        m, iv = clear_denominators(v)
-        if m != 1:
-            raise ValueError("expected integer vector")
-        out.append(list(iv))
-    return out
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]):
@@ -260,12 +233,6 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
     return u, d, v
 
 
-def smith_invariants(a: Sequence[Sequence[int]]) -> list[int]:
-    _, d, _ = smith_normal_form(a)
-    out = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    return [x for x in out if x != 0]
-
-
 @dataclass(frozen=True)
 class Lattice:
     """A saturated sublattice of Z^n, given by an independent integer basis.
@@ -292,7 +259,9 @@ class Lattice:
     def is_saturated(self) -> bool:
         if not self.basis:
             return True
-        return all(s == 1 for s in smith_invariants([list(b) for b in self.basis]))
+        # saturated iff every Smith invariant of the (independent) basis is 1
+        _, d, _ = smith_normal_form(self.basis)
+        return all(d[i][i] == 1 for i in range(self.rank))
 
     def contains(self, x: Sequence[int]) -> bool:
         """Integer membership: x lies in the Z-span of the basis."""
@@ -310,7 +279,12 @@ def saturated_kernel(weights: Sequence[Sequence[int]], ambient_dim: int | None =
     by the columns of V at indices where D has a zero diagonal entry; those
     columns form a saturated basis since V is unimodular.
     """
-    rows = _int_rows(weights)
+    rows = []
+    for w in weights:
+        m, iw = clear_denominators(w)
+        if m != 1:
+            raise ValueError("expected integer vector")
+        rows.append(iw)
     if not rows:
         if ambient_dim is None:
             raise ValueError("ambient_dim required when no weights are given")

@@ -16,9 +16,11 @@ matrix [A | I]; by Cramer's rule every entry is an integer.  A pivot on the
 entry p = row_r[c] keeps row r and replaces every other row, the objective
 row included, by (p * row - row[c] * row_r) // D, a division that is exact
 by Sylvester's identity (the fraction-free elimination of Edmonds 1967 and
-Bareiss 1968); then D := p.  The objective row holds D times the reduced
-costs and, in its right-hand-side column, -D times the objective value.  It
-is set once at the start of each phase and updated by every pivot.
+Bareiss 1968); then D := p.  That step is qexact._eliminate, the one
+elimination step of the exact layer, which qexact's echelon form also runs.
+The objective row holds D times the reduced costs and, in its
+right-hand-side column, -D times the objective value.  It is set once at
+the start of each phase and updated by every pivot.
 Fractions are built only where the solution, the ray and the value are
 read off.
 
@@ -45,7 +47,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalError
-from .qexact import clear_denominators
+from .qexact import _eliminate, clear_denominators
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -61,14 +63,6 @@ class LPResult:
     x: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
     ray: tuple[Fraction, ...] | None = None  # improving direction if unbounded
-
-
-def _eliminate(row, prow, p, d, c):
-    """row after the pivot on prow[c] = p, old denominator d (exact)."""
-    f = row[c]
-    if f == 0:
-        return row if p == d else [p * x // d for x in row]
-    return [(p * x - f * y) // d for x, y in zip(row, prow)]
 
 
 class _Tableau:

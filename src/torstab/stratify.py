@@ -63,7 +63,6 @@ class Stage:
     torus: Subtorus
     nu_labels: tuple[str, ...]
     s_labels: tuple[str, ...]
-    s_weights: frozenset
     c: Fraction
     x_stage: QVec
     d: int
@@ -77,7 +76,6 @@ class Stage:
 @dataclass(frozen=True)
 class StratifyResult:
     u: RepVector
-    ambient_rank: int
     tori: tuple[Subtorus, ...]
     stages: tuple[Stage, ...]
     x: tuple[int, ...]
@@ -167,7 +165,6 @@ def stratify(
         s_labels = tuple(
             sorted(ln.label for p in face_pts for ln in pts[p])
         )
-        s_weights = frozenset(lines[lab].full_weight for lab in s_labels)
 
         # exact system for x_n inside the span of G_n, in basis coordinates
         eqs, stricts = [], []
@@ -221,7 +218,6 @@ def stratify(
                 torus=gn,
                 nu_labels=nu_labels,
                 s_labels=s_labels,
-                s_weights=s_weights,
                 c=c_n,
                 x_stage=x_n,
                 dim_hull=dim_hull,
@@ -255,7 +251,6 @@ def stratify(
     )
     return StratifyResult(
         u=u,
-        ambient_rank=k,
         tori=tuple(tori),
         stages=final_stages,
         x=x,

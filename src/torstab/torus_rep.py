@@ -144,12 +144,6 @@ class RepVector:
     def graded(self) -> bool:
         return bool(self.lines) and self.lines[0].graded
 
-    def line(self, label: str) -> WeightLine:
-        for ln in self.lines:
-            if ln.label == label:
-                return ln
-        raise KeyError(label)
-
     def amplitude(self, label: str) -> complex:
         return complex(self.amplitudes.get(label, 0.0))
 
@@ -227,13 +221,11 @@ class RepVector:
             out[ln.label] = ln.rho * sigma + dot(ln.weight, xs)
         return out
 
-    def norm2_by_weight(self, restricted_to: Subtorus | None = None) -> dict[tuple[int, ...], float]:
-        """Aggregate squared norms |amplitude|^2 * scale per torus weight
-        (optionally after restriction to a subtorus)."""
-        v = self.restrict(restricted_to) if restricted_to is not None else self
+    def norm2_by_weight(self) -> dict[tuple[int, ...], float]:
+        """Aggregate squared norms |amplitude|^2 * scale per torus weight."""
         acc: dict[tuple[int, ...], float] = {}
-        for ln in v.effective_lines():
-            a = v.amplitude(ln.label)
+        for ln in self.effective_lines():
+            a = self.amplitude(ln.label)
             acc[ln.weight] = acc.get(ln.weight, 0.0) + ln.norm2 * abs(a) ** 2
         return acc
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import torstab.stability as stability
 from torstab.cli import (
-    generate_instances,
+    generate_instance,
     main,
     render_text,
     report_validator,
@@ -224,8 +224,8 @@ def test_render_text_contains_key_fields():
 
 def test_generate_instances_validate_and_rerun():
     for kind in ("stability", "kempf-ness", "stratify", "shb", "kuranishi"):
-        docs = generate_instances(kind, seed=3, count=2)
-        again = generate_instances(kind, seed=3, count=2)
+        docs = [generate_instance(kind, seed) for seed in (3, 4)]
+        again = [generate_instance(kind, seed) for seed in (3, 4)]
         assert json.dumps(docs, sort_keys=True) == json.dumps(again, sort_keys=True)
         for doc in docs:
             validated = validate_document(json.dumps(doc))
@@ -736,6 +736,10 @@ def overflowing_doc(kind, field):
         payload["amplitudes"]["a"] = 10**400
     elif field == "imaginary part":
         payload["amplitudes"]["b"] = [0, -(10**400)]
+    elif field == "weight":
+        payload["lines"][0]["weight"] = [10**400]
+    elif field == "tol":
+        doc["options"] = {"tol": 10**400}
     else:
         payload["lines"][0]["norm2"] = 10**400
     return doc
@@ -746,12 +750,19 @@ def overflowing_doc(kind, field):
     ("amplitude", "amplitude of line 'a' is too large for a float"),
     ("imaginary part", "amplitude of line 'b' is too large for a float"),
     ("norm2", "line 'a': norm2 is too large for a float"),
+    ("weight", "line 'a': weight is too large for a float"),
+    ("tol", "options.tol is too large for a float"),
 ])
 def test_integers_too_large_for_a_float_are_refused_by_field(kind, field, reason, tmp_path,
                                                              capsys):
     # schema-valid: json reads the literal as an int, and only float() fails
     p = tmp_path / "big.json"
     p.write_text(json.dumps(overflowing_doc(kind, field)))
+    if kind == "stability" and field == "weight":
+        # stability reads weights exactly and never as floats
+        assert main(["run", "--input", str(p)]) == 0
+        assert capsys.readouterr().err == ""
+        return
     assert main(["run", "--input", str(p), "--box-bound", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.err == ""

@@ -31,6 +31,7 @@ from torstab.polytope import (
 )
 from torstab.qexact import (
     Lattice,
+    _echelon,
     dot,
     nullspace,
     qvec,
@@ -768,6 +769,16 @@ def test_nullspace_is_the_fraction_rref_kernel_cleared(rows):
     assert all(dot(r, v) == 0 for r in rows for v in got)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rank_matrices())
+def test_echelon_pivots_equal_one_common_denominator(rows):
+    # integer-preserving Gauss-Jordan keeps every row at D times its RREF
+    # row, so rref and nullspace divide each pivot row by the same D
+    m, pivots = _echelon(rows)
+    assert len({row[c] for row, c in zip(m, pivots)}) <= 1
+    assert all(type(x) is int for row in m for x in row)
+
+
 def test_rational_rank_examples():
     assert rational_rank([]) == 0
     assert rational_rank([[0, 0], [0, 0]]) == 0
@@ -798,6 +809,9 @@ def test_saturated_kernel_spec_examples():
     k3 = saturated_kernel([(2, -2)])
     assert lattice_equal(k3, Lattice(2, ((1, 1),)))
     assert k3.is_saturated()
+    # index 2 and index 2 in Z^2: a Smith invariant of 2
+    assert not Lattice(2, ((2, -2),)).is_saturated()
+    assert not Lattice(2, ((1, 1), (1, -1))).is_saturated()
 
 
 def test_saturated_kernel_no_weights():
