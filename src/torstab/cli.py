@@ -87,8 +87,10 @@ def _cplx(z: complex):
 def _dump(doc: dict) -> str:
     """One compact line with sorted keys, written by json's C encoder (which
     json uses only without ``indent``).  Strings escape every control
-    character, so a report never spans two lines."""
-    return json.dumps(doc, sort_keys=True) + "\n"
+    character, so a report never spans two lines.  A non-finite float,
+    which is not JSON, raises ValueError: an internal error, since the
+    runners refuse such values by field."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +215,25 @@ def rep_from_payload(payload: dict) -> RepVector:
     return RepVector(lines, amps)
 
 
+# every integer of absolute value at most 2**53 is exactly a float
+_FLOAT_EXACT = 2**53
+
+
 def _float_weights(payload: dict) -> None:
     """Refuse, by line, a weight that the Kempf-Ness layer cannot read as a
-    float; the exact layers read weights as ints and need no such check."""
+    float exactly; the exact layers read weights as ints and need no such
+    check."""
     for ln in payload["lines"]:
-        _fits(lambda w: [float(c) for c in w], ln["weight"], f"line {ln['label']!r}: weight")
+        if any(abs(c) > _FLOAT_EXACT for c in ln["weight"]):
+            raise ValidationError([f"line {ln['label']!r}: weight is too large for a float"])
+
+
+def _kn_floats(values) -> None:
+    """Refuse a Kempf-Ness report whose numbers a float cannot hold: the
+    amplitudes and norms are so large that the functional's value, or its
+    gradient, overflows."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(["amplitudes and norm2: the Kempf-Ness functional overflows a float"])
 
 
 def shb_from_payload(payload: dict) -> shb_model.SHBSpec:
@@ -425,6 +441,7 @@ def _run_kempf_ness(payload, options, *, tol, convention, emit_certificates, box
         body["gradient_norm"] = res.gradient_norm
     if res.value is not None:
         body["value"] = res.value
+    _kn_floats([*body.get("minimizer", ()), body.get("gradient_norm", 0.0), res.value])
     if res.flat_space is not None:
         body["flat_space"] = [list(b) for b in res.flat_space.basis]
     if res.descent_ray is not None:
@@ -485,6 +502,8 @@ def _run_stratify(payload, options, *, tol, convention, emit_certificates, box_b
         if kn.value is not None:
             entry["value"] = kn.value
         entry["rescaled_amplitudes"] = {k: _cplx(z) for k, z in sorted(rescaled.items())}
+        _kn_floats([*entry.get("minimizer", ()), kn.value or 0.0,
+                    *(c for z in entry["rescaled_amplitudes"].values() for c in z)])
         minimizers.append(entry)
     body["stage_minimizers"] = minimizers
     return body

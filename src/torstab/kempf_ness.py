@@ -7,7 +7,9 @@ hull criterion: given the exact classification of the weights, a damped
 Newton method is run only when it says a minimizer exists; non-attainment
 is certified by its exact separating functional, never diagnosed
 numerically.  Flat directions (the saturated kernel of the effective
-weights) are quotiented out before iterating.
+weights) are quotiented out before iterating.  Newton runs on log l, with
+the squared norms held as their logarithms, so no norm and no exponential
+overflows, and nothing it does changes when every norm is scaled.
 
 Conjugation case: l(g) = ||exp(g) phi exp(-g)||_F^2 over traceless hermitian
 g; evaluation and first variation only.
@@ -15,13 +17,15 @@ g; evaluation and first variation only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import add, mul
 
 import numpy as np
 
-from .qexact import Lattice
+from .qexact import Lattice, dot
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult
-from .torus_rep import RepVector
+from .torus_rep import RepVector, _exp, log_sum_exp
 
 CONVERGED = "Converged"
 DIVERGING = "Diverging"
@@ -30,30 +34,44 @@ FAILURE = "Failure"
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 500
+# The most one Newton step may change the log of any term of l relative to
+# another.  A near-singular hessian (one term dominating by e^100, say)
+# sizes the full step far beyond the minimizer; it is cut to this length
+# before the line search.
+MAX_LOG_STEP = 40.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class KNProblem:
-    """Torus Kempf-Ness problem: weights with positive squared norms."""
+    """Torus Kempf-Ness problem: weights with the logarithms of their
+    positive squared norms, which is all the functional reads.  A norm that
+    a float cannot hold (from_vector sums them in log space) still has a
+    logarithm that is a float."""
 
     weights: tuple[tuple[int, ...], ...]
-    norms2: tuple[float, ...]
+    log_norms2: tuple[float, ...]
 
     def __post_init__(self):
         if not self.weights:
             raise ValueError("need at least one effective weight")
-        if len(self.weights) != len(self.norms2):
+        if len(self.weights) != len(self.log_norms2):
             raise ValueError("weights and norms differ in length")
-        if any(n <= 0 for n in self.norms2):
-            raise ValueError("squared norms must be positive")
+        if not all(map(math.isfinite, self.log_norms2)):
+            raise ValueError("log squared norms must be finite")
+
+    @staticmethod
+    def from_norms(weights, norms2) -> "KNProblem":
+        if not all(0 < n < math.inf for n in norms2):
+            raise ValueError("squared norms must be positive and finite")
+        return KNProblem(weights=tuple(weights), log_norms2=tuple(map(math.log, norms2)))
 
     @staticmethod
     def from_vector(v: RepVector) -> "KNProblem":
-        by_weight = v.norm2_by_weight()
+        by_weight = v.log_norm2_by_weight()
         if not by_weight:
             raise ValueError("zero vector")
         ws = tuple(sorted(by_weight))
-        return KNProblem(ws, tuple(by_weight[w] for w in ws))
+        return KNProblem(weights=ws, log_norms2=tuple(by_weight[w] for w in ws))
 
     @property
     def rank(self) -> int:
@@ -66,12 +84,11 @@ def kn_eval(p: KNProblem, x):
     if x.shape != (p.rank,):
         raise ValueError("point of wrong dimension")
     w = np.array(p.weights, dtype=float)
-    n2 = np.array(p.norms2)
-    with np.errstate(over="ignore"):
-        e = n2 * np.exp(2.0 * (w @ x))
-    value = float(e.sum())
-    grad = 2.0 * (e[:, None] * w).sum(axis=0)
-    hess = 4.0 * np.einsum("i,ij,ik->jk", e, w, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(np.array(p.log_norms2) + 2.0 * (w @ x))
+        value = float(e.sum())
+        grad = 2.0 * (e @ w)
+        hess = 4.0 * ((w.T * e) @ w)
     return value, grad, hess
 
 
@@ -110,9 +127,14 @@ def kn_minimize(
     Diverging with an exact descent ray otherwise.  Nonconvergence inside
     the iteration cap is reported as an explicit Failure status.
 
-    Newton runs on p with norms2 divided by their sum (same minimizer, any
-    input scale), so tol bounds that normalized gradient; one more Newton
-    step follows the tol test.  value and gradient_norm are p's own.
+    Newton runs on F(z) = log sum_i n_i e^{<2 B^T w_i, z>} over the nonzero
+    weights w_i, in coordinates z of the orthonormal complement B of the
+    flat lattice: the same minimizer x = B z as p at any scale of the norms
+    (a zero weight only adds a constant).  tol bounds F's Newton decrement
+    at the last step, lambda^2 = g^T H^-1 g < tol^2, which does not depend on
+    the scale of the norms or the choice of coordinates (Boyd & Vandenberghe,
+    Convex Optimization, 9.5.1); that last step is taken too.  value and
+    gradient_norm are p's own.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -120,72 +142,108 @@ def kn_minimize(
         raise ValueError("the classification is of other weights")
     if stability.stability not in (STABLE, POLYSTABLE_NOT_STABLE):
         ray = tuple(-c for c in stability.cocharacter)
-        limit = sum(
-            n for w, n in zip(p.weights, p.norms2)
-            if sum(a * b for a, b in zip(w, ray)) == 0
-        )
+        level = [c for w, c in zip(p.weights, p.log_norms2) if dot(w, ray) == 0]
+        limit = _exp(log_sum_exp(level)) if level else 0
         return KNResult(DIVERGING, value=limit, descent_ray=ray, stability=stability)
 
     # Stable certifies that the flat lattice is trivial
     flat = stability.flat_lattice or Lattice(p.rank, ())
     basis = _flat_complement(flat, p.rank)
-    total = sum(p.norms2)
-    unit = KNProblem(p.weights, tuple(n / total for n in p.norms2))
-    w, n2 = np.array(unit.weights, dtype=float), np.array(unit.norms2)
-
-    def unit_value(z):
-        # kn_eval(unit, basis @ z)[0] without the gradient and hessian
-        with np.errstate(over="ignore"):
-            return float((n2 * np.exp(2.0 * (w @ (basis @ z)))).sum())
+    cols = basis.T.tolist()
+    terms = [(w, c) for w, c in zip(p.weights, p.log_norms2) if any(w)]
+    top = max((c for _, c in terms), default=0.0)
+    rows = [[2.0 * sum(map(mul, w, col)) for col in cols] for w, _ in terms]
+    z, it, converged = _newton(rows, [c - top for _, c in terms], tol) if rows else ([], 0, True)
 
     status = CONVERGED if stability.stability == STABLE else FLAT_DIRECTIONS
-    z = np.zeros(basis.shape[1])
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        value, grad, hess = kn_eval(unit, basis @ z)
-        g = basis.T @ grad
-        try:
-            step = -np.linalg.solve(basis.T @ hess @ basis, g)
-        except np.linalg.LinAlgError:
-            step = -g
-        if not np.all(np.isfinite(step)) or float(step @ g) >= 0:
-            step = -g
-        # Armijo backtracking on the convex objective; the epsilon slack
-        # keeps full Newton steps acceptable once the per-step decrease
-        # falls below what doubles can resolve
-        slack = 4e-16 * abs(value)
-        if float(np.linalg.norm(g)) < tol:
-            # convergence is quadratic, so one more step takes the gradient
-            # down to roundoff
-            cand = z + step
-            if unit_value(cand) <= value + slack:
-                z = cand
-            break
-        alpha, ok = 1.0, False
-        for _ in range(60):
-            cand = z + alpha * step
-            vnew = unit_value(cand)
-            if np.isfinite(vnew) and vnew <= value + 1e-4 * alpha * float(step @ g) + slack:
-                z, ok = cand, True
-                break
-            alpha *= 0.5
-        if not ok:
-            status = FAILURE
-            break
-    else:
-        status = FAILURE
-
-    x = basis @ z
+    x = basis @ np.array(z, dtype=float)
     value, grad, _ = kn_eval(p, x)
     return KNResult(
-        status,
+        status if converged else FAILURE,
         minimizer=x,
         value=value,
-        gradient_norm=float(np.linalg.norm(grad)),
-        flat_space=flat if status == FLAT_DIRECTIONS else None,
+        gradient_norm=math.hypot(*grad),
+        flat_space=flat if status == FLAT_DIRECTIONS and converged else None,
         stability=stability,
         iterations=it,
     )
+
+
+def _newton(rows, shifts, tol):
+    """Damped Newton from z = 0 on F(z) = log sum_i e^{shifts_i + <rows_i, z>}:
+    (z, iterations, converged).  Plain floats throughout, on lists built
+    once: one log-sum-exp per trial point, and F's gradient and hessian at
+    an accepted point from the terms e_i it leaves, as the mean and the
+    covariance of the rows under the shares e_i / sum e."""
+    k = len(rows[0])
+    cols = [[a[j] for a in rows] for j in range(k)]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1)]
+    products = [[a[i] * a[j] for a in rows] for i, j in pairs]
+    # F's rounding error grows with the terms' exponents: a step whose
+    # decrease doubles cannot resolve below that is accepted
+    shift_size = max(map(abs, shifts))
+    row_size = max(sum(map(abs, a)) for a in rows)
+
+    def log_sum(z):
+        t = [c + sum(map(mul, a, z)) for a, c in zip(rows, shifts)]
+        m = max(t)
+        e = [math.exp(ti - m) for ti in t]
+        return m + math.log(sum(e)), e
+
+    z = [0.0] * k
+    f, e = log_sum(z)
+    for it in range(1, MAX_ITER + 1):
+        total = sum(e)
+        g = [sum(map(mul, e, col)) / total for col in cols]
+        hess = [sum(map(mul, e, col)) / total - g[i] * g[j] for col, (i, j) in zip(products, pairs)]
+        newton = _cholesky_solve(hess, [-gi for gi in g])
+        # a numerically singular hessian (the shares of all terms but one
+        # underflow) leaves F linear along -g: go as far as a step may
+        step = newton or [-gi for gi in g]
+        decrement2 = -sum(map(mul, g, step))
+        slack = 1e-15 * (1.0 + shift_size + row_size * max(map(abs, z)))
+        if decrement2 < tol * tol:
+            cand = list(map(add, z, step))
+            if log_sum(cand)[0] <= f + slack:
+                z = cand
+            return z, it, True
+        longest = max(abs(sum(map(mul, a, step))) for a in rows)
+        alpha = MAX_LOG_STEP / longest if longest > MAX_LOG_STEP or not newton else 1.0
+        for _ in range(60):
+            cand = [zi + alpha * si for zi, si in zip(z, step)]
+            fc, ec = log_sum(cand)
+            if fc <= f - 1e-4 * alpha * decrement2 + slack:
+                z, f, e = cand, fc, ec
+                break
+            alpha *= 0.5
+        else:
+            return z, it, False
+    return z, MAX_ITER, False
+
+
+def _cholesky_solve(lower, rhs):
+    """x with H x = rhs, for the symmetric H given by its lower triangle,
+    row by row; None unless H is numerically positive definite and x finite."""
+    entries = iter(lower)
+    chol: list[list[float]] = []
+    x: list[float] = []
+    for b in rhs:
+        # row i of the factor L, then entry i of the solution y of L y = rhs
+        row: list[float] = []
+        for lj in chol:
+            row.append((next(entries) - sum(map(mul, row, lj))) / lj[-1])
+        d = next(entries) - sum(map(mul, row, row))
+        if not d > 0:
+            return None
+        row.append(math.sqrt(d))
+        x.append((b - sum(map(mul, row, x))) / row[-1])
+        chol.append(row)
+    # L^T x = y, from the last row up
+    for i in range(len(x) - 1, -1, -1):
+        row = chol[i]
+        xi = x[i] = x[i] / row[i]
+        x[:i] = [xm - xi * lm for xm, lm in zip(x[:i], row)]
+    return x if all(map(math.isfinite, x)) else None
 
 
 def moment_map(p: KNProblem, x) -> np.ndarray:

@@ -10,6 +10,7 @@ or not ever influences a combinatorial decision.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -82,6 +83,27 @@ class Subtorus:
     @property
     def basis(self):
         return self.lattice.basis
+
+
+def log_sum_exp(values: Sequence[float]) -> float:
+    """log sum e^v, shifted by the largest v so that no term overflows."""
+    m = max(values)
+    return m + math.log(sum(math.exp(v - m) for v in values))
+
+
+def _exp(v: float) -> float:
+    """e^v, or inf where that overflows a float."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _log_abs(a: complex) -> float:
+    r = abs(a)
+    if r == math.inf:  # both parts near the float limit: halve, exactly
+        return math.log(abs(a / 2)) + math.log(2.0)
+    return math.log(r)
 
 
 @dataclass(frozen=True)
@@ -221,13 +243,15 @@ class RepVector:
             out[ln.label] = ln.rho * sigma + dot(ln.weight, xs)
         return out
 
-    def norm2_by_weight(self) -> dict[tuple[int, ...], float]:
-        """Aggregate squared norms |amplitude|^2 * scale per torus weight."""
-        acc: dict[tuple[int, ...], float] = {}
+    def log_norm2_by_weight(self) -> dict[tuple[int, ...], float]:
+        """Log of the aggregate squared norm sum |amplitude|^2 * scale per
+        torus weight, summed in log space: the norm itself may under- or
+        overflow a float where its logarithm does not."""
+        acc: dict[tuple[int, ...], list[float]] = {}
         for ln in self.effective_lines():
-            a = self.amplitude(ln.label)
-            acc[ln.weight] = acc.get(ln.weight, 0.0) + ln.norm2 * abs(a) ** 2
-        return acc
+            log_a2 = 2.0 * _log_abs(self.amplitude(ln.label))
+            acc.setdefault(ln.weight, []).append(math.log(ln.norm2) + log_a2)
+        return {w: log_sum_exp(ls) for w, ls in acc.items()}
 
     def rescale(self, x: Sequence[float]) -> "RepVector":
         """Amplitude rescaling by the torus element exp(x): each component of
@@ -236,6 +260,10 @@ class RepVector:
         for ln in self.lines:
             a = self.amplitude(ln.label)
             if a != 0:
-                a = a * math.exp(sum(wi * xi for wi, xi in zip(ln.weight, x)))
+                s = sum(wi * xi for wi, xi in zip(ln.weight, x))
+                if abs(s) < 700:
+                    a = a * math.exp(s)
+                else:  # e^s alone leaves the float range, a e^s need not
+                    a = cmath.rect(_exp(_log_abs(a) + s), cmath.phase(a))
             amps[ln.label] = a
         return RepVector(self.lines, amps)

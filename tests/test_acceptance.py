@@ -81,7 +81,7 @@ def test_criterion_1_stability_triequivalence():
 def test_criterion_2_closed_form_kempf_ness():
     lines = (WeightLine("a", (1,)), WeightLine("b", (-1,)))
     cls = classify(RepVector(lines, {"a": 1.0, "b": 1.0}))
-    res = kn_minimize(KNProblem(((1,), (-1,)), (4.0, 1.0)), cls)
+    res = kn_minimize(KNProblem.from_norms(((1,), (-1,)), (4.0, 1.0)), cls)
     assert res.status == CONVERGED
     assert abs(res.minimizer[0] - (-math.log(2) / 2)) < 1e-8
     assert abs(res.value - 4.0) < 1e-8
@@ -280,7 +280,7 @@ def test_criterion_8_conformal_degree_bridge():
 
 def test_criterion_9_kn_calculus():
     rng = np.random.default_rng(20240504)
-    p = KNProblem(
+    p = KNProblem.from_norms(
         ((1, 2), (-1, 0), (0, -3), (2, -1), (-2, 2)),
         (1.0, 2.0, 0.5, 1.5, 1.0),
     )

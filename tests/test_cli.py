@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -767,6 +768,80 @@ def test_integers_too_large_for_a_float_are_refused_by_field(kind, field, reason
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["report"] == {"reason": reason}
+
+
+@pytest.mark.parametrize("kind", ["kempf-ness", "stratify"])
+@pytest.mark.parametrize("weight, code", [(2**1023, 2), (2**53 + 1, 2), (-(2**60), 2), (2**53, 0)],
+                         ids=["2**1023", "2**53+1", "-2**60", "2**53"])
+def test_weights_a_float_cannot_hold_exactly_are_refused_by_field(kind, weight, code, tmp_path,
+                                                                  capsys):
+    # weight against -1: with 2**1023 this once gave Failure, an Infinity
+    # gradient_norm and numpy overflow warnings on an exit-0 run
+    doc = stratify_doc() if kind == "stratify" else stability_doc()
+    doc["kind"] = kind
+    doc["payload"]["lines"][0]["weight"] = [weight]
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--input", str(p)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)["report"]
+    if code == 2:
+        assert report == {"reason": "line 'a': weight is too large for a float"}
+    elif kind == "kempf-ness":
+        assert report["status"] == "Converged"
+
+
+@pytest.mark.parametrize("kind", ["kempf-ness", "stratify"])
+@pytest.mark.parametrize("amplitude, want", [(1e-200, 100 * math.log(10)),
+                                             (1e200, -100 * math.log(10))])
+def test_squared_norms_beyond_the_float_range_converge(kind, amplitude, want, tmp_path, capsys):
+    # |a|^2 = 1e-400 once exited 2 (squared norms must be positive) and
+    # 1e400 exited 1 (a float overflow); the Newton runs on their logarithms,
+    # to the minimizer ln(1 / |a|^2) / 4
+    doc = stratify_doc() if kind == "stratify" else stability_doc()
+    doc["kind"] = kind
+    doc["payload"]["amplitudes"] = {"a": amplitude, "b": 1.0}
+    p = tmp_path / "norms.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--input", str(p)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)["report"]
+    result = report["stage_minimizers"][0] if kind == "stratify" else report
+    assert result["status"] == "Converged"
+    assert result["minimizer"][0] == pytest.approx(want, abs=1e-8)
+    assert result["value"] == pytest.approx(2 * amplitude, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["kempf-ness", "stratify"])
+def test_a_functional_value_beyond_the_float_range_is_refused(kind, tmp_path, capsys):
+    # both |a|^2 = 1e400: the minimum value 2e400 is no float
+    doc = stratify_doc() if kind == "stratify" else stability_doc()
+    doc["kind"] = kind
+    doc["payload"]["amplitudes"] = {"a": 1e200, "b": 1e200}
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["report"] == {
+        "reason": "amplitudes and norm2: the Kempf-Ness functional overflows a float"
+    }
+
+
+def test_a_non_finite_report_float_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # Infinity and NaN are not JSON: _dump refuses to write them
+    import torstab.cli as cli
+
+    monkeypatch.setattr(cli, "_run_stability", lambda *args, **kwargs: {"value": math.inf})
+    p = tmp_path / "stability.json"
+    p.write_text(json.dumps(stability_doc()))
+    assert main(["run", "--input", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Infinity" not in captured.err and "NaN" not in captured.err
+    assert captured.err.startswith("internal error: ")
 
 
 _json_leaf = st.one_of(

@@ -36,9 +36,12 @@ from torstab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 KINDS = ("stability", "kempf-ness", "stratify", "shb", "kuranishi")
-# an amplitude too large for a float (refused, exit 2), and a rank-4
-# document whose box bound of 50 is scanned only to its witness bound 2
-EXTRA_CASES = ["edge-stability-int-overflow", "edge-stability-rank-4-box-50"]
+# an amplitude too large for a float (refused, exit 2); a rank-4 document
+# whose box bound of 50 is scanned only to its witness bound 2; and two
+# Kempf-Ness minimizers, ln 4 / 4 next to a zero-weight line of norm 1e30,
+# and ln(2e-12 / 3e18) / 10 for weights 3, -2 with norms 30 decades apart
+EXTRA_CASES = ["edge-stability-int-overflow", "edge-stability-rank-4-box-50",
+               "edge-kempf-ness-zero-weight-line", "edge-kempf-ness-spread-norms"]
 CASES = [f"{kind}-{seed}" for kind in KINDS for seed in range(10)] + EXTRA_CASES
 
 

@@ -25,7 +25,7 @@ def problem(weights, norms2=None):
     ws = [tuple(w) for w in weights]
     if norms2 is None:
         norms2 = [1.0] * len(ws)
-    return KNProblem(tuple(ws), tuple(float(n) for n in norms2))
+    return KNProblem.from_norms(ws, [float(n) for n in norms2])
 
 
 def classified(p):
@@ -178,7 +178,7 @@ def test_kn_minimize_rejects_classification_of_other_weights():
         kn_minimize(p, other)
 
 
-@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+@pytest.mark.parametrize("scale", [1e-30, 1e-12, 1e-6, 1.0, 1e6, 1e12, 1e30])
 def test_kn_minimize_scale_invariant(scale):
     # minimize s e^{2x} + 2s e^{-2x}: x = ln 2 / 4 at every scale s
     p = problem([(1,), (-1,)], norms2=[scale, 2 * scale])
@@ -188,6 +188,56 @@ def test_kn_minimize_scale_invariant(scale):
     # value and gradient are reported at the input scale
     assert res.value == pytest.approx(2 * math.sqrt(2) * scale, rel=1e-12)
     assert res.gradient_norm < 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    w_a=st.integers(1, 6),
+    w_b=st.integers(-6, -1),
+    exp_a=st.floats(0, 40),
+    exp_b=st.floats(0, 40),
+    zero_line=st.none() | st.floats(0, 30),
+)
+def test_kn_minimize_spread_norms_rank_1(w_a, w_b, exp_a, exp_b, zero_line):
+    # n_a e^{2 w_a x} + n_b e^{2 w_b x} (+ a constant) is least where
+    # w_a n_a e^{2 w_a x} = -w_b n_b e^{2 w_b x}, however far apart the norms
+    n_a, n_b = 10.0**exp_a, 10.0**exp_b
+    weights, norms2 = [(w_a,), (w_b,)], [n_a, n_b]
+    if zero_line is not None:
+        weights.append((0,))
+        norms2.append(10.0**zero_line)
+    p = problem(weights, norms2)
+    res = kn_minimize(p, classified(p))
+    assert res.status == CONVERGED
+    want = math.log(-w_b * n_b / (w_a * n_a)) / (2 * (w_a - w_b))
+    assert abs(res.minimizer[0] - want) <= 1e-8
+
+
+@pytest.mark.parametrize("amplitude, want", [(1e-200, 230.25850929940458),
+                                             (1e200, -230.25850929940458)])
+def test_kn_minimize_norms_beyond_the_float_range(amplitude, want):
+    # |a|^2 = 1e-400 or 1e400 is no float, but its logarithm is
+    lines = (WeightLine("a", (1,)), WeightLine("b", (-1,)))
+    v = RepVector(lines, {"a": amplitude, "b": 1.0})
+    p = KNProblem.from_vector(v)
+    assert p.log_norms2 == pytest.approx((0.0, 2 * math.log(amplitude)))  # weights -1, 1
+    res = kn_minimize(p, classify(v))
+    assert res.status == CONVERGED
+    assert res.minimizer[0] == pytest.approx(want, abs=1e-8)
+    # value 2 sqrt(n_a n_b) = 2 |a|, a float
+    assert res.value == pytest.approx(2 * amplitude, rel=1e-12)
+
+
+def test_kn_problem_sums_the_norms_of_one_weight_in_log_space():
+    lines = (WeightLine("a", (1,), norm2=2.0), WeightLine("b", (1,)), WeightLine("c", (-1,)))
+    p = KNProblem.from_vector(RepVector(lines, {"a": 3.0, "b": 1e-200 + 4j, "c": 1.0}))
+    assert p.weights == ((-1,), (1,))
+    assert p.log_norms2 == pytest.approx((0.0, math.log(2.0 * 9.0 + 16.0)), rel=1e-15)
+    for n in (0.0, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KNProblem.from_norms([(1,)], [n])
+    with pytest.raises(ValueError, match="must be finite"):
+        KNProblem(weights=((1,),), log_norms2=(math.inf,))
 
 
 weight2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4))

@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -171,6 +173,21 @@ def test_fixed_part_pairs_to_zero(v):
     fixed = v.fixed_part(h)
     for ln in fixed.effective_lines():
         assert all(dot(ln.weight, b) == 0 for b in h.basis)
+
+
+@pytest.mark.parametrize(
+    "amplitude, weight",
+    [(1e-300, 1000), (1e-300 * (0.6 + 0.8j), 1000), (1e300, -1000), (-1e300j, -1000)],
+)
+def test_rescale_beyond_the_range_of_exp(amplitude, weight):
+    # s = <w, x> = +-1030: e^s is no float, but a e^s = |a| e^s (about
+    # 1e+-147) is, and keeps the phase of a
+    v = RepVector((WeightLine("a", (weight,)),), {"a": amplitude})
+    got = v.rescale((1.03,)).amplitude("a")
+    log_r = math.log(abs(amplitude)) + weight * 1.03
+    assert abs(log_r) > 300 and math.isfinite(abs(got)) and got != 0
+    assert math.log(abs(got)) == pytest.approx(log_r, rel=1e-13)
+    assert cmath.phase(got) == pytest.approx(cmath.phase(amplitude), abs=1e-15)
 
 
 def test_torus_rank_validation():
