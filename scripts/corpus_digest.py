@@ -2,9 +2,12 @@
 """One digest line per document of `torstab run` output on a fixed corpus,
 to check that a change leaves the content of every report unchanged.
 
-    python3 scripts/corpus_digest.py > digest.txt
+    python3 scripts/corpus_digest.py [--dump FILE] > digest.txt
 
 Run it from the root of each of two checkouts and `diff` the two files.
+With `--dump FILE` it also writes one JSON line `[name, exit, report]` per
+document, the report parsed from standard output; `scripts/corpus_diff.py`
+compares two such dumps field by field.
 The program is imported from the checkout's `src/` and the documents come
 from its `torbench/gen.py`, which is only read.  The corpus (1315
 documents) is
@@ -25,6 +28,7 @@ repr still counts.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -60,20 +64,25 @@ def corpus(workdir: Path):
 
 
 def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--dump", help="also write [name, exit, report] JSON lines here")
+    args = ap.parse_args()
     if any(os.environ.get(k) != v for k, v in ENV.items()):
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, **ENV})
     sys.dont_write_bytecode = True  # leave no __pycache__ under torbench/
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "torbench")]
     from torstab import cli
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, open(args.dump or os.devnull, "w") as dump:
         for name, path, argv in corpus(Path(tmp)):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli.main(["run", "--input", str(path), *argv])
-            content = json.dumps(json.loads(buf.getvalue()), sort_keys=True)
+            report = json.loads(buf.getvalue())
+            content = json.dumps(report, sort_keys=True)
             digest = hashlib.sha256(content.encode()).hexdigest()
             print(f"{digest}  {code}  {name}")
+            dump.write(json.dumps([name, code, report], sort_keys=True) + "\n")
     return 0
 
 

@@ -236,6 +236,21 @@ def _kn_floats(values) -> None:
         raise ValidationError(["amplitudes and norm2: the Kempf-Ness functional overflows a float"])
 
 
+def _kuranishi_floats(body: dict) -> None:
+    """Refuse, by field, a Kuranishi report whose numbers a float cannot
+    hold: the entries of the complex or the input are so large, or d1 so
+    small, that the maps overflow."""
+    numbers = {
+        "greens_condition": [body["greens_condition"]],
+        "inverse": [c for vec in body["inverse"].values() for z in vec for c in z],
+        "round_trip_residual": [body["round_trip_residual"]],
+        "obstruction_norm": [body["obstruction_norm"]],
+    }
+    bad = [field for field, values in numbers.items() if not all(map(math.isfinite, values))]
+    if bad:
+        raise ValidationError([f"{field}: the Kuranishi maps overflow a float" for field in bad])
+
+
 def shb_from_payload(payload: dict) -> shb_model.SHBSpec:
     blocks = tuple(
         shb_model.StableBlock(
@@ -592,34 +607,37 @@ def _run_kuranishi(payload, options, *, tol, convention, emit_certificates, box_
         obstruction,
     )
 
-    cx = complex_from_payload(payload)
-    greens = greens_operator(cx)
-    body: dict = {
-        "grades": list(cx.grades),
-        "dims": {str(g): list(cx.dims[g]) for g in cx.grades},
-        "greens_status": greens.status,
-        "greens_condition": greens.condition,
-    }
-    if "input" in payload:
-        x = _input_from_payload(payload["input"], cx)
-    else:
-        seed = int(options.get("seed", 0))
-        rng = np.random.default_rng(seed)
-        x = {
-            g: rng.normal(size=cx.n1(g)) + 1j * rng.normal(size=cx.n1(g))
-            for g in cx.grades
-            if g > 0
+    # an overflow is refused by field below, so numpy must not warn about it
+    with np.errstate(all="ignore"):
+        cx = complex_from_payload(payload)
+        greens = greens_operator(cx)
+        body: dict = {
+            "grades": list(cx.grades),
+            "dims": {str(g): list(cx.dims[g]) for g in cx.grades},
+            "greens_status": greens.status,
+            "greens_condition": greens.condition,
         }
-        body["input_seed"] = seed
-    u = kuranishi_inverse_graded(cx, x, greens)
-    back = kuranishi_forward(cx, u, greens)
-    diff = {g: back.get(g, 0) - x.get(g, 0) for g in set(back) | set(x)}
-    denom = max(gvec_norm(x), 1e-30)
-    body["round_trip_residual"] = gvec_norm(diff) / denom
-    body["obstruction_norm"] = gvec_norm(obstruction(cx, x, greens))
+        if "input" in payload:
+            x = _input_from_payload(payload["input"], cx)
+        else:
+            seed = int(options.get("seed", 0))
+            rng = np.random.default_rng(seed)
+            x = {
+                g: rng.normal(size=cx.n1(g)) + 1j * rng.normal(size=cx.n1(g))
+                for g in cx.grades
+                if g > 0
+            }
+            body["input_seed"] = seed
+        u = kuranishi_inverse_graded(cx, x, greens)
+        back = kuranishi_forward(cx, u, greens)
+        diff = {g: back.get(g, 0) - x.get(g, 0) for g in set(back) | set(x)}
+        denom = max(gvec_norm(x), 1e-30)
+        body["round_trip_residual"] = gvec_norm(diff) / denom
+        body["obstruction_norm"] = gvec_norm(obstruction(cx, x, greens))
     body["inverse"] = {
         str(g): [_cplx(z) for z in arr] for g, arr in sorted(u.items())
     }
+    _kuranishi_floats(body)
     return body
 
 

@@ -53,23 +53,27 @@ class GradedComplex:
             raise ValueError("grades must be strictly increasing")
         for g in self.grades:
             n0, n1, n2 = self.dims[g]
-            if self.d0[g].shape != (n1, n0) or self.d1[g].shape != (n2, n1):
+            d0, d1 = self.d0[g], self.d1[g]
+            if d0.shape != (n1, n0) or d1.shape != (n2, n1):
                 raise ValueError(f"differential shape mismatch at grade {g}")
+            if not d0.size or not d1.size:
+                continue  # d1 d0 is an empty or all-zero matrix
             # relative to the scales of d1 and d0, which d1 d0 scales with
-            comp = self.d1[g] @ self.d0[g]
-            scale = np.abs(self.d1[g]).max(initial=0.0) * np.abs(self.d0[g]).max(initial=0.0)
-            if np.abs(comp).max(initial=0.0) > 1e-12 * scale:
+            scale = np.abs(d1).max() * np.abs(d0).max()
+            if np.abs(d1 @ d0).max() > 1e-12 * scale:
                 raise ValueError(f"d1 d0 != 0 at grade {g}")
         for (g1, g2), t in self.bracket.items():
             if g1 not in self.dims or g2 not in self.dims or g1 + g2 not in self.dims:
                 raise ValueError(f"bracket grades ({g1}, {g2}) leave the range")
+            partner = self.bracket.get((g2, g1))
+            if partner is None:
+                raise ValueError(f"bracket not symmetric at ({g1}, {g2})")
+            if g1 > g2:
+                continue  # checked as its partner, which must equal its transpose
             n2 = self.dims[g1 + g2][2]
             if t.shape != (n2, self.dims[g1][1], self.dims[g2][1]):
                 raise ValueError(f"bracket tensor shape mismatch at ({g1}, {g2})")
-            partner = self.bracket.get((g2, g1))
-            if partner is None or not np.array_equal(
-                t, np.transpose(partner, (0, 2, 1))
-            ):
+            if not np.array_equal(t, np.transpose(partner, (0, 2, 1))):
                 raise ValueError(f"bracket not symmetric at ({g1}, {g2})")
 
     def n1(self, g) -> int:
@@ -90,9 +94,7 @@ class SliceVector:
 
     @property
     def is_positive(self) -> bool:
-        return all(
-            g > 0 for g, arr in self.parts.items() if np.any(np.asarray(arr) != 0)
-        )
+        return not any(np.any(np.asarray(arr) != 0) for g, arr in self.parts.items() if g <= 0)
 
 
 def gvec_add(a: GVec, b: GVec) -> GVec:
@@ -155,34 +157,40 @@ class GreensOperator:
 
 def greens_operator(cx: GradedComplex) -> GreensOperator:
     """Pseudoinverse of the Laplacian d1 d1* per grade, with the harmonic
-    projector.
+    projector, both read off one Hermitian eigendecomposition per grade.
 
-    A singular value falling in the gray zone just above the rank cutoff
-    makes the zero/nonzero split numerically ambiguous; that is reported as
-    an ill-conditioned warning status rather than a failure.
+    Each grade decomposes the Laplacian of a = d1/s, s the largest |entry|
+    of d1, and Gamma is that of a times 1/s^2, so the rank split, the
+    condition, the status and the harmonic projector do not depend on the
+    scale of d1.  s is taken as twice the largest |entry| of d1/2, which is
+    a float even where the modulus of an entry is not.
+
+    An eigenvalue falling in the gray zone just above the rank cutoff makes
+    the zero/nonzero split numerically ambiguous; that is reported as an
+    ill-conditioned warning status rather than a failure.
     """
     gamma, harm = {}, {}
     worst = 1.0
     ambiguous = False
     for g in cx.grades:
-        d1 = cx.d1[g]
         n2 = cx.n2(g)
-        lap = d1 @ d1.conj().T
-        if n2 == 0:
-            gamma[g] = np.zeros((0, 0), dtype=complex)
-            harm[g] = np.zeros((0, 0), dtype=complex)
+        half = 0.5 * cx.d1[g]
+        scale = np.abs(half).max(initial=0.0)
+        if scale == 0:
+            gamma[g] = np.zeros((n2, n2), dtype=complex)
+            harm[g] = np.eye(n2, dtype=complex)
             continue
-        pinv = np.linalg.pinv(lap, rcond=_RCOND, hermitian=True)
-        gamma[g] = pinv
-        harm[g] = np.eye(n2, dtype=complex) - lap @ pinv
-        s = np.linalg.svd(lap, compute_uv=False)
-        if s.size and s[0] > 0:
-            cutoff = _RCOND * s[0]
-            nz = s[s > cutoff]
-            if nz.size:
-                worst = max(worst, float(s[0] / nz[-1]))
-            if np.any((s > cutoff) & (s < 1e4 * cutoff)):
-                ambiguous = True
+        a = half / scale
+        lam, v = np.linalg.eigh(a @ a.conj().T)
+        mag = np.abs(lam)
+        cutoff = _RCOND * mag.max()
+        keep = mag > cutoff
+        inv = np.divide(0.25, lam, out=np.zeros_like(lam), where=keep) / scale / scale
+        gamma[g] = (v * inv) @ v.conj().T
+        v0 = v[:, ~keep]
+        harm[g] = v0 @ v0.conj().T
+        worst = max(worst, float(mag.max() / mag[keep].min()))
+        ambiguous = ambiguous or bool(np.any(keep & (mag < 1e4 * cutoff)))
     status = "ill-conditioned" if ambiguous else "ok"
     return GreensOperator(gamma, harm, status, worst)
 
@@ -213,14 +221,16 @@ def kuranishi_inverse_graded(
     u: GVec = {}
     for g in sorted(gr for gr in cx.grades if gr > 0):
         target = x.get(g, np.zeros(cx.n1(g), dtype=complex)).astype(complex)
-        corr = np.zeros(cx.n1(g), dtype=complex)
-        for (a, b), t in cx.bracket.items():
-            if a + b != g or a not in u or b not in u or t.size == 0:
-                continue
-            contrib = 0.5 * np.einsum("kij,i,j->k", t, u[a], u[b])
-            if cx.d1[g].size:
-                corr = corr + cx.d1[g].conj().T @ (greens.gamma[g] @ contrib)
-        u[g] = target - corr
+        d1 = cx.d1[g]
+        if d1.size:  # else the correction d1* Gamma q is zero
+            terms = [
+                np.einsum("kij,i,j->k", t, u[a], u[b])
+                for (a, b), t in cx.bracket.items()
+                if a + b == g and a in u and b in u and t.size
+            ]
+            if terms:
+                target -= d1.conj().T @ (greens.gamma[g] @ (0.5 * sum(terms)))
+        u[g] = target
     return u
 
 

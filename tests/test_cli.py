@@ -729,6 +729,37 @@ def test_kuranishi_entries_and_keys_are_refused_by_field(payload, reason, tmp_pa
     assert report["report"] == {"reason": reason}
 
 
+def test_kuranishi_overflow_is_refused_by_field(tmp_path, capsys):
+    # the bracket square of an input of 1e200 through a tensor of 1e300
+    # overflows: this once exited 1 (Infinity is not JSON) with numpy
+    # warnings on stderr
+    payload = {"grades": [1, 2], "dims": {"1": [0, 1, 0], "2": [0, 1, 1]}, "d0": {},
+               "d1": {"2": [[1]]}, "bracket": [{"g1": 1, "g2": 1, "tensor": [[[1e300]]]}],
+               "input": {"1": [1e200]}}
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(kuranishi_doc(payload)))
+    assert main(["run", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["report"] == {"reason": "; ".join(
+        f"{field}: the Kuranishi maps overflow a float"
+        for field in ("inverse", "round_trip_residual", "obstruction_norm"))}
+
+
+def test_kuranishi_d1_beyond_a_squarable_float_runs(tmp_path, capsys):
+    # d1 d1* = 1e400 once overflowed (exit 1 and numpy warnings); the
+    # Green's operator decomposes the Laplacian of d1 / 1e200 instead
+    payload = {"grades": [1], "dims": {"1": [0, 2, 1]}, "d0": {}, "d1": {"1": [[1e200, 1]]}}
+    p = tmp_path / "d1.json"
+    p.write_text(json.dumps(kuranishi_doc(payload)))
+    assert main(["run", "--input", str(p)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)["report"]
+    assert (report["greens_status"], report["greens_condition"]) == ("ok", 1.0)
+    assert report["round_trip_residual"] == report["obstruction_norm"] == 0.0
+
+
 def overflowing_doc(kind, field):
     doc = stratify_doc() if kind == "stratify" else stability_doc()
     doc["kind"] = kind

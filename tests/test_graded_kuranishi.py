@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torstab.graded_kuranishi import (
     GradedComplex,
@@ -143,6 +145,50 @@ def test_greens_identity_random():
                 continue
             ident = gr.gamma[g] @ lap + gr.harmonic[g]
             assert np.abs(ident - np.eye(n2)).max() < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-100, 1.0, 1e100, 1e160, 6.5e307 * (1 + 1j)])
+def test_greens_does_not_depend_on_the_scale_of_d1(scale):
+    # the Laplacian of d1 itself underflowed below 1e-160 (all of C2 read
+    # as harmonic) and overflowed above 1e154; the last scale puts entries
+    # whose modulus is no float next to ones that are
+    cx = random_graded_complex(np.random.default_rng(0), (1, 2, 3, 4), 5)
+    ref = greens_operator(cx)
+    with np.errstate(all="ignore"):  # Gamma itself is beyond the float range
+        scaled = GradedComplex(
+            cx.grades, cx.dims, cx.d0, {g: scale * cx.d1[g] for g in cx.grades}, cx.bracket
+        )
+        gr = greens_operator(scaled)
+    assert gr.status == ref.status
+    assert gr.condition == pytest.approx(ref.condition, rel=1e-12, abs=0)
+    for g in cx.grades:
+        assert np.abs(gr.harmonic[g] - ref.harmonic[g]).max(initial=0.0) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 5))
+def test_greens_matches_numpy_pinv_and_svd(seed, top_grade, max_dim):
+    # numpy's pinv and svd of the Laplacian are the reference for the
+    # operator's one eigendecomposition per grade
+    cx = random_graded_complex(np.random.default_rng(seed), range(1, top_grade + 1), max_dim)
+    gr = greens_operator(cx)
+    worst, ambiguous = 1.0, False
+    for g in cx.grades:
+        lap = cx.d1[g] @ cx.d1[g].conj().T
+        pinv = np.linalg.pinv(lap, rcond=1e-12, hermitian=True)
+        largest = np.abs(pinv).max(initial=0.0)
+        assert np.abs(gr.gamma[g] - pinv).max(initial=0.0) <= 1e-12 * largest
+        # a projector's entries are at most 1, and where it is zero the
+        # reference is round-off, so the harmonic part is compared absolutely
+        harmonic = np.eye(cx.n2(g)) - lap @ pinv
+        assert np.abs(gr.harmonic[g] - harmonic).max(initial=0.0) <= 1e-12
+        s = np.linalg.svd(lap, compute_uv=False)
+        if s.size and s[0] > 0:
+            cutoff = 1e-12 * s[0]
+            worst = max(worst, s[0] / s[s > cutoff][-1])
+            ambiguous = ambiguous or bool(np.any((s > cutoff) & (s < 1e4 * cutoff)))
+    assert gr.condition == pytest.approx(worst, rel=1e-12, abs=0)
+    assert gr.status == ("ill-conditioned" if ambiguous else "ok")
 
 
 # ---------------------------------------------------------------------------
