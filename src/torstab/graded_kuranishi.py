@@ -58,9 +58,14 @@ class GradedComplex:
                 raise ValueError(f"differential shape mismatch at grade {g}")
             if not d0.size or not d1.size:
                 continue  # d1 d0 is an empty or all-zero matrix
-            # relative to the scales of d1 and d0, which d1 d0 scales with
-            scale = np.abs(d1).max() * np.abs(d0).max()
-            if np.abs(d1 @ d0).max() > 1e-12 * scale:
+            # d1 and d0 divided by their largest |entry| (twice that of half
+            # the block, a float even where an entry's modulus is not), so
+            # that d1 d0 neither overflows nor underflows at any scale
+            h1, h0 = 0.5 * d1, 0.5 * d0
+            s1, s0 = np.abs(h1).max(), np.abs(h0).max()
+            if not (s1 and s0):
+                continue  # d1 d0 is all zero
+            if np.abs((h1 / s1) @ (h0 / s0)).max() > 1e-12:
                 raise ValueError(f"d1 d0 != 0 at grade {g}")
         for (g1, g2), t in self.bracket.items():
             if g1 not in self.dims or g2 not in self.dims or g1 + g2 not in self.dims:

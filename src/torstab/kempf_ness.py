@@ -4,7 +4,8 @@ plus the matrix-conjugation variant.
 Torus case: l(x) = sum_w |v_w|^2 exp(2<w, x>) over the effective weights, a
 smooth convex sum of exponentials.  Attainment of the infimum matches the
 hull criterion: given the exact classification of the weights, a damped
-Newton method is run only when it says a minimizer exists; non-attainment
+Newton method is run only when it says a minimizer exists, from the point
+that the certificate's positive combination balances; non-attainment
 is certified by its exact separating functional, never diagnosed
 numerically.  Flat directions (the saturated kernel of the effective
 weights) are quotiented out before iterating.  Newton runs on log l, with
@@ -104,14 +105,14 @@ class KNResult:
     iterations: int = 0
 
 
-def _flat_complement(flat: Lattice, rank: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the real orthogonal complement of the
-    flat lattice span."""
+def _flat_complement(flat: Lattice, rank: int) -> list[list[float]]:
+    """Orthonormal basis of the real orthogonal complement of the flat
+    lattice span, as the rows of the rank x (rank - flat.rank) matrix B."""
     if flat.rank == 0:
-        return np.eye(rank)
+        return [[float(i == j) for j in range(rank)] for i in range(rank)]
     d = np.array(flat.basis, dtype=float)
-    _, s, vt = np.linalg.svd(d, full_matrices=True)
-    return vt[flat.rank:].T
+    _, _, vt = np.linalg.svd(d, full_matrices=True)
+    return vt[flat.rank:].T.tolist()
 
 
 def kn_minimize(
@@ -130,11 +131,13 @@ def kn_minimize(
     Newton runs on F(z) = log sum_i n_i e^{<2 B^T w_i, z>} over the nonzero
     weights w_i, in coordinates z of the orthonormal complement B of the
     flat lattice: the same minimizer x = B z as p at any scale of the norms
-    (a zero weight only adds a constant).  tol bounds F's Newton decrement
-    at the last step, lambda^2 = g^T H^-1 g < tol^2, which does not depend on
-    the scale of the norms or the choice of coordinates (Boyd & Vandenberghe,
-    Convex Optimization, 9.5.1); that last step is taken too.  value and
-    gradient_norm are p's own.
+    (a zero weight only adds a constant).  It starts at the balanced point
+    of the classification's combination lambda (_balanced_start), which is
+    the minimizer itself when the weights form a simplex.  tol bounds F's
+    Newton decrement at the last step, lambda^2 = g^T H^-1 g < tol^2, which
+    does not depend on the scale of the norms or the choice of coordinates
+    (Boyd & Vandenberghe, Convex Optimization, 9.5.1); that last step is
+    taken too.  value and gradient_norm are p's own.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -149,19 +152,28 @@ def kn_minimize(
     # Stable certifies that the flat lattice is trivial
     flat = stability.flat_lattice or Lattice(p.rank, ())
     basis = _flat_complement(flat, p.rank)
-    cols = basis.T.tolist()
+    cols = list(zip(*basis))
     terms = [(w, c) for w, c in zip(p.weights, p.log_norms2) if any(w)]
     top = max((c for _, c in terms), default=0.0)
     rows = [[2.0 * sum(map(mul, w, col)) for col in cols] for w, _ in terms]
-    z, it, converged = _newton(rows, [c - top for _, c in terms], tol) if rows else ([], 0, True)
+    shifts = [c - top for _, c in terms]
+    if rows:
+        start = None
+        if stability.combination is not None:
+            share = dict(zip(stability.weights, stability.combination))
+            start = _balanced_start(rows, shifts, [share[w] for w, _ in terms])
+        z, it, converged = _newton(rows, shifts, tol, start or [0.0] * len(cols))
+    else:
+        z, it, converged = [], 0, True
 
     status = CONVERGED if stability.stability == STABLE else FLAT_DIRECTIONS
-    x = basis @ np.array(z, dtype=float)
-    value, grad, _ = kn_eval(p, x)
+    x = [sum(map(mul, b, z), 0.0) for b in basis]
+    e = [_exp(c + 2.0 * sum(map(mul, w, x))) for w, c in zip(p.weights, p.log_norms2)]
+    grad = [2.0 * sum(map(mul, e, col)) for col in zip(*p.weights)]
     return KNResult(
         status if converged else FAILURE,
-        minimizer=x,
-        value=value,
+        minimizer=np.array(x, dtype=float),
+        value=sum(e),
         gradient_norm=math.hypot(*grad),
         flat_space=flat if status == FLAT_DIRECTIONS and converged else None,
         stability=stability,
@@ -169,8 +181,29 @@ def kn_minimize(
     )
 
 
-def _newton(rows, shifts, tol):
-    """Damped Newton from z = 0 on F(z) = log sum_i e^{shifts_i + <rows_i, z>}:
+def _balanced_start(rows, shifts, combination):
+    """Least-squares solution z, with mu a free scalar, of
+    <rows_i, z> - mu = log lambda_i - shifts_i, for the positive combination
+    lambda of the classification (sum_i lambda_i rows_i = 0).  Where the
+    system holds, the shares of F's terms are proportional to lambda, so F's
+    gradient vanishes: when the rows form a simplex (k + 1 affinely
+    independent rows in k dimensions) the system is square and the start is
+    the minimizer.  Solved by the normal equations; None when a coefficient
+    is not positive or the normal equations are numerically singular."""
+    if not all(a > 0 for a in combination):
+        return None
+    # log(num) - log(den) on the ints: a tiny Fraction does not underflow
+    targets = [math.log(a.numerator) - math.log(a.denominator) - c
+               for a, c in zip(combination, shifts)]
+    cols = [[a[j] for a in rows] for j in range(len(rows[0]))]
+    cols.append([-1.0] * len(rows))
+    lower = [sum(map(mul, ci, cj)) for i, ci in enumerate(cols) for cj in cols[: i + 1]]
+    solution = _cholesky_solve(lower, [sum(map(mul, c, targets)) for c in cols])
+    return solution[:-1] if solution else None
+
+
+def _newton(rows, shifts, tol, start):
+    """Damped Newton from z = start on F(z) = log sum_i e^{shifts_i + <rows_i, z>}:
     (z, iterations, converged).  Plain floats throughout, on lists built
     once: one log-sum-exp per trial point, and F's gradient and hessian at
     an accepted point from the terms e_i it leaves, as the mean and the
@@ -190,7 +223,7 @@ def _newton(rows, shifts, tol):
         e = [math.exp(ti - m) for ti in t]
         return m + math.log(sum(e)), e
 
-    z = [0.0] * k
+    z = list(start)
     f, e = log_sum(z)
     for it in range(1, MAX_ITER + 1):
         total = sum(e)

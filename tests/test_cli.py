@@ -437,6 +437,16 @@ def kempf_ness_doc():
     return doc
 
 
+def kempf_ness_three_line_doc():
+    # three weights on a line are no simplex, so Newton leaves the balanced
+    # start and tol decides where it stops (two weights would be solved
+    # exactly at any tol)
+    doc = kempf_ness_doc()
+    doc["payload"]["lines"].append({"label": "c", "weight": [2]})
+    doc["payload"]["amplitudes"] = {"a": 2.0, "b": 1.0, "c": 1.0}
+    return doc
+
+
 def unstable_box_doc():
     # the first witness of the box scan is (1, 3): outside bound 2, inside 5
     doc = stability_doc()
@@ -454,7 +464,7 @@ def unstable_box_doc():
 @pytest.mark.parametrize(
     "key, flag, option, make_doc",
     [
-        ("tol", 1e-10, 10.0, kempf_ness_doc),
+        ("tol", 1e-10, 10.0, kempf_ness_three_line_doc),
         ("emit_certificates", True, False, stability_doc),
         ("box_bound", 2, 5, unstable_box_doc),
         ("convention", "flipped", "default", shb_doc),
@@ -758,6 +768,24 @@ def test_kuranishi_d1_beyond_a_squarable_float_runs(tmp_path, capsys):
     report = json.loads(captured.out)["report"]
     assert (report["greens_status"], report["greens_condition"]) == ("ok", 1.0)
     assert report["round_trip_residual"] == report["obstruction_norm"] == 0.0
+
+
+@pytest.mark.parametrize("entry", [1.0, 1e200])
+def test_kuranishi_nonzero_d1d0_is_refused_at_every_scale(entry):
+    # d1 d0 = 1e400 once overflowed to inf, and inf > inf let it through
+    payload = {"grades": [1], "dims": {"1": [1, 1, 1]}, "d0": {"1": [[entry]]},
+               "d1": {"1": [[entry]]}}
+    report, code = run_document(kuranishi_doc(payload))
+    assert code == 2
+    assert report["report"] == {"reason": "d1 d0 != 0 at grade 1"}
+
+
+def test_kuranishi_tiny_d1d0_that_is_zero_runs():
+    # d1 at 1e-100 keeps the Green's operator (1/|d1|^2) a float
+    payload = {"grades": [1], "dims": {"1": [1, 2, 1]}, "d0": {"1": [[1e-200], [0]]},
+               "d1": {"1": [[0, 1e-100]]}}
+    report, code = run_document(kuranishi_doc(payload))
+    assert code == 0, report
 
 
 def overflowing_doc(kind, field):

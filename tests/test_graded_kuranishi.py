@@ -58,6 +58,23 @@ def test_complex_validation_rejects_bad_d1d0_at_tiny_scale():
         GradedComplex((1,), dims, d0, d1, {})
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_complex_validation_rejects_bad_d1d0_beyond_the_float_range(scale):
+    # d1 d0 = 1e400 overflows and 1e-400 underflows, but d1 d0 is not 0
+    dims = {1: (1, 1, 1)}
+    d0 = {1: np.array([[scale]], dtype=complex)}
+    d1 = {1: np.array([[scale]], dtype=complex)}
+    with pytest.raises(ValueError, match="d1 d0"):
+        GradedComplex((1,), dims, d0, d1, {})
+
+
+def test_complex_validation_accepts_tiny_d1d0_that_is_exactly_zero():
+    dims = {1: (1, 2, 1)}
+    d0 = {1: np.array([[1e-200], [0.0]], dtype=complex)}
+    d1 = {1: np.array([[0.0, 3e-200]], dtype=complex)}
+    GradedComplex((1,), dims, d0, d1, {})
+
+
 @pytest.mark.parametrize("s0, s1", [(1e-12, 1e-12), (1e-12, 1e12), (1e12, 1e-12), (1e12, 1e12)])
 def test_complex_validation_accepts_any_scale(s0, s1):
     cx = random_graded_complex(np.random.default_rng(7), (1, 2, 3), max_dim=4)

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torstab.kempf_ness import (
@@ -10,6 +11,7 @@ from torstab.kempf_ness import (
     DIVERGING,
     FLAT_DIRECTIONS,
     KNProblem,
+    _newton,
     conjugation_gradient_pairing,
     kn_conjugation_eval,
     kn_eval,
@@ -257,6 +259,129 @@ def test_kn_minimize_status_matches_classify(ws):
         "Unstable": DIVERGING,
     }[cls.stability]
     assert res.status == expected
+
+
+# ---------------------------------------------------------------------------
+# the balanced start
+
+
+def int_det(m):
+    """Exact determinant of a small integer matrix, by cofactors."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * int_det([r[:j] + r[j + 1:] for r in m[1:]]) for j, a in enumerate(m[0]))
+
+
+def zero_start_newton(p, tol=1e-10):
+    """kn_minimize's Newton on a stable p, started at z = 0: (x, iterations,
+    converged).  Stable leaves no flat directions, so z is x itself."""
+    terms = [(w, c) for w, c in zip(p.weights, p.log_norms2) if any(w)]
+    top = max(c for _, c in terms)
+    rows = [[2.0 * a for a in w] for w, _ in terms]
+    return _newton(rows, [c - top for _, c in terms], tol, [0.0] * p.rank)
+
+
+def log_norms(draw, m, decades):
+    spread = st.floats(-decades, decades, allow_nan=False)
+    return tuple(draw(spread) * math.log(10) for _ in range(m))
+
+
+@st.composite
+def simplicial_problems(draw):
+    """k + 1 weights of rank k = 1..3 whose simplex has 0 inside: k independent
+    weights and minus a positive integer combination of them, with norms
+    over +-40 decades."""
+    k = draw(st.integers(1, 3))
+    entry = st.integers(-4, 4)
+    base = [tuple(draw(entry) for _ in range(k)) for _ in range(k)]
+    assume(int_det([list(w) for w in base]) != 0)
+    coef = [draw(st.integers(1, 3)) for _ in range(k)]
+    last = tuple(-sum(c * w[i] for c, w in zip(coef, base)) for i in range(k))
+    weights = tuple(base) + (last,)
+    assume(len(set(weights)) == k + 1)
+    return KNProblem(weights=weights, log_norms2=log_norms(draw, k + 1, 40))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(simplicial_problems())
+def test_kn_minimize_solves_a_simplex_in_one_step(p):
+    # the minimizer is the balanced point n_i e^{2<w_i, x>} = s lambda_i, with
+    # lambda the kernel of the weights: x solves [2 w_i | -1] (x, mu) =
+    # log lambda_i - log n_i
+    k = p.rank
+    cols = [[w[i] for w in p.weights] for i in range(k)]
+    kernel = [(-1) ** j * int_det([c[:j] + c[j + 1:] for c in cols]) for j in range(k + 1)]
+    lam = [a / sum(kernel) for a in kernel]
+    assert all(a > 0 for a in lam)
+    a = np.array([[2.0 * c for c in w] + [-1.0] for w in p.weights])
+    b = np.array([math.log(li) - c for li, c in zip(lam, p.log_norms2)])
+    want = np.linalg.solve(a, b)[:k]
+    res = kn_minimize(p, classified(p))
+    assert (res.status, res.iterations) == (CONVERGED, 1)
+    assert np.abs(res.minimizer - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("weights, norms2", [
+    ([(1, 1), (-1, -1)], [3.0, 1e-20]),
+    ([(1, 1, 0), (-2, 0, 2), (0, -1, -1)], [1e30, 2.0, 1e-5]),
+])
+def test_kn_minimize_solves_a_simplex_across_flat_directions_in_one_step(weights, norms2):
+    p = problem(weights, norms2)
+    res = kn_minimize(p, classified(p))
+    assert (res.status, res.iterations) == (FLAT_DIRECTIONS, 1)
+    assert np.linalg.norm(moment_map(p, res.minimizer)) <= 1e-9 * res.value
+
+
+@st.composite
+def stable_non_simplicial_problems(draw):
+    """Stable problems of rank 1..3 with more than k + 1 nonzero weights,
+    norms within +-3 decades."""
+    k = draw(st.integers(1, 3))
+    weight = st.tuples(*[st.integers(-4, 4)] * k)
+    weights = tuple(draw(st.lists(weight, min_size=k + 2, max_size=k + 5, unique=True)))
+    assume(sum(map(any, weights)) > k + 1)
+    p = KNProblem(weights=weights, log_norms2=log_norms(draw, len(weights), 3))
+    cls = classified(p)
+    assume(cls.stability == "Stable")
+    return p, cls
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(stable_non_simplicial_problems())
+def test_kn_minimize_from_the_balanced_start_finds_the_zero_start_minimizer(case):
+    p, cls = case
+    res = kn_minimize(p, cls)
+    z, _, converged = zero_start_newton(p)
+    assert res.status == CONVERGED and converged
+    assert np.abs(res.minimizer - np.array(z)).max() <= 1e-9
+
+
+def test_kn_minimize_from_the_balanced_start_takes_fewer_iterations_in_all():
+    # only a start off a simplex: a problem may take a few more iterations
+    # than from z = 0, but the sum over many falls
+    rng = np.random.default_rng(18)
+    start = zero = count = 0
+    while count < 300:
+        k = int(rng.integers(1, 4))
+        weights = tuple({tuple(map(int, rng.integers(-4, 5, size=k))) for _ in range(k + 4)})
+        p = KNProblem(weights=weights, log_norms2=tuple(rng.uniform(-3, 3, len(weights)) * math.log(10)))
+        cls = classified(p)
+        if cls.stability != "Stable" or sum(map(any, weights)) <= k + 1:
+            continue
+        start += kn_minimize(p, cls).iterations
+        zero += zero_start_newton(p)[1]
+        count += 1
+    assert start < 0.95 * zero
+
+
+def test_kn_minimize_without_a_combination_starts_at_zero():
+    p = problem([(1, 0), (0, 1), (-1, -1), (2, -1)], norms2=[1e10, 3.0, 1e-10, 7.0])
+    cls = dataclasses.replace(classified(p), combination=None)
+    res = kn_minimize(p, cls)
+    z, it, _ = zero_start_newton(p)
+    assert res.status == CONVERGED
+    assert res.iterations == it > 1
+    assert res.minimizer.tolist() == z
 
 
 # ---------------------------------------------------------------------------
