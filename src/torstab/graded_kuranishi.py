@@ -149,12 +149,11 @@ def d1_apply(cx: GradedComplex, u: GVec) -> GVec:
 @dataclass(frozen=True)
 class GreensOperator:
     gamma: dict  # grade -> matrix on C2
+    # grade -> d1* Gamma = d1^+, the C2 -> C1 map of the Kuranishi maps
+    d1_pinv: dict
     harmonic: dict  # grade -> projector onto harmonic C2
     status: str  # "ok" or "ill-conditioned"
     condition: float
-
-    def apply(self, v: GVec) -> GVec:
-        return {g: (self.gamma[g] @ arr if arr.size else arr) for g, arr in v.items()}
 
     def project_harmonic(self, v: GVec) -> GVec:
         return {g: (self.harmonic[g] @ arr if arr.size else arr) for g, arr in v.items()}
@@ -168,13 +167,15 @@ def greens_operator(cx: GradedComplex) -> GreensOperator:
     of d1, and Gamma is that of a times 1/s^2, so the rank split, the
     condition, the status and the harmonic projector do not depend on the
     scale of d1.  s is taken as twice the largest |entry| of d1/2, which is
-    a float even where the modulus of an entry is not.
+    a float even where the modulus of an entry is not.  The Kuranishi maps
+    apply d1* Gamma = d1^+ = a* Gamma_a / s, Gamma_a that of a, so a tiny d1
+    does not overflow Gamma on the way to a d1^+ that is a float.
 
     An eigenvalue falling in the gray zone just above the rank cutoff makes
     the zero/nonzero split numerically ambiguous; that is reported as an
     ill-conditioned warning status rather than a failure.
     """
-    gamma, harm = {}, {}
+    gamma, pinv, harm = {}, {}, {}
     worst = 1.0
     ambiguous = False
     for g in cx.grades:
@@ -183,6 +184,7 @@ def greens_operator(cx: GradedComplex) -> GreensOperator:
         scale = np.abs(half).max(initial=0.0)
         if scale == 0:
             gamma[g] = np.zeros((n2, n2), dtype=complex)
+            pinv[g] = np.zeros((cx.n1(g), n2), dtype=complex)
             harm[g] = np.eye(n2, dtype=complex)
             continue
         a = half / scale
@@ -190,24 +192,27 @@ def greens_operator(cx: GradedComplex) -> GreensOperator:
         mag = np.abs(lam)
         cutoff = _RCOND * mag.max()
         keep = mag > cutoff
-        inv = np.divide(0.25, lam, out=np.zeros_like(lam), where=keep) / scale / scale
-        gamma[g] = (v * inv) @ v.conj().T
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+        gamma_a = (v * inv) @ v.conj().T
+        gamma[g] = gamma_a * 0.25 / scale / scale
+        # halved before the division by the scale, so that it overflows only
+        # where d1^+ itself does
+        pinv[g] = a.conj().T @ gamma_a * 0.5 / scale
         v0 = v[:, ~keep]
         harm[g] = v0 @ v0.conj().T
         worst = max(worst, float(mag.max() / mag[keep].min()))
         ambiguous = ambiguous or bool(np.any(keep & (mag < 1e4 * cutoff)))
     status = "ill-conditioned" if ambiguous else "ok"
-    return GreensOperator(gamma, harm, status, worst)
+    return GreensOperator(gamma, pinv, harm, status, worst)
 
 
 def kuranishi_forward(cx: GradedComplex, u: GVec, greens: GreensOperator | None = None) -> GVec:
     """kappa(u) = u + d1* Gamma(q(u))."""
     greens = greens or greens_operator(cx)
-    corr = greens.apply(quadratic_part(cx, u))
     out = {g: np.array(arr, dtype=complex) for g, arr in u.items()}
-    for g, arr in corr.items():
-        if g in cx.d1 and cx.d1[g].size and arr.size:
-            out[g] = out.get(g, np.zeros(cx.n1(g), dtype=complex)) + cx.d1[g].conj().T @ arr
+    for g, arr in quadratic_part(cx, u).items():
+        if g in cx.d1 and cx.d1[g].size:
+            out[g] = out.get(g, np.zeros(cx.n1(g), dtype=complex)) + greens.d1_pinv[g] @ arr
     return out
 
 
@@ -226,15 +231,14 @@ def kuranishi_inverse_graded(
     u: GVec = {}
     for g in sorted(gr for gr in cx.grades if gr > 0):
         target = x.get(g, np.zeros(cx.n1(g), dtype=complex)).astype(complex)
-        d1 = cx.d1[g]
-        if d1.size:  # else the correction d1* Gamma q is zero
+        if cx.d1[g].size:  # else the correction d1* Gamma q is zero
             terms = [
                 np.einsum("kij,i,j->k", t, u[a], u[b])
                 for (a, b), t in cx.bracket.items()
                 if a + b == g and a in u and b in u and t.size
             ]
             if terms:
-                target -= d1.conj().T @ (greens.gamma[g] @ (0.5 * sum(terms)))
+                target -= greens.d1_pinv[g] @ (0.5 * sum(terms))
         u[g] = target
     return u
 

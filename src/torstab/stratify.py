@@ -23,7 +23,12 @@ stage's classification is read off the face certificate rather than
 decided again: Stable when the weights span, PolystableNotStable with
 their saturated kernel as flat lattice otherwise.  verify_decomposition
 re-checks it against weights recomputed from u, and stage_kn_minimizers
-passes it to the minimizer.
+passes it to the minimizer.  Stage 0's certificate also settles the
+precondition: when its face weights span, 0 is interior to their hull and
+so to the hull of all of u's weights, which is u Stable under G_0.
+classify runs only when they do not span or stage 0 breaks down, and
+rejects u when it is not Stable.  Both hull dimensions of a stage come off
+one elimination.
 
 The combinatorial output depends only on which amplitudes are nonzero;
 per-stage Kempf-Ness minimizers (the metric updates) are computed
@@ -38,7 +43,9 @@ from typing import TYPE_CHECKING
 
 from .errors import InternalError, NotStableError, StratifyInternalError, ZeroVectorError
 from .polytope import PolytopeQ, face_combination, ray_entry, solve_mixed_system
-from .qexact import Lattice, QVec, clear_denominators, dot, saturated_kernel
+from .qexact import (
+    Lattice, QVec, _echelon, clear_denominators, dot, saturated_kernel, vsub,
+)
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult, classify
 from .torus_rep import RepVector, Subtorus
 
@@ -102,6 +109,14 @@ def _require_graded_positive(u: RepVector):
             raise ValueError(f"line {ln.label!r} has rho < 1; not in the positive slice")
 
 
+def _require_stable(u: RepVector, g0: Subtorus):
+    """Raise NotStableError, with classify's certificate attached, unless u
+    is Stable under g0."""
+    cls = classify(u.restrict(g0))
+    if cls.stability != STABLE:
+        raise NotStableError(f"input vector is {cls.stability}, not stable", cls)
+
+
 def stratify(
     u: RepVector,
     torus: Subtorus | None = None,
@@ -116,10 +131,9 @@ def stratify(
     _require_graded_positive(u)
     k = u.rank
     g0 = torus if torus is not None else Subtorus.full(k)
-    cls = classify(u.restrict(g0))
-    if cls.stability != STABLE:
-        raise NotStableError(f"input vector is {cls.stability}, not stable", cls)
-
+    # the precondition is read off stage 0 (module docstring); under a G_0 of
+    # dimension 0 no stage runs, and every nonzero vector is Stable: its
+    # weights all lie at 0, the interior of R^0
     tori = [g0]
     stages: list[dict] = []
     removed: set[str] = set()
@@ -127,106 +141,116 @@ def stratify(
     lines = {ln.label: ln for ln in u.effective_lines()}
     effective = set(lines)
 
-    while tori[-1].dim > 0:
-        n = len(stages)
-        gn = tori[-1]
-        u_n = u.project_labels(effective - removed)
-        nu = u_n.fixed_part(gn)
-        nu_labels = tuple(sorted(ln.label for ln in nu.effective_lines()))
-        removed.update(nu_labels)
+    try:
+        while tori[-1].dim > 0:
+            n = len(stages)
+            gn = tori[-1]
+            u_n = u.project_labels(effective - removed)
+            nu = u_n.fixed_part(gn)
+            nu_labels = tuple(sorted(ln.label for ln in nu.effective_lines()))
+            removed.update(nu_labels)
 
-        active = [lines[lab] for lab in sorted(effective - removed)]
-        if not active:
-            raise StratifyInternalError(
-                "EmptyResidual", f"no weights left at stage {n} with dim G_n > 0"
-            )
-        # sheared, projected points; one polytope generator per distinct point
-        pts: dict[tuple, list] = {}
-        for ln in active:
-            sheared_rho = ln.rho + dot(ln.weight, x_prev)
-            point = tuple(dot(ln.weight, b) for b in gn.basis) + (sheared_rho,)
-            pts.setdefault(point, []).append(ln)
-        gens = sorted(pts)
-        hull = PolytopeQ.from_points(gens, ambient_dim=gn.dim + 1)
-        entry = ray_entry(hull, list(range(gn.dim)), gn.dim)
-        if entry is None:
-            raise StratifyInternalError("RayEmpty", f"the rho-axis misses C_{n}")
-        c_n, entry_combination = entry
-        c_prev = stages[-1]["c"] if stages else 0
-        if not c_prev < c_n:
-            raise StratifyInternalError(
-                "NonIncreasingC", f"c_{n} = {c_n} is not above c_{n - 1} = {c_prev}"
-            )
-        axis_point = (0,) * gn.dim + (c_n,)
-        face_comb = face_combination(hull, axis_point, entry_combination)
-        face_pts = [g for g, a in zip(gens, face_comb) if a > 0]
-        if len(face_pts) < 2:
-            raise StratifyInternalError("VertexFace", f"F_{n} degenerates to a vertex")
-        s_labels = tuple(
-            sorted(ln.label for p in face_pts for ln in pts[p])
-        )
-
-        # exact system for x_n inside the span of G_n, in basis coordinates
-        eqs, stricts = [], []
-        for p in face_pts:
-            eqs.append((p[: gn.dim], c_n - p[gn.dim]))
-        for p in gens:
-            if p not in face_pts:
-                stricts.append((p[: gn.dim], c_n - p[gn.dim]))
-        y = solve_mixed_system(eqs, stricts, gn.dim)
-        if y is None:
-            raise StratifyInternalError("NoCocharacter", f"stage {n} system infeasible")
-        x_n = tuple(sum(yj * b[i] for yj, b in zip(y, gn.basis)) for i in range(k))
-        x_prev = tuple(a + b for a, b in zip(x_prev, x_n))
-
-        # face_comb weights the restricted face points to 0 with every
-        # coefficient positive, so 0 is in the relative interior of their
-        # hull: P_Sn(u) is polystable under G_n, and stable iff they span
-        weight_comb: dict[tuple, Fraction] = {}
-        for p, a in zip(gens, face_comb):
-            if a > 0:
-                weight_comb[p[: gn.dim]] = weight_comb.get(p[: gn.dim], 0) + a
-        restricted = sorted(weight_comb)
-        ker = saturated_kernel(restricted, ambient_dim=gn.dim)
-        projection = StabilityResult(
-            POLYSTABLE_NOT_STABLE if ker.rank else STABLE,
-            tuple(restricted),
-            combination=tuple(weight_comb[w] for w in restricted),
-            flat_lattice=ker if ker.rank else None,
-        )
-        # a saturated kernel lifted through a saturated basis is saturated
-        lifted = tuple(
-            tuple(
-                sum(z[j] * gn.basis[j][i] for j in range(gn.dim))
-                for i in range(k)
-            )
-            for z in ker.basis
-        )
-        g_next = Subtorus(k, Lattice(k, lifted))
-        if not g_next.dim < gn.dim:
-            raise StratifyInternalError(
-                "NonDecreasingTorus", f"stabilizer did not shrink at stage {n}"
+            active = [lines[lab] for lab in sorted(effective - removed)]
+            if not active:
+                raise StratifyInternalError(
+                    "EmptyResidual", f"no weights left at stage {n} with dim G_n > 0"
+                )
+            # sheared, projected points; one polytope generator per distinct point
+            pts: dict[tuple, list] = {}
+            for ln in active:
+                sheared_rho = ln.rho + dot(ln.weight, x_prev)
+                point = tuple(dot(ln.weight, b) for b in gn.basis) + (sheared_rho,)
+                pts.setdefault(point, []).append(ln)
+            gens = sorted(pts)
+            hull = PolytopeQ.from_points(gens, ambient_dim=gn.dim + 1)
+            entry = ray_entry(hull, list(range(gn.dim)), gn.dim)
+            if entry is None:
+                raise StratifyInternalError("RayEmpty", f"the rho-axis misses C_{n}")
+            c_n, entry_combination = entry
+            c_prev = stages[-1]["c"] if stages else 0
+            if not c_prev < c_n:
+                raise StratifyInternalError(
+                    "NonIncreasingC", f"c_{n} = {c_n} is not above c_{n - 1} = {c_prev}"
+                )
+            axis_point = (0,) * gn.dim + (c_n,)
+            face_comb = face_combination(hull, axis_point, entry_combination)
+            face_pts = [g for g, a in zip(gens, face_comb) if a > 0]
+            if len(face_pts) < 2:
+                raise StratifyInternalError("VertexFace", f"F_{n} degenerates to a vertex")
+            s_labels = tuple(
+                sorted(ln.label for p in face_pts for ln in pts[p])
             )
 
-        dim_hull = hull.dim()
-        dim_proj = PolytopeQ.from_points(
-            [p[: gn.dim] for p in gens], ambient_dim=gn.dim
-        ).dim()
-        stages.append(
-            dict(
-                index=n,
-                torus=gn,
-                nu_labels=nu_labels,
-                s_labels=s_labels,
-                c=c_n,
-                x_stage=x_n,
-                dim_hull=dim_hull,
-                dim_projected_hull=dim_proj,
-                projection=projection,
+            # exact system for x_n inside the span of G_n, in basis coordinates
+            eqs, stricts = [], []
+            for p in face_pts:
+                eqs.append((p[: gn.dim], c_n - p[gn.dim]))
+            for p in gens:
+                if p not in face_pts:
+                    stricts.append((p[: gn.dim], c_n - p[gn.dim]))
+            y = solve_mixed_system(eqs, stricts, gn.dim)
+            if y is None:
+                raise StratifyInternalError("NoCocharacter", f"stage {n} system infeasible")
+            x_n = tuple(sum(yj * b[i] for yj, b in zip(y, gn.basis)) for i in range(k))
+            x_prev = tuple(a + b for a, b in zip(x_prev, x_n))
+
+            # face_comb weights the restricted face points to 0 with every
+            # coefficient positive, so 0 is in the relative interior of their
+            # hull: P_Sn(u) is polystable under G_n, and stable iff they span
+            weight_comb: dict[tuple, Fraction] = {}
+            for p, a in zip(gens, face_comb):
+                if a > 0:
+                    weight_comb[p[: gn.dim]] = weight_comb.get(p[: gn.dim], 0) + a
+            restricted = sorted(weight_comb)
+            ker = saturated_kernel(restricted, ambient_dim=gn.dim)
+            projection = StabilityResult(
+                POLYSTABLE_NOT_STABLE if ker.rank else STABLE,
+                tuple(restricted),
+                combination=tuple(weight_comb[w] for w in restricted),
+                flat_lattice=ker if ker.rank else None,
             )
-        )
-        removed.update(s_labels)
-        tori.append(g_next)
+            # a saturated kernel lifted through a saturated basis is saturated
+            lifted = tuple(
+                tuple(
+                    sum(z[j] * gn.basis[j][i] for j in range(gn.dim))
+                    for i in range(k)
+                )
+                for z in ker.basis
+            )
+            g_next = Subtorus(k, Lattice(k, lifted))
+            if not g_next.dim < gn.dim:
+                raise StratifyInternalError(
+                    "NonDecreasingTorus", f"stabilizer did not shrink at stage {n}"
+                )
+
+            # both hull dimensions from one elimination of the differences
+            # g - gens[0], rho last: pivots are taken left to right, so those
+            # before the rho column count the rank of the G-parts alone
+            pivots = _echelon([vsub(g, gens[0]) for g in gens[1:]])[1]
+            dim_hull = len(pivots)
+            dim_proj = sum(c < gn.dim for c in pivots)
+            stages.append(
+                dict(
+                    index=n,
+                    torus=gn,
+                    nu_labels=nu_labels,
+                    s_labels=s_labels,
+                    c=c_n,
+                    x_stage=x_n,
+                    dim_hull=dim_hull,
+                    dim_projected_hull=dim_proj,
+                    projection=projection,
+                )
+            )
+            if n == 0 and ker.rank:
+                _require_stable(u, g0)  # stage 0's face weights do not span
+            removed.update(s_labels)
+            tori.append(g_next)
+    except StratifyInternalError:
+        # stage 0 broke down: say first whether u itself is at fault
+        if not stages:
+            _require_stable(u, g0)
+        raise
 
     residual = tuple(sorted(effective - removed))
 

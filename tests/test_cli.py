@@ -200,6 +200,51 @@ def test_run_rejection_not_stable():
     assert report["report"]["destabilizing_cocharacter"] is not None
 
 
+def rank_doc(rank, weights, amplitudes=None, subtorus=None):
+    """A stratify document with lines l0, l1, ... of the given (weight,
+    rho) pairs, amplitude 1 unless given."""
+    labels = [f"l{i}" for i in range(len(weights))]
+    payload = {
+        "rank": rank,
+        "lines": [{"label": lab, "weight": list(w), "rho": r}
+                  for lab, (w, r) in zip(labels, weights)],
+        "amplitudes": amplitudes or {lab: 1.0 for lab in labels},
+    }
+    if subtorus is not None:
+        payload["subtorus"] = subtorus
+    return {"schema_version": "1", "kind": "stratify", "payload": payload}
+
+
+@pytest.mark.parametrize("doc, stability", [
+    (rank_doc(1, [((1,), 1), ((2,), 1)]), "Unstable"),
+    (rank_doc(1, [((1,), 1), ((-1,), 2)], {"l0": 1.0, "l1": 0.0}), "Unstable"),
+    (rank_doc(1, [((1,), 1), ((0,), 1)]), "SemistableNotPolystable"),
+    (rank_doc(2, [((1, 0), 1), ((-1, 0), 2)]), "PolystableNotStable"),
+    (rank_doc(1, [((0,), 1), ((0,), 2)]), "PolystableNotStable"),
+    (rank_doc(2, [((1, 1), 1), ((-1, 1), 2)], subtorus=[[0, 1]]), "Unstable"),
+], ids=["unstable", "unstable-zero-amplitude", "semistable", "polystable",
+        "all-weights-zero", "unstable-under-subtorus"])
+def test_stratify_rejects_each_class_with_the_classification_of_u(doc, stability):
+    # the body is what classify says of u restricted to G_0, however the
+    # stratification itself would have failed on it
+    from torstab.cli import rep_from_payload
+    from torstab.qexact import Lattice
+    from torstab.stability import classify
+    from torstab.torus_rep import Subtorus
+
+    payload = doc["payload"]
+    u = rep_from_payload(payload)
+    rank, basis = payload["rank"], payload.get("subtorus")
+    g0 = Subtorus(rank, Lattice(rank, tuple(map(tuple, basis)))) if basis else Subtorus.full(rank)
+    cls = classify(u.restrict(g0))
+    assert cls.stability == stability
+    expected = {"reason": f"input vector is {stability}, not stable", "stability": stability}
+    if cls.cocharacter is not None:
+        expected["destabilizing_cocharacter"] = list(cls.cocharacter)
+    report, code = run_document(doc)
+    assert (code, report["status"], report["report"]) == (2, "rejected", expected)
+
+
 def test_reports_never_serialize_fractions_as_floats():
     report, _ = run_document(stratify_doc())
     text = json.dumps(report)
@@ -778,6 +823,21 @@ def test_kuranishi_nonzero_d1d0_is_refused_at_every_scale(entry):
     report, code = run_document(kuranishi_doc(payload))
     assert code == 2
     assert report["report"] == {"reason": "d1 d0 != 0 at grade 1"}
+
+
+def test_kuranishi_tiny_d1_inverts_through_its_pseudoinverse():
+    # Gamma = 1/|d1|^2 = 1e600 overflowed and the document was refused,
+    # although the correction d1* Gamma = d1^+ = 1e300 is a float
+    payload = {"grades": [1, 2], "dims": {"1": [0, 1, 0], "2": [0, 1, 1]}, "d0": {},
+               "d1": {"2": [[1e-300]]}, "bracket": [{"g1": 1, "g2": 1, "tensor": [[[1]]]}],
+               "input": {"1": [1]}}
+    report, code = run_document(kuranishi_doc(payload))
+    assert code == 0, report
+    body = report["report"]
+    assert body["inverse"]["1"] == [[1.0, 0.0]]
+    (re, im), = body["inverse"]["2"]
+    assert re == pytest.approx(-0.5e300, rel=1e-15) and im == 0.0
+    assert body["round_trip_residual"] == body["obstruction_norm"] == 0.0
 
 
 def test_kuranishi_tiny_d1d0_that_is_zero_runs():

@@ -208,6 +208,36 @@ def test_greens_matches_numpy_pinv_and_svd(seed, top_grade, max_dim):
     assert gr.status == ("ill-conditioned" if ambiguous else "ok")
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 5))
+def test_greens_d1_pinv_is_d1_star_gamma(seed, top_grade, max_dim):
+    # the Kuranishi maps apply d1* Gamma as one matrix, d1^+
+    cx = random_graded_complex(np.random.default_rng(seed), range(1, top_grade + 1), max_dim)
+    gr = greens_operator(cx)
+    for g in cx.grades:
+        d1 = cx.d1[g]
+        ref = d1.conj().T @ np.linalg.pinv(d1 @ d1.conj().T, rcond=1e-12, hermitian=True)
+        assert gr.d1_pinv[g].shape == (cx.n1(g), cx.n2(g))
+        assert np.abs(gr.d1_pinv[g] - ref).max(initial=0.0) <= 1e-12 * max(
+            1.0, np.abs(ref).max(initial=0.0))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_greens_d1_pinv_scales_inversely_with_d1(scale):
+    # Gamma overflows below |d1| = 1e-154, d1^+ only where it is no float
+    cx = random_graded_complex(np.random.default_rng(0), (1, 2, 3, 4), 5)
+    ref = greens_operator(cx)
+    with np.errstate(all="ignore"):
+        scaled = GradedComplex(
+            cx.grades, cx.dims, cx.d0, {g: scale * cx.d1[g] for g in cx.grades}, cx.bracket
+        )
+        gr = greens_operator(scaled)
+    for g in cx.grades:
+        assert np.all(np.isfinite(gr.d1_pinv[g]))
+        assert np.abs(gr.d1_pinv[g] * scale - ref.d1_pinv[g]).max(initial=0.0) <= 1e-12 * max(
+            1.0, np.abs(ref.d1_pinv[g]).max(initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # forward map
 

@@ -12,6 +12,7 @@ import torstab.kempf_ness as kempf_ness
 import torstab.polytope as polytope
 from torstab.errors import NotStableError, ZeroVectorError
 from torstab.kempf_ness import CONVERGED, FLAT_DIRECTIONS
+from torstab.qexact import dot
 from torstab.stability import POLYSTABLE_NOT_STABLE, STABLE, classify
 from torstab.stratify import (
     StratifyOptions,
@@ -386,3 +387,91 @@ def test_stage_projection_matches_classify(case):
             expected.stability, expected.weights, expected.flat_lattice)
         assert got.verify()
     assert verify_decomposition(res, u).all_ok
+
+
+# ---------------------------------------------------------------------------
+# the stability precondition, read off stage 0 when its face weights span
+
+
+def test_stable_input_is_classified_only_when_stage_0_does_not_span(monkeypatch):
+    calls = []
+    # the package re-exports the function stratify under the module's name
+    stratify_mod = importlib.import_module("torstab.stratify")
+    monkeypatch.setattr(stratify_mod, "classify", lambda v: calls.append(v) or classify(v))
+    assert stratify(two_line_example()).num_stages == 1
+    assert len(calls) == 0
+    assert stratify(two_stage_example()).num_stages == 2
+    assert len(calls) == 1
+    with pytest.raises(NotStableError):
+        stratify(graded([("a", (1,), 1), ("b", (2,), 1)]))
+    assert len(calls) == 2
+
+
+@st.composite
+def graded_under_subtorus(draw):
+    """A graded vector of rank 1-3 with rho in [1, 4], weights in [-3, 3]^k,
+    half the time closed under negation, and some amplitudes 0; and, half
+    the time, a subtorus cut out by random characters, of any dimension.
+    Stable or not."""
+    rank = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3)
+    weights = draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        weights += [tuple(-c for c in w) for w in weights]
+    n = len(weights)
+    rhos = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    amps = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5]), min_size=n, max_size=n))
+    assume(any(amps))
+    u = graded(
+        [(f"l{i}", w, r) for i, (w, r) in enumerate(zip(weights, rhos))],
+        {f"l{i}": a for i, a in enumerate(amps)},
+    )
+    torus = None
+    if draw(st.booleans()):
+        chars = draw(st.lists(st.tuples(*[coord] * rank), max_size=rank))
+        torus = Subtorus.kernel_of(chars, rank)
+    return u, torus
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graded_under_subtorus())
+def test_stratify_rejects_exactly_what_classify_rejects(case):
+    u, torus = case
+    expected = classify(u.restrict(torus or Subtorus.full(u.rank)))
+    try:
+        res = stratify(u, torus=torus)
+    except NotStableError as exc:
+        assert expected.stability != STABLE
+        assert exc.result == expected
+        assert str(exc) == f"input vector is {expected.stability}, not stable"
+    else:
+        assert expected.stability == STABLE
+        assert verify_decomposition(res, u).all_ok
+
+
+def _stage_points(u, res, i):
+    """Stage i's points (G_i-part, sheared rho), recomputed from u."""
+    stage = res.stages[i]
+    done = set(stage.nu_labels)
+    shift = (0,) * u.rank
+    for prev in res.stages[:i]:
+        done |= set(prev.nu_labels) | set(prev.s_labels)
+        shift = tuple(a + b for a, b in zip(shift, prev.x_stage))
+    return sorted({
+        tuple(dot(ln.weight, b) for b in stage.torus.basis) + (ln.rho + dot(ln.weight, shift),)
+        for ln in u.effective_lines()
+        if ln.label not in done
+    })
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(stable_graded_under_subtorus())
+def test_stage_hull_dimensions_match_polytope_dim(case):
+    u, torus = case
+    res = stratify(u, torus=torus)
+    for i, stage in enumerate(res.stages):
+        pts = _stage_points(u, res, i)
+        projected = [p[:-1] for p in pts]
+        assert stage.dim_hull == polytope.PolytopeQ.from_points(pts).dim()
+        assert stage.dim_projected_hull == polytope.PolytopeQ.from_points(
+            projected, ambient_dim=stage.torus.dim).dim()
