@@ -1,12 +1,12 @@
 """Batch front-end: validate JSON problem specifications, dispatch to the
 analysis modules, and emit machine- or human-readable reports.
 
-Exit codes: 0 on success, 2 when the input is rejected at the analysis
-level (schema violations, semantic violations, or preconditions such as a
-non-stable stratification input), 1 on internal errors.  Reports are
-deterministic: rerunning the same specification reproduces them byte for
-byte, and exact rationals are serialized as integers or "p/q" strings,
-never as floats.
+Exit codes: 0 on success, 2 when a TorstabError refuses the input (a
+ValidationError where the input is judged, or a precondition such as a
+non-stable stratification input), 1 for any other exception, which is a
+bug in this library.  Reports are deterministic: rerunning the same
+specification reproduces them byte for byte, and exact rationals are
+serialized as integers or "p/q" strings, never as floats.
 
 JSON output is JSON Lines: ``run`` writes one compact, key-sorted line per
 input document, in input order, and ``gen`` writes its instance as one such
@@ -364,6 +364,8 @@ def complex_from_payload(payload: dict) -> GradedComplex:
         g1, g2 = ent["g1"], ent["g2"]
         if g1 not in dims or g2 not in dims or g1 + g2 not in dims:
             raise ValidationError([f"bracket grades ({g1}, {g2}) leave the range"])
+        if (g1, g2) in bracket:  # either order of the pair
+            raise ValidationError([f"bracket grades ({g1}, {g2}) are given more than once"])
         shape = (dims[g1 + g2][2], dims[g1][1], dims[g2][1])
         t = _complex_array(f"bracket ({g1}, {g2}) tensor", ent["tensor"], shape)
         bracket[(g1, g2)] = t
@@ -399,12 +401,7 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
                       convention=convention, emit_certificates=emit_certificates,
                       box_bound=box_bound)
         status, code = "ok", 0
-    except (TorstabError, ValueError, KeyError) as exc:
-        # numpy's LinAlgError is a ValueError, but a numerical failure, not
-        # bad input; it can occur only once numpy is loaded
-        numpy = sys.modules.get("numpy")
-        if numpy is not None and isinstance(exc, numpy.linalg.LinAlgError):
-            raise
+    except TorstabError as exc:
         body = {"reason": str(exc)}
         if isinstance(exc, NotStableError) and exc.result is not None:
             body["stability"] = exc.result.stability
@@ -449,7 +446,8 @@ def _run_kempf_ness(payload, options, *, tol, convention, emit_certificates, box
 
     _float_weights(payload)
     v = rep_from_payload(payload)
-    res = kn_minimize(KNProblem.from_vector(v), classify(v), tol=tol)
+    cls = classify(v)  # refuses the zero vector as a stability document does
+    res = kn_minimize(KNProblem.from_vector(v), cls, tol=tol)
     body = {"status": res.status}
     if res.minimizer is not None:
         body["minimizer"] = [float(c) for c in res.minimizer]
@@ -510,7 +508,7 @@ def _run_stratify(payload, options, *, tol, convention, emit_certificates, box_b
         },
     }
     minimizers = []
-    for kn, rescaled in stage_kn_minimizers(res):
+    for kn, rescaled in stage_kn_minimizers(res, tol=tol):
         entry = {"status": kn.status}
         if kn.minimizer is not None:
             entry["minimizer"] = [float(c) for c in kn.minimizer]

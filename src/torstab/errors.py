@@ -31,8 +31,9 @@ class StratifyInternalError(TorstabError):
         self.kind = kind
 
 
-class ValidationError(TorstabError):
-    """Carries the complete list of schema/semantic violations."""
+class ValidationError(TorstabError, ValueError):
+    """Refused input, with the complete list of its violations, raised where
+    it is judged; also a ValueError, so callers that catch that still do."""
 
     def __init__(self, errors):
         super().__init__("; ".join(errors))
@@ -42,7 +43,7 @@ class ValidationError(TorstabError):
 class InternalError(Exception):
     """A broken internal invariant: a bug in this library, never bad input.
 
-    Deliberately neither a TorstabError nor a ValueError, so that
-    ``run_document`` does not report it as a rejection (exit 2); the CLI's
-    catch-all reports it as an internal error (exit 1).  Raised explicitly
+    Deliberately not a TorstabError, so that ``run_document`` does not
+    report it as a rejection (exit 2); the CLI's catch-all reports it, like
+    any other exception, as an internal error (exit 1).  Raised explicitly
     rather than by ``assert`` so that ``python -O`` keeps the check."""

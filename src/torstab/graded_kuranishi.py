@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .qexact import nullspace, rational_rank
 
 GVec = dict  # grade -> complex ndarray
@@ -66,7 +67,7 @@ class GradedComplex:
             if not (s1 and s0):
                 continue  # d1 d0 is all zero
             if np.abs((h1 / s1) @ (h0 / s0)).max() > 1e-12:
-                raise ValueError(f"d1 d0 != 0 at grade {g}")
+                raise ValidationError([f"d1 d0 != 0 at grade {g}"])
         for (g1, g2), t in self.bracket.items():
             if g1 not in self.dims or g2 not in self.dims or g1 + g2 not in self.dims:
                 raise ValueError(f"bracket grades ({g1}, {g2}) leave the range")
@@ -79,7 +80,7 @@ class GradedComplex:
             if t.shape != (n2, self.dims[g1][1], self.dims[g2][1]):
                 raise ValueError(f"bracket tensor shape mismatch at ({g1}, {g2})")
             if not np.array_equal(t, np.transpose(partner, (0, 2, 1))):
-                raise ValueError(f"bracket not symmetric at ({g1}, {g2})")
+                raise ValidationError([f"bracket not symmetric at ({g1}, {g2})"])
 
     def n1(self, g) -> int:
         return self.dims[g][1] if g in self.dims else 0
@@ -226,7 +227,7 @@ def kuranishi_inverse_graded(
     """
     sv = SliceVector(x)
     if not sv.is_positive:
-        raise ValueError("input must be supported in positive grades")
+        raise ValidationError(["input must be supported in positive grades"])
     greens = greens or greens_operator(cx)
     u: GVec = {}
     for g in sorted(gr for gr in cx.grades if gr > 0):

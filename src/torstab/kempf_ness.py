@@ -24,6 +24,7 @@ from operator import add, mul
 
 import numpy as np
 
+from .errors import ValidationError
 from .qexact import Lattice, dot
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult
 from .torus_rep import RepVector, _exp, log_sum_exp
@@ -140,7 +141,7 @@ def kn_minimize(
     taken too.  value and gradient_norm are p's own.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ValidationError(["tol must be positive"])
     if stability.weights != tuple(sorted(set(p.weights))):
         raise ValueError("the classification is of other weights")
     if stability.stability not in (STABLE, POLYSTABLE_NOT_STABLE):

@@ -20,6 +20,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .errors import ValidationError
+
 QVec = tuple[int | Fraction, ...]
 IVec = tuple[int, ...]
 
@@ -250,7 +252,7 @@ class Lattice:
             if len(b) != self.ambient_dim:
                 raise ValueError("basis vector of wrong dimension")
         if self.basis and rational_rank(self.basis) != len(self.basis):
-            raise ValueError("basis is linearly dependent")
+            raise ValidationError(["basis is linearly dependent"])
 
     @property
     def rank(self) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
-from .errors import TorstabError
+from .errors import TorstabError, ValidationError
 from .qexact import dot
 from .stability import classify
 from .torus_rep import RepVector, Subtorus, Torus, WeightLine
@@ -63,8 +63,8 @@ class StableBlock:
                 raise ValueError("length-one block must have degree zero")
         else:
             if self.degrees[0] <= 0 or self.degrees[-1] >= 0:
-                raise ValueError(
-                    "first degree must be positive and last negative for a chain"
+                raise ValidationError(
+                    ["first degree must be positive and last negative for a chain"]
                 )
 
     @property

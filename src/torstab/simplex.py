@@ -191,24 +191,16 @@ def solve_lp_mixed(
     eq: Sequence[tuple[Sequence, object]],
     ge: Sequence[tuple[Sequence, object]],
     c: Sequence,
-    nonneg: Sequence[bool] | None = None,
 ) -> LPResult:
-    """Maximize c.x with equality rows <a,x> = b and inequality rows
-    <g,x> >= h; variables are free unless flagged nonneg.
+    """Maximize c.x over free variables x with equality rows <a,x> = b and
+    inequality rows <g,x> >= h.
 
-    Free variables are split into positive and negative parts; inequality
-    rows get one surplus variable each.  The reported solution is in the
-    original variables.
+    Each variable x_i is split into x_i^+ (column i) and x_i^- (column
+    n + i); inequality rows get one surplus variable each.  The reported
+    solution is in the original variables.
     """
     n = len(c)
-    nonneg = list(nonneg) if nonneg is not None else [False] * n
-    # column layout: x_i (or x_i^+), then x_i^- for free vars, then surpluses
-    neg_col = {}
-    col = n
-    for i in range(n):
-        if not nonneg[i]:
-            neg_col[i] = col
-            col += 1
+    col = 2 * n  # the first surplus column
     total = col + len(ge)
 
     def expand(coeffs):
@@ -216,8 +208,7 @@ def solve_lp_mixed(
         row = [0] * total
         for i, v in enumerate(coeffs):
             row[i] = v
-            if i in neg_col:
-                row[neg_col[i]] = -v
+            row[n + i] = -v
         return row
 
     rows, rhs = [], []
@@ -235,8 +226,7 @@ def solve_lp_mixed(
         return res
 
     def fold(vec):
-        return tuple(vec[i] - vec[neg_col[i]] if i in neg_col else vec[i]
-                     for i in range(n))
+        return tuple(vec[i] - vec[n + i] for i in range(n))
 
     return LPResult(res.status, x=fold(res.x), value=res.value,
                     ray=fold(res.ray) if res.ray is not None else None)

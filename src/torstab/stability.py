@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .errors import InternalError, ZeroVectorError
+from .errors import InternalError, ValidationError, ZeroVectorError
 from .polytope import (
     INTERIOR,
     ON_PROPER_FACE,
@@ -264,7 +264,7 @@ def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
     stable.  A scanned box of more than MAX_BOX_POINTS points is refused.
     """
     if box_bound < 1:
-        raise ValueError("box_bound must be >= 1")
+        raise ValidationError(["box_bound must be >= 1"])
     if v.is_zero():
         raise ZeroVectorError("the zero vector has no stability class")
     weights = sorted(v.effective_g_weights())
@@ -274,16 +274,16 @@ def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
     bound = min(box_bound, witness_bound(weights))
     points = (2 * bound + 1) ** k
     if points > MAX_BOX_POINTS:
-        raise ValueError(
+        raise ValidationError([
             f"brute-force box of {points} points (rank {k}, bound {bound}) "
             f"exceeds the limit of {MAX_BOX_POINTS}"
-        )
+        ])
     largest = max(abs(c) for w in weights for c in w)
     if largest * k * box_bound >= 2**63:
-        raise ValueError(
+        raise ValidationError([
             f"weights up to {largest} overflow the 64-bit pairings of the "
             f"brute-force scan at bound {box_bound}"
-        )
+        ])
     # Why the first hit lies within M: if the cone meets x_1 = 0 beyond the
     # origin, the first hit lies in that slice, the cone of W without its
     # first column, whose minors are minors of W (induction on k).

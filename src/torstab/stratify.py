@@ -397,17 +397,18 @@ def verify_decomposition(result: StratifyResult, u: RepVector) -> CheckReport:
     return rep
 
 
-def stage_kn_minimizers(result: StratifyResult) -> list[tuple[KNResult, dict]]:
-    """Per-stage Kempf-Ness minimizers of P_Si(u) under G_i, together with
-    the rescaled amplitudes of the minimizing metric.  Diagnostic only: the
-    combinatorial stratification never depends on these numbers, and only
-    they load numpy."""
+def stage_kn_minimizers(result: StratifyResult,
+                        tol: float = 1e-10) -> list[tuple[KNResult, dict]]:
+    """Per-stage Kempf-Ness minimizers of P_Si(u) under G_i, run to kn_minimize's
+    tol, together with the rescaled amplitudes of the minimizing metric.
+    Diagnostic only: the combinatorial stratification never depends on these
+    numbers, and only they load numpy."""
     from .kempf_ness import KNProblem, kn_minimize
 
     out = []
     for st in result.stages:
         proj = result.u.project_labels(st.s_labels).restrict(st.torus)
-        res = kn_minimize(KNProblem.from_vector(proj), st.projection)
+        res = kn_minimize(KNProblem.from_vector(proj), st.projection, tol=tol)
         rescaled = {}
         if res.minimizer is not None:
             rescaled = proj.rescale(res.minimizer).amplitudes

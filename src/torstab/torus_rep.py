@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+from .errors import ValidationError
 from .qexact import Lattice, clear_denominators, dot, saturated_kernel
 
 
@@ -58,7 +59,7 @@ class Subtorus:
         if self.lattice.ambient_dim != self.parent_rank:
             raise ValueError("lattice dimension must match the parent rank")
         if not self.lattice.is_saturated():
-            raise ValueError("cocharacter lattice must be saturated")
+            raise ValidationError(["cocharacter lattice must be saturated"])
 
     @staticmethod
     @lru_cache(maxsize=8)
@@ -152,7 +153,7 @@ class RepVector:
             raise ValueError("inconsistent weight dimensions")
         gradings = {ln.graded for ln in self.lines}
         if len(gradings) > 1:
-            raise ValueError("cannot mix graded and ungraded lines")
+            raise ValidationError(["cannot mix graded and ungraded lines"])
 
     @staticmethod
     def make(lines: Iterable[WeightLine], amplitudes: Mapping[str, complex]) -> "RepVector":

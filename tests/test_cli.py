@@ -574,7 +574,8 @@ def test_box_sound_reported_next_to_the_witness():
 
 
 def test_numerical_failure_is_not_a_rejection(tmp_path, capsys, monkeypatch):
-    # numpy's LinAlgError subclasses ValueError, the rejection type
+    # numpy's LinAlgError subclasses ValueError, which run_document once
+    # caught as a rejection; it now catches TorstabError only
     import numpy as np
 
     import torstab.graded_kuranishi as graded_kuranishi
@@ -1010,5 +1011,166 @@ def kuranishi_payloads(draw):
 @given(kuranishi_payloads())
 def test_schema_valid_kuranishi_documents_never_exit_1(payload):
     doc = validate_document(json.dumps(kuranishi_doc(payload)))
+    report, code = run_document(doc)
+    assert code in (0, 2), report
+
+
+# a refusal is a TorstabError raised where the input is judged; any other
+# exception from the analysis is a bug in this library and exits 1
+
+
+@pytest.mark.parametrize("argv, make_doc, reason", [
+    (["--box-bound", "-1"], stability_doc, "box_bound must be >= 1"),
+    (["--tol", "0"], kempf_ness_doc, "tol must be positive"),
+    (["--tol", "0"], stratify_doc, "tol must be positive"),
+])
+def test_out_of_range_flags_are_refused(argv, make_doc, reason, tmp_path, capsys):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(make_doc()))
+    assert main(["run", "--input", str(p), *argv]) == 2
+    assert json.loads(capsys.readouterr().out)["report"] == {"reason": reason}
+
+
+@pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")])
+def test_library_value_and_key_errors_are_not_rejections(error, tmp_path, capsys, monkeypatch):
+    # StabilityResult.verify reads the saturated kernel of a Stable document
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(stability, "saturated_kernel", fail)
+    p = tmp_path / "stable.json"
+    p.write_text(json.dumps(stability_doc()))
+    assert main(["run", "--input", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and "boom" in captured.err
+
+
+def bracket_payload(dims, entries):
+    payload = {"grades": sorted(map(int, dims)), "dims": dims, "d0": {}, "d1": {},
+               "bracket": [{"g1": g1, "g2": g2, "tensor": [[[t]]]} for g1, g2, t in entries]}
+    if "2" in dims:
+        payload.update(d1={"2": [[1]]}, input={"1": [1]})
+    return payload
+
+
+# the last entry of a pair once won silently: with brackets 1 and 2 at
+# (1, 1), the inverse at grade 2 was -1 or -0.5 by the order of the entries
+@pytest.mark.parametrize("payload, reason", [
+    (bracket_payload({"1": [0, 1, 0], "2": [0, 1, 1]}, [(1, 1, 1), (1, 1, 2)]), "(1, 1)"),
+    (bracket_payload({"1": [0, 1, 0], "2": [0, 1, 1]}, [(1, 1, 2), (1, 1, 1)]), "(1, 1)"),
+    (bracket_payload({"1": [0, 1, 0], "3": [0, 1, 1], "4": [0, 0, 1]},
+                     [(1, 3, 1), (3, 1, 1)]), "(3, 1)"),
+], ids=["1-then-2", "2-then-1", "both-orders"])
+def test_kuranishi_bracket_pair_given_twice_is_refused(payload, reason):
+    report, code = run_document(kuranishi_doc(payload))
+    assert code == 2
+    assert report["report"] == {"reason": f"bracket grades {reason} are given more than once"}
+
+
+def test_stratify_tol_reaches_the_stage_minimizers(monkeypatch):
+    import torstab.kempf_ness as kempf_ness
+
+    seen = []
+    minimize = kempf_ness.kn_minimize
+
+    def spy(p, stability, tol=kempf_ness.DEFAULT_TOL):
+        seen.append(tol)
+        return minimize(p, stability, tol)
+
+    monkeypatch.setattr(kempf_ness, "kn_minimize", spy)
+    doc = stratify_doc()
+    doc["options"] = {"tol": 0.25}
+    report, code = run_document(doc, tol=1e-3)
+    assert code == 0
+    assert seen and set(seen) == {0.25}
+
+
+@st.composite
+def rep_payloads(draw, kind):
+    """Schema-valid stability, kempf-ness or stratify payloads: ranks 0-3,
+    rho on some lines only (on all of them for stratify), zero and missing
+    amplitudes, weights too large for a float, and any subtorus."""
+    rank = draw(st.integers(0, 3))
+    graded = "all" if kind == "stratify" else draw(st.sampled_from(["none", "all", "some"]))
+    rho = st.integers(1, 4) if kind == "stratify" else st.integers(-2, 4)
+    amplitude = st.sampled_from([0, 0.0, 1, -2, 0.5, [0.0, 1.0], [1, -1]])
+    lines = []
+    for j in range(draw(st.integers(1, 5))):
+        line = {"label": f"l{j}",
+                "weight": draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))}
+        if graded == "all" or graded == "some" and draw(st.booleans()):
+            line["rho"] = draw(rho)
+        if draw(st.integers(0, 4)) == 0:
+            line["norm2"] = draw(st.sampled_from([0.25, 1, 3]))
+        lines.append(line)
+    if rank and draw(st.integers(0, 9)) == 9:
+        # too large for a float, or for the 64-bit pairings of the box scan
+        lines[0]["weight"][0] = draw(st.sampled_from([2**54, -2**62]))
+    amps = {ln["label"]: draw(amplitude) for ln in lines if draw(st.integers(0, 5))}
+    payload = {"rank": rank, "lines": lines, "amplitudes": amps}
+    if kind == "stratify" and draw(st.booleans()):
+        payload["subtorus"] = draw(st.lists(st.lists(st.integers(-2, 2), min_size=rank,
+                                                     max_size=rank), max_size=rank + 1))
+    return payload
+
+
+@st.composite
+def shb_payloads(draw):
+    """Schema-valid shb payloads: chains of any degrees summing to zero,
+    repeated tags, and conformal data."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        degrees = [0] if len(ranks) == 1 else draw(
+            st.lists(st.integers(-3, 3), min_size=len(ranks) - 1, max_size=len(ranks) - 1))
+        block = {"ranks": ranks, "degrees": degrees + [-sum(degrees)] * (len(ranks) > 1)}
+        if draw(st.integers(0, 4)):
+            block["tag"] = draw(st.sampled_from("abcde"))
+        blocks.append(block)
+    payload = {"genus": draw(st.integers(2, 4)), "blocks": blocks}
+    if draw(st.booleans()):
+        payload["x"] = [draw(st.integers(-3, 3)) for _ in blocks]
+    if draw(st.booleans()):
+        payload["sigma"] = draw(st.integers(1, 3))
+    return payload
+
+
+_generator_payloads = st.fixed_dictionaries(
+    {"seed": st.integers(0, 50)},
+    optional={"grades": st.lists(st.integers(-1, 4), min_size=1, max_size=4),
+              "max_dim": st.integers(1, 4)},
+).map(lambda gen: {"generator": gen})
+
+_options = st.fixed_dictionaries({}, optional={
+    "tol": st.sampled_from([1e-12, 1e-6, 0.1]),
+    "seed": st.integers(0, 5),
+    "convention": st.sampled_from(["default", "flipped"]),
+    "emit_certificates": st.booleans(),
+    "sigma_multiple": st.integers(1, 3),
+    "box_bound": st.sampled_from([1, 2, 3, 50]),
+})
+
+
+@st.composite
+def schema_valid_documents(draw):
+    kind = draw(st.sampled_from(["stability", "kempf-ness", "stratify", "shb", "kuranishi"]))
+    if kind == "shb":
+        payload = draw(shb_payloads())
+    elif kind == "kuranishi":
+        payload = draw(_generator_payloads | kuranishi_payloads())
+    else:
+        payload = draw(rep_payloads(kind))
+    doc = {"schema_version": "1", "kind": kind, "payload": payload}
+    options = draw(_options)
+    if options:
+        doc["options"] = options
+    return doc
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(schema_valid_documents())
+def test_schema_valid_documents_never_exit_1(doc):
+    doc = validate_document(json.dumps(doc))
     report, code = run_document(doc)
     assert code in (0, 2), report

@@ -42,6 +42,17 @@ KINDS = ("stability", "kempf-ness", "stratify", "shb", "kuranishi")
 # and ln(2e-12 / 3e18) / 10 for weights 3, -2 with norms 30 decades apart
 EXTRA_CASES = ["edge-stability-int-overflow", "edge-stability-rank-4-box-50",
                "edge-kempf-ness-zero-weight-line", "edge-kempf-ness-spread-norms"]
+# one refusal (exit 2) per check that a document reaches past the schema:
+# rho on some lines only, a brute-force box over the point cap and one whose
+# pairings overflow 64 bits, a dependent and an unsaturated subtorus, a
+# chain whose first degree is negative, d1 d0 != 0, a bracket that is not
+# symmetric, an input at grade 0, and the all-zero Kempf-Ness vector
+EXTRA_CASES += ["edge-stability-mixed-rho", "edge-kempf-ness-mixed-rho",
+                "edge-stability-box-cap", "edge-stability-box-overflow",
+                "edge-stratify-dependent-subtorus", "edge-stratify-unsaturated-subtorus",
+                "edge-shb-chain-degrees", "edge-kuranishi-d1d0-nonzero",
+                "edge-kuranishi-asymmetric-bracket", "edge-kuranishi-grade-0-input",
+                "edge-kempf-ness-zero-vector"]
 CASES = [f"{kind}-{seed}" for kind in KINDS for seed in range(10)] + EXTRA_CASES
 
 
