@@ -201,11 +201,13 @@ def _fits(convert, value, field: str):
 
 
 def rep_from_payload(payload: dict) -> RepVector:
+    # the schema's integers include integral floats such as 1.0; the exact
+    # layers take ints
     lines = tuple(
         WeightLine(
             ln["label"],
-            tuple(ln["weight"]),
-            rho=ln.get("rho"),
+            tuple(map(int, ln["weight"])),
+            rho=None if ln.get("rho") is None else int(ln["rho"]),
             norm2=_fits(float, ln.get("norm2", 1.0), f"line {ln['label']!r}: norm2"),
         )
         for ln in payload["lines"]
@@ -396,8 +398,9 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
         "kuranishi": _run_kuranishi,
     }[kind]
     try:
-        body = runner(doc["payload"], options,
-                      tol=_fits(float, options.get("tol", tol), "options.tol"),
+        tol = _fits(float, options.get("tol", tol), "options.tol")
+        _judge_flags(tol, box_bound)
+        body = runner(doc["payload"], options, tol=tol,
                       convention=convention, emit_certificates=emit_certificates,
                       box_bound=box_bound)
         status, code = "ok", 0
@@ -414,6 +417,19 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
         "status": status,
         "report": body,
     }, code
+
+
+def _judge_flags(tol: float, box_bound: int | None):
+    """Refuse tol and box_bound outside the schema's bounds (0 < tol < inf,
+    box_bound >= 1), whether they come from options or from flags, before
+    any kind runs."""
+    errors = []
+    if not 0 < tol < math.inf:
+        errors.append("tol must be positive" if tol <= 0 else "tol must be finite")
+    if box_bound is not None and box_bound < 1:
+        errors.append("box_bound must be >= 1")
+    if errors:
+        raise ValidationError(errors)
 
 
 def _certificate_doc(res, emit: bool):
@@ -434,7 +450,7 @@ def _run_stability(payload, options, *, tol, convention, emit_certificates, box_
     res = classify(v)
     body = {"class": res.stability, "certificate_verified": res.verify()}
     body.update(_certificate_doc(res, emit_certificates))
-    if box_bound:
+    if box_bound is not None:
         witness = destabilizer_bruteforce(v, box_bound)
         body["bruteforce_witness"] = None if witness is None else list(witness)
         body["box_sound"] = witness_bound(res.weights) <= box_bound

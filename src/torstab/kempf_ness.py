@@ -140,8 +140,8 @@ def kn_minimize(
     (Boyd & Vandenberghe, Convex Optimization, 9.5.1); that last step is
     taken too.  value and gradient_norm are p's own.
     """
-    if tol <= 0:
-        raise ValidationError(["tol must be positive"])
+    if not 0 < tol < math.inf:
+        raise ValidationError(["tol must be positive" if tol <= 0 else "tol must be finite"])
     if stability.weights != tuple(sorted(set(p.weights))):
         raise ValueError("the classification is of other weights")
     if stability.stability not in (STABLE, POLYSTABLE_NOT_STABLE):

@@ -155,9 +155,13 @@ def face_combination(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction])
     It is the mean of the given combination and the maximizers face_support
     merges: each is a convex representation of q, and the supports of the
     mean's terms cover the face.  So q lies in the relative interior of the
-    hull of the face generators, certified by this combination.
+    hull of the face generators, certified by this combination.  When no
+    maximizer is merged (the given combination is already positive on the
+    whole face) it is the given combination itself.
     """
     found = [tuple(combination), *_face_search(p, q, combination)[1]]
+    if len(found) == 1:
+        return found[0]
     return tuple(Fraction(sum(col), len(found)) for col in zip(*found))
 
 

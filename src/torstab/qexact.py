@@ -6,11 +6,14 @@ Everything here is exact; no floating point enters any computation.
 One elimination step, _eliminate (the integer-preserving pivot of Bareiss
 1968), serves the whole exact layer: _echelon runs it for rref,
 rational_rank, solve_affine and nullspace, and the simplex tableau
-(simplex.py) pivots with it.
+(simplex.py) pivots with it.  It also decides full rank for
+saturated_kernel, which runs a Smith normal form only when the kernel is
+nontrivial.
 Integer data stays int up to the first division: sums, products and
-differences are computed on the values given, and a Fraction is built only
-where the exact layer divides (the rref and simplex read-offs) or where
-input is neither int nor Fraction (qvec).
+differences are computed on the values given, clear_denominators returns
+int input as it is, and a Fraction is built only where the exact layer
+divides (the rref and simplex read-offs) or where input is neither int nor
+Fraction (qvec).
 """
 
 from __future__ import annotations
@@ -45,7 +48,11 @@ def vsub(a: Sequence, b: Sequence) -> QVec:
 def clear_denominators(v: Iterable) -> tuple[int, IVec]:
     """(m, m * v) for the least positive integer m making every entry of v
     an integer (the lcm of the denominators).  No gcd is divided out, so
-    m * v need not be primitive.  Entries are read as qvec reads them."""
+    m * v need not be primitive.  All-int input is returned as it is, as
+    (1, tuple(v)); other entries are read as qvec reads them."""
+    v = tuple(v)
+    if all(type(x) is int for x in v):
+        return 1, v
     fr = qvec(v)
     m = lcm(*(x.denominator for x in fr))
     return m, tuple(x.numerator * (m // x.denominator) for x in fr)
@@ -277,9 +284,11 @@ class Lattice:
 def saturated_kernel(weights: Sequence[Sequence[int]], ambient_dim: int | None = None) -> Lattice:
     """Basis of the saturated integer lattice {x : <w, x> = 0 for all w}.
 
-    Computed from the Smith normal form U W V = D: the kernel of W is spanned
-    by the columns of V at indices where D has a zero diagonal entry; those
-    columns form a saturated basis since V is unimodular.
+    When the weights have full rank (one _echelon, rational_rank) the kernel
+    is trivial and no Smith form runs.  Otherwise it is computed from the
+    Smith normal form U W V = D: the kernel of W is spanned by the columns
+    of V at indices where D has a zero diagonal entry; those columns form a
+    saturated basis since V is unimodular.
     """
     rows = []
     for w in weights:
@@ -295,6 +304,8 @@ def saturated_kernel(weights: Sequence[Sequence[int]], ambient_dim: int | None =
     n = len(rows[0])
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("ambient_dim inconsistent with weight dimension")
+    if len(rows) >= n and rational_rank(rows) == n:
+        return Lattice(n, ())
     _, d, v = smith_normal_form(rows)
     nonzero = sum(1 for i in range(min(len(rows), n)) if d[i][i] != 0)
     basis = tuple(tuple(v[i][j] for i in range(n)) for j in range(nonzero, n))

@@ -63,20 +63,24 @@ class StabilityResult:
     cocharacter: tuple[int, ...] | None = None
 
     def verify(self) -> bool:
-        """Re-check the certificate exactly against the weights."""
+        """Re-check the certificate exactly against the weights.
+
+        A combination is checked in integers on its cleared numerators,
+        (D, n) = clear_denominators(combination): sum n_i = D, every
+        n_i >= 0 (> 0 for Stable and PolystableNotStable) and
+        sum n_i w_i = 0.  Stable's empty saturated kernel is one rank test.
+        """
         w = self.weights
         if self.combination is not None:
             if len(self.combination) != len(w):
                 return False
-            if sum(self.combination) != 1 or any(a < 0 for a in self.combination):
+            den, nums = clear_denominators(self.combination)
+            if sum(nums) != den or any(n < 0 for n in nums):
                 return False
             k = len(w[0]) if w else 0
-            point = [sum(a * g[i] for a, g in zip(self.combination, w)) for i in range(k)]
-            if any(c != 0 for c in point):
+            if any(sum(n * g[i] for n, g in zip(nums, w)) for i in range(k)):
                 return False
-            if self.stability in (STABLE, POLYSTABLE_NOT_STABLE) and any(
-                a == 0 for a in self.combination
-            ):
+            if self.stability in (STABLE, POLYSTABLE_NOT_STABLE) and 0 in nums:
                 return False
         if self.stability == STABLE:
             return saturated_kernel(w).rank == 0

@@ -13,7 +13,10 @@ projection.  Tori strictly decrease, so the loop stops after at most dim G
 stages.  A final integer sigma clears all denominators, producing a genuine
 one-parameter subgroup (x, sigma) under which every projected piece scales
 with a single integer exponent d_i = c_i * sigma and the strict ladder
-0 < d_0 < ... < d_{k-1} holds.
+0 < d_0 < ... < d_{k-1} holds.  sigma, x and the exponent check are
+computed in integers over one common denominator D of the summed
+cocharacter: with x_n summed to X / D and each line's sheared rho
+rho + <w, X / D> = q / D, sigma = D / gcd(D, X, q) and x = sigma X / D.
 
 Each exact fact is decided once: c_n and a convex combination certifying
 it come from one LP, and F_n is read off that combination together with a
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import InternalError, NotStableError, StratifyInternalError, ZeroVectorError
@@ -254,24 +258,25 @@ def stratify(
 
     residual = tuple(sorted(effective - removed))
 
-    q_of = {
-        lab: lines[lab].rho + dot(lines[lab].weight, x_prev)
+    # over one common denominator: x_prev = X / D and q = qn / D, so the
+    # least sigma making sigma * x_prev and every sigma * q integral is
+    # D / gcd(D, X, qn); then times the requested multiple
+    den, xn = clear_denominators(x_prev)
+    qn = {
+        lab: lines[lab].rho * den + dot(lines[lab].weight, xn)
         for lab in sorted(effective)
     }
-    # minimal sigma clearing every denominator of x and q, times the
-    # requested multiple
-    sigma = clear_denominators((*x_prev, *q_of.values()))[0]
-    sigma *= options.sigma_multiple
-    x = tuple(int(sigma * c) for c in x_prev)
+    sigma = den // gcd(den, *xn, *qn.values()) * options.sigma_multiple
+    x = tuple(c * sigma // den for c in xn)
 
     exponents = u.one_ps_exponents(x, sigma)
     for lab in sorted(effective):
-        if exponents[lab] != sigma * q_of[lab]:
+        if exponents[lab] * den != sigma * qn[lab]:
             raise InternalError(f"exponent of {lab} is {exponents[lab]}, "
-                                f"not sigma * q = {sigma * q_of[lab]}")
+                                f"not sigma * q = {sigma * qn[lab]}/{den}")
 
     final_stages = tuple(
-        Stage(d=int(sigma * s["c"]), **s) for s in stages
+        Stage(d=sigma * s["c"].numerator // s["c"].denominator, **s) for s in stages
     )
     return StratifyResult(
         u=u,

@@ -215,6 +215,19 @@ def rank_doc(rank, weights, amplitudes=None, subtorus=None):
     return {"schema_version": "1", "kind": "stratify", "payload": payload}
 
 
+def test_integral_floats_in_integer_fields_read_as_ints():
+    # the schema's integer type admits 1.0 for a weight entry or a rho; the
+    # report is the int document's, byte for byte
+    ints = rank_doc(2, [((1, 0), 1), ((-1, 0), 2), ((0, 1), 1), ((0, -1), 3)])
+    floats = json.loads(json.dumps(ints))
+    for ln in floats["payload"]["lines"]:
+        ln["weight"] = [float(c) for c in ln["weight"]]
+        ln["rho"] = float(ln["rho"])
+    got, want = (run_document(validate_document(json.dumps(d))) for d in (floats, ints))
+    assert got[1] == want[1] == 0
+    assert json.dumps(got[0], sort_keys=True) == json.dumps(want[0], sort_keys=True)
+
+
 @pytest.mark.parametrize("doc, stability", [
     (rank_doc(1, [((1,), 1), ((2,), 1)]), "Unstable"),
     (rank_doc(1, [((1,), 1), ((-1,), 2)], {"l0": 1.0, "l1": 0.0}), "Unstable"),
@@ -1019,10 +1032,21 @@ def test_schema_valid_kuranishi_documents_never_exit_1(payload):
 # exception from the analysis is a bug in this library and exits 1
 
 
+def rank0_stratify_doc():
+    # no stage runs, so no kn_minimize reads tol
+    return rank_doc(0, [((), 1)])
+
+
 @pytest.mark.parametrize("argv, make_doc, reason", [
     (["--box-bound", "-1"], stability_doc, "box_bound must be >= 1"),
     (["--tol", "0"], kempf_ness_doc, "tol must be positive"),
     (["--tol", "0"], stratify_doc, "tol must be positive"),
+    # judged once before dispatch: a tol no layer reads, a box_bound that
+    # would have skipped the scan, and tols Newton would have run with
+    (["--tol", "inf"], kempf_ness_three_line_doc, "tol must be finite"),
+    (["--tol", "nan"], kempf_ness_three_line_doc, "tol must be finite"),
+    (["--box-bound", "0"], stability_doc, "box_bound must be >= 1"),
+    (["--tol", "0"], rank0_stratify_doc, "tol must be positive"),
 ])
 def test_out_of_range_flags_are_refused(argv, make_doc, reason, tmp_path, capsys):
     p = tmp_path / "doc.json"

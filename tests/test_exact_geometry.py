@@ -859,3 +859,35 @@ def test_saturated_kernel_properties(weights):
     for x in product(range(-2, 3), repeat=k):
         if all(dot(w, x) == 0 for w in weights):
             assert lat.contains(x)
+
+
+@st.composite
+def kernel_weights(draw):
+    """Integer weight rows of 1-4 columns, with zero, repeated and
+    dependent rows mixed in, in any order."""
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*([small_coord] * k)), min_size=1, max_size=k + 1))
+    for extra in draw(st.lists(st.sampled_from(["zero", "repeat", "combination"]), max_size=3)):
+        if extra == "zero":
+            rows.append((0,) * k)
+        elif extra == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    return draw(st.permutations(rows))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kernel_weights())
+def test_saturated_kernel_matches_smith_reference(weights):
+    # reference: the columns of V at the zero invariants of U W V = D
+    k = len(weights[0])
+    _, d, v = smith_normal_form(weights)
+    zero = [j for j in range(k) if j >= len(weights) or d[j][j] == 0]
+    reference = tuple(tuple(v[i][j] for i in range(k)) for j in zero)
+    lat = saturated_kernel(weights)
+    assert lat.basis == reference
+    # trivial exactly when the weights have full rank
+    assert (lat.rank == 0) == (rational_rank(weights) == k)

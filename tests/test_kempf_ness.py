@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from torstab.errors import ValidationError
 from torstab.kempf_ness import (
     CONVERGED,
     DIVERGING,
@@ -171,6 +172,14 @@ def test_kn_minimize_rejects_bad_tol():
     cls = classified(p)
     with pytest.raises(ValueError):
         kn_minimize(p, cls, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_kn_minimize_rejects_tol_that_is_not_finite(tol):
+    # inf would stop Newton after one step, nan would never stop it
+    p = problem([(1,), (-1,), (2,)])
+    with pytest.raises(ValidationError, match="tol must be finite"):
+        kn_minimize(p, classified(p), tol=tol)
 
 
 def test_kn_minimize_rejects_classification_of_other_weights():

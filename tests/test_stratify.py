@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -342,14 +343,29 @@ def test_verify_rejects_certificate_of_other_weights():
     assert _failed(verify_decomposition(swapped, u)) == ["stage0-polystable"]
 
 
-def test_verify_rejects_forged_combination():
-    u = two_stage_example()
+def three_weight_line():
+    # one stage, whose face weights -1, 1, 2 sum to 0 also with a negative
+    # coefficient
+    return graded([("a", (-1,), 1), ("b", (1,), 1), ("c", (2,), 1)])
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("make_u, i, weights, combination", [
+    (two_stage_example, 1, ((-1,), (1,)), (F(1), F(0))),
+    (two_stage_example, 1, ((-1,), (1,)), (F(1, 4), F(1, 4))),
+    (three_weight_line, 0, ((-1,), (1,), (2,)), (F(3, 8), F(7, 8), F(-1, 4))),
+    (two_stage_example, 1, ((-1,), (1,)), (F(1, 3), F(2, 3))),
+], ids=["zero-coefficient", "sum-half", "negative-coefficient", "nonzero-point"])
+def test_verify_rejects_forged_combination(make_u, i, weights, combination):
+    u = make_u()
     res = stratify(u)
-    proj = res.stages[1].projection
-    assert proj.stability == STABLE and proj.weights == ((-1,), (1,))
-    forged = dataclasses.replace(proj, combination=(Fraction(1), Fraction(0)))
-    tampered = _with_stage(res, 1, projection=forged)
-    assert _failed(verify_decomposition(tampered, u)) == ["stage1-polystable"]
+    proj = res.stages[i].projection
+    assert proj.stability == STABLE and proj.weights == weights
+    forged = dataclasses.replace(proj, combination=combination)
+    tampered = _with_stage(res, i, projection=forged)
+    assert _failed(verify_decomposition(tampered, u)) == [f"stage{i}-polystable"]
 
 
 @st.composite
@@ -387,6 +403,24 @@ def test_stage_projection_matches_classify(case):
             expected.stability, expected.weights, expected.flat_lattice)
         assert got.verify()
     assert verify_decomposition(res, u).all_ok
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(stable_graded_under_subtorus(), st.integers(1, 3))
+def test_sigma_and_x_clear_the_summed_cocharacter(case, multiple):
+    # Fraction reference: sigma is the multiple times the least positive
+    # integer clearing the summed x_stage and every line's rho + <w, sum>
+    u, torus = case
+    res = stratify(u, torus=torus, options=StratifyOptions(sigma_multiple=multiple))
+    total = [Fraction(0)] * u.rank
+    for stage in res.stages:
+        total = [a + b for a, b in zip(total, stage.x_stage)]
+    sheared = [ln.rho + sum(w * t for w, t in zip(ln.weight, total))
+               for ln in u.effective_lines()]
+    least = math.lcm(*(Fraction(v).denominator for v in [*total, *sheared]))
+    assert res.sigma == multiple * least
+    assert res.x == tuple(res.sigma * t for t in total)
+    assert all(type(c) is int for c in (res.sigma, *res.x))
 
 
 # ---------------------------------------------------------------------------
