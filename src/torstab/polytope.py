@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import InternalError
 from .qexact import QVec, dot, qvec, rational_rank, solve_affine, vsub
-from .simplex import OPTIMAL, solve_lp, solve_lp_mixed
+from .simplex import INFEASIBLE, OPTIMAL, solve_lp, solve_lp_mixed
 
 # hull_position verdicts
 INTERIOR = "Interior"
@@ -68,6 +68,10 @@ def _relint_lp(p: PolytopeQ, q: QVec):
     regardless of the number of generators.  Feasibility (with t = 0) is
     hull membership; optimum t* > 0 is relative-interior membership, since
     relint(conv G) is exactly the set of all-positive convex combinations.
+
+    Returns (t*, alphas), or (None, x) when infeasible: the Farkas multipliers
+    (x, mu, nu) of the coordinate, sum and t + s rows have <g_i, x> + mu >= 0,
+    nu >= 0, <q, x> + mu + nu < 0, so <g_i - q, x> > 0 on every generator.
     """
     gens = p.generators
     m = len(gens)
@@ -87,32 +91,32 @@ def _relint_lp(p: PolytopeQ, q: QVec):
     rhs.append(1)
     obj = [0] * m + [1, 0]
     res = solve_lp(rows, rhs, obj)
-    if res.status != OPTIMAL:
-        return None
+    if res.status == INFEASIBLE:
+        return None, res.farkas[:d]
     t = res.x[m]
     alphas = tuple(b + t for b in res.x[:m])
     return t, alphas
 
 
-def locate(p: PolytopeQ, q: Sequence) -> tuple[str, tuple[Fraction, ...] | None]:
-    """hull_position and convex_combination of q from one relint solve."""
+def locate(p: PolytopeQ, q: Sequence) -> tuple[str, tuple]:
+    """(hull_position, convex_combination or separating x) of q from one LP."""
     q = _check_point(p, q)
-    out = _relint_lp(p, q)
-    if out is None:
-        return OUTSIDE, None
-    t, alphas = out
+    t, cert = _relint_lp(p, q)
+    if t is None:
+        return OUTSIDE, cert
     if t == 0:
-        return ON_PROPER_FACE, alphas
+        return ON_PROPER_FACE, cert
     if p.dim() == p.ambient_dim:
-        return INTERIOR, alphas
-    return RELATIVE_INTERIOR_ONLY, alphas
+        return INTERIOR, cert
+    return RELATIVE_INTERIOR_ONLY, cert
 
 
 def convex_combination(p: PolytopeQ, q: Sequence) -> tuple[Fraction, ...] | None:
     """Coefficients of a convex combination of the generators equal to q,
     or None when q is outside the hull.  The relint LP is reused so interior
     points get all-positive coefficients."""
-    return locate(p, q)[1]
+    pos, cert = locate(p, q)
+    return None if pos == OUTSIDE else cert
 
 
 def hull_position(p: PolytopeQ, q: Sequence) -> str:

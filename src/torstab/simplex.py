@@ -24,6 +24,10 @@ the start of each phase and updated by every pivot.
 Fractions are built only where the solution, the ray and the value are
 read off.
 
+An infeasible LP returns Farkas multipliers y, y.a >= 0 and y.b < 0 (Schrijver
+ch. 7): the phase-1 objective row holds D * (-1 - pi_i) over the artificials,
+pi the duals, so y_i = s_i * (-obj[nvars + i] - D), s_i = -1 on negated rows.
+
 Entering columns need a positive reduced cost and leaving rows a positive
 entry, and ratios are compared by cross-multiplying, so D > 0 keeps every
 sign test equal to the rational one.  The one pivot Bland's rule does not
@@ -63,6 +67,8 @@ class LPResult:
     x: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
     ray: tuple[Fraction, ...] | None = None  # improving direction if unbounded
+    # if infeasible: integer y, one per row of a, with y.a >= 0, y.b < 0
+    farkas: tuple[int, ...] | None = None
 
 
 class _Tableau:
@@ -70,8 +76,8 @@ class _Tableau:
         # a, b are ints; the artificial column block holds D * B^{-1}
         self.m = len(a)
         self.nvars = nvars
-        self.ncols = nvars + self.m
         self.rows = []
+        self.signs = [-1 if x < 0 else 1 for x in b]  # -1: row negated
         for i in range(self.m):
             row = list(a[i]) if b[i] >= 0 else [-x for x in a[i]]
             row += [0] * self.m
@@ -167,7 +173,8 @@ def solve_lp(a: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
     if t.optimize(nvars + m) != OPTIMAL:
         raise InternalError("phase 1 unbounded, but its objective is at most 0")
     if t.obj[-1] != 0:
-        return LPResult(INFEASIBLE)
+        y = (s * (-t.obj[nvars + i] - t.det) for i, s in enumerate(t.signs))
+        return LPResult(INFEASIBLE, farkas=tuple(y))
 
     # drive leftover artificials out of the basis (or drop redundant rows)
     for i in range(m):

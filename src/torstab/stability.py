@@ -6,6 +6,9 @@ relative interior, semistable iff 0 lies in the hull.  Each verdict comes
 with an exactly re-verifiable certificate, and a brute-force scan over
 integer cocharacters in a box provides an independent oracle.
 
+The verdict comes off one exact relint LP (polytope.locate); when it is
+infeasible, its Farkas functional made primitive is the unstable certificate.
+
 Graded lines take part through their torus weight only; the grading circle
 never enters a stability decision here.
 """
@@ -30,7 +33,6 @@ from .polytope import (
     solve_mixed_system,
 )
 from .qexact import Lattice, clear_denominators, dot, saturated_kernel
-from .simplex import OPTIMAL, solve_lp_mixed
 from .torus_rep import RepVector
 
 if TYPE_CHECKING:
@@ -58,8 +60,9 @@ class StabilityResult:
     combination: tuple[Fraction, ...] | None = None
     # flat directions for the polystable case
     flat_lattice: Lattice | None = None
-    # destabilizing (all pairings >= 1) or face-supporting (pairings >= 0,
-    # zero exactly on the face) integer cocharacter
+    # destabilizing (all pairings >= 1: the primitive Farkas functional of
+    # the relint LP) or face-supporting (pairings >= 0, zero exactly on the
+    # face) integer cocharacter
     cocharacter: tuple[int, ...] | None = None
 
     def verify(self) -> bool:
@@ -102,20 +105,6 @@ class StabilityResult:
         return False
 
 
-def _separating_cocharacter(weights) -> tuple[int, ...]:
-    """Integer x with <w, x> >= 1 for every listed weight (0 outside hull)."""
-    k = len(weights[0])
-    ge = [(list(w) + [-1], 0) for w in weights]
-    ge.append(([0] * k + [-1], -1))  # t <= 1
-    res = solve_lp_mixed([], ge, [0] * k + [1])
-    if res.status != OPTIMAL or res.value <= 0:
-        raise InternalError(f"no separating cocharacter ({res.status}), "
-                            "but 0 is outside the weight hull")
-    t = res.x[k]
-    x = [c / t for c in res.x[:k]]
-    return clear_denominators(x)[1]
-
-
 def _face_cocharacter(weights, face_idx) -> tuple[int, ...]:
     """Integer x vanishing on the face weights, >= 1 off the face."""
     k = len(weights[0])
@@ -137,25 +126,31 @@ def classify(v: RepVector) -> StabilityResult:
     k = len(weights[0])
     hull = PolytopeQ.from_points(weights, ambient_dim=k)
     origin = (0,) * k
-    pos, combination = locate(hull, origin)
+    pos, cert = locate(hull, origin)
     if pos == INTERIOR:
-        return StabilityResult(STABLE, weights, combination=combination)
+        return StabilityResult(STABLE, weights, combination=cert)
     if pos == RELATIVE_INTERIOR_ONLY:
         return StabilityResult(
             POLYSTABLE_NOT_STABLE,
             weights,
-            combination=combination,
+            combination=cert,
             flat_lattice=saturated_kernel(weights),
         )
     if pos == ON_PROPER_FACE:
-        face = face_support(hull, origin, combination)
+        face = face_support(hull, origin, cert)
         return StabilityResult(
             SEMISTABLE_NOT_POLYSTABLE,
             weights,
-            combination=combination,
+            combination=cert,
             cocharacter=_face_cocharacter(weights, face),
         )
-    return StabilityResult(UNSTABLE, weights, cocharacter=_separating_cocharacter(weights))
+    # the relint LP's Farkas functional pairs positively, in integers, with
+    # every weight; made primitive, each pairing stays >= 1
+    g = math.gcd(*cert) or 1
+    x = tuple(c // g for c in cert)
+    if not all(dot(w, x) >= 1 for w in weights):
+        raise InternalError(f"no separating cocharacter {x}, but 0 is outside the hull")
+    return StabilityResult(UNSTABLE, weights, cocharacter=x)
 
 
 def witness_bound(weights) -> int:

@@ -16,7 +16,7 @@ with a single integer exponent d_i = c_i * sigma and the strict ladder
 0 < d_0 < ... < d_{k-1} holds.  sigma, x and the exponent check are
 computed in integers over one common denominator D of the summed
 cocharacter: with x_n summed to X / D and each line's sheared rho
-rho + <w, X / D> = q / D, sigma = D / gcd(D, X, q) and x = sigma X / D.
+rho + <w, X / D> = q / D, sigma = m D and x = m X, m = sigma_multiple.
 
 Each exact fact is decided once: c_n and a convex combination certifying
 it come from one LP, and F_n is read off that combination together with a
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import InternalError, NotStableError, StratifyInternalError, ZeroVectorError
@@ -258,16 +257,16 @@ def stratify(
 
     residual = tuple(sorted(effective - removed))
 
-    # over one common denominator: x_prev = X / D and q = qn / D, so the
-    # least sigma making sigma * x_prev and every sigma * q integral is
-    # D / gcd(D, X, qn); then times the requested multiple
+    # over one common denominator: x_prev = X / D and q = qn / D.  D is the
+    # lcm of x_prev's denominators, so gcd(D, X) = 1 and the least sigma
+    # making sigma * x_prev (and so every sigma * q) integral is D itself
     den, xn = clear_denominators(x_prev)
     qn = {
         lab: lines[lab].rho * den + dot(lines[lab].weight, xn)
         for lab in sorted(effective)
     }
-    sigma = den // gcd(den, *xn, *qn.values()) * options.sigma_multiple
-    x = tuple(c * sigma // den for c in xn)
+    sigma = den * options.sigma_multiple
+    x = tuple(c * options.sigma_multiple for c in xn)
 
     exponents = u.one_ps_exponents(x, sigma)
     for lab in sorted(effective):

@@ -21,7 +21,7 @@ from torstab.cli import (
 )
 from torstab.errors import InternalError, TorstabError, ValidationError
 from torstab.graded_kuranishi import MAX_COMPLEX_DIM, MAX_COMPLEX_GRADES
-from torstab.simplex import INFEASIBLE, LPResult
+from torstab.polytope import OUTSIDE
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -399,8 +399,8 @@ def test_run_stability_with_bruteforce_scan():
 
 
 # a broken internal invariant is a bug (exit 1), never a rejection (exit 2);
-# the stubbed LP result makes the separating-cocharacter LP of an unstable
-# vector come back infeasible
+# the stubbed hull query calls 0 Outside with a separator that pairs 0 with
+# every weight, which classify must not pass on as an unstable certificate
 
 
 def unstable_doc():
@@ -411,8 +411,8 @@ def unstable_doc():
 
 def test_internal_error_is_not_a_rejection(tmp_path, capsys, monkeypatch):
     assert not issubclass(InternalError, (TorstabError, ValueError))
-    monkeypatch.setattr(stability, "solve_lp_mixed",
-                        lambda *args, **kwargs: LPResult(INFEASIBLE))
+    monkeypatch.setattr(stability, "locate",
+                        lambda hull, q: (OUTSIDE, (0,) * hull.ambient_dim))
     with pytest.raises(InternalError, match="no separating cocharacter"):
         run_document(unstable_doc())
     p = tmp_path / "unstable.json"
@@ -428,8 +428,8 @@ def test_internal_error_survives_python_O():
 import torstab.stability as stability
 from torstab.cli import run_document
 from torstab.errors import InternalError
-from torstab.simplex import INFEASIBLE, LPResult
-stability.solve_lp_mixed = lambda *args, **kwargs: LPResult(INFEASIBLE)
+from torstab.polytope import OUTSIDE
+stability.locate = lambda hull, q: (OUTSIDE, (0,) * hull.ambient_dim)
 assert False, "asserts are on"
 try:
     run_document({unstable_doc()!r})

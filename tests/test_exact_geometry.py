@@ -24,6 +24,7 @@ from torstab.polytope import (
     convex_combination,
     face_combination,
     hull_position,
+    locate,
     minimal_face,
     ray_entry,
     ray_intersect,
@@ -312,11 +313,22 @@ def small_lps(draw):
     return a, b, c
 
 
+def farkas_holds(a, b, y):
+    """y.a >= 0 on every column and y.b < 0, in Fraction arithmetic."""
+    cols = range(len(a[0])) if a else range(0)
+    return (all(sum((F(yi) * F(row[j]) for yi, row in zip(y, a)), F(0)) >= 0 for j in cols)
+            and sum((F(yi) * F(bi) for yi, bi in zip(y, b)), F(0)) < 0)
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(small_lps())
 def test_lp_matches_fraction_tableau(lp):
     a, b, c = lp
-    assert lp_outcome(solve_lp(a, b, c)) == reference_solve_lp(a, b, c)
+    res = solve_lp(a, b, c)
+    assert lp_outcome(res) == reference_solve_lp(a, b, c)
+    # Farkas multipliers come with INFEASIBLE only, and certify it
+    assert (res.farkas is not None) == (res.status == INFEASIBLE)
+    assert res.farkas is None or farkas_holds(a, b, res.farkas)
 
 
 def test_lp_common_scale_keeps_phase1_path():
@@ -335,6 +347,66 @@ def test_lp_drive_out_on_negative_pivot():
     assert lp_outcome(res) == reference_solve_lp([[-1, 1], [1, -1]], [0, 0], [1, 0])
     assert res.status == UNBOUNDED
     assert res.x == (0, 0) and res.ray == (1, 1)
+
+
+@st.composite
+def infeasible_lps(draw):
+    """LPs a x = b, x >= 0 made infeasible by one more row: for multipliers
+    lam of any sign, the row p - lam.a with p >= 0 and right-hand side
+    -lam.b - delta, delta > 0, so (lam, 1) is a Farkas certificate.  Data
+    are ints or Fractions, right-hand sides are often negative (the rows
+    the tableau negates), and copies of rows, negated or not, are redundant."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 3))
+    entry = st.one_of(st.integers(-4, 4), _rational)
+    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(entry, min_size=m, max_size=m))
+    lam = draw(st.lists(entry, min_size=m, max_size=m))
+    p = draw(st.lists(st.sampled_from((0, 0, 1, F(1, 2), 3)), min_size=n, max_size=n))
+    delta = draw(st.sampled_from((1, F(1, 3), 5)))
+    a.append([pj - sum((li * row[j] for li, row in zip(lam, a)), 0) for j, pj in enumerate(p)])
+    b.append(-sum((li * bi for li, bi in zip(lam, b)), 0) - delta)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(a) - 1))
+        sign = draw(st.sampled_from((1, -1)))
+        a.append([sign * x for x in a[i]])
+        b.append(sign * b[i])
+    order = draw(st.permutations(range(len(a))))
+    c = draw(st.lists(entry, min_size=n, max_size=n))
+    return [a[i] for i in order], [b[i] for i in order], c
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(infeasible_lps())
+def test_lp_farkas_certificate_on_infeasible(lp):
+    a, b, c = lp
+    res = solve_lp(a, b, c)
+    assert res.status == INFEASIBLE
+    assert len(res.farkas) == len(a) and all(type(y) is int for y in res.farkas)
+    assert farkas_holds(a, b, res.farkas)
+
+
+def test_lp_farkas_sign_of_negated_row():
+    # x1 + x2 = -1 is stored negated; its multiplier must be positive
+    res = solve_lp([[1, 1]], [-1], [0, 0])
+    assert res.status == INFEASIBLE and res.farkas[0] > 0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.just(d), _points(d), st.tuples(*([st.integers(-8, 8)] * d)).filter(any))))
+def test_locate_outside_separates(data):
+    # an independent check of the separator: <g - q, x> > 0 for every g
+    dim, pts, q = data
+    p = PolytopeQ.from_points(pts, ambient_dim=dim)
+    pos, cert = locate(p, q)
+    assert pos == oracle_position(pts, q, dim)
+    if pos == OUTSIDE:
+        assert len(cert) == dim and all(type(c) is int for c in cert)
+        assert all(sum(F(gi - qi) * c for gi, qi, c in zip(g, q, cert)) > 0 for g in pts)
+        assert convex_combination(p, q) is None
+    else:
+        assert cert == convex_combination(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,28 @@ def test_classify_agrees_with_bruteforce(ws):
     assert stable == (witness is None)
     if witness is not None:
         assert all(sum(a * b for a, b in zip(w, witness)) >= 0 for w in ws)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.tuples(*([st.integers(-5, 5)] * k)), min_size=1, max_size=7, unique=True)))
+def test_unstable_cocharacter_is_primitive_and_separates(ws):
+    # independent checks of the unstable certificate (the relint LP's
+    # Farkas functional): primitive, pairing >= 1 with every weight, and
+    # Unstable exactly when HiGHS finds no convex combination equal to 0
+    from scipy.optimize import linprog
+
+    r = classify(vec(ws))
+    k = len(ws[0])
+    lp = linprog(np.zeros(len(ws)), A_eq=np.vstack([np.array(ws, dtype=float).T, np.ones(len(ws))]),
+                 b_eq=[0.0] * k + [1.0], bounds=(0, None), method="highs")
+    assert lp.status in (0, 2)
+    assert (r.stability == UNSTABLE) == (lp.status == 2)
+    if r.stability == UNSTABLE:
+        x = r.cocharacter
+        assert math.gcd(*x) == 1
+        assert all(sum(a * b for a, b in zip(w, x)) >= 1 for w in ws)
+        assert r.verify()
 
 
 @settings(max_examples=60, deadline=None)
