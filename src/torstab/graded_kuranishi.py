@@ -149,12 +149,17 @@ def d1_apply(cx: GradedComplex, u: GVec) -> GVec:
 
 @dataclass(frozen=True)
 class GreensOperator:
-    gamma: dict  # grade -> matrix on C2
     # grade -> d1* Gamma = d1^+, the C2 -> C1 map of the Kuranishi maps
     d1_pinv: dict
     harmonic: dict  # grade -> projector onto harmonic C2
     status: str  # "ok" or "ill-conditioned"
     condition: float
+
+    @property
+    def gamma(self) -> dict:
+        """grade -> Gamma, the pseudoinverse of d1 d1* on C2, as
+        (d1^+)* d1^+."""
+        return {g: p.conj().T @ p for g, p in self.d1_pinv.items()}
 
     def project_harmonic(self, v: GVec) -> GVec:
         return {g: (self.harmonic[g] @ arr if arr.size else arr) for g, arr in v.items()}
@@ -165,18 +170,19 @@ def greens_operator(cx: GradedComplex) -> GreensOperator:
     projector, both read off one Hermitian eigendecomposition per grade.
 
     Each grade decomposes the Laplacian of a = d1/s, s the largest |entry|
-    of d1, and Gamma is that of a times 1/s^2, so the rank split, the
-    condition, the status and the harmonic projector do not depend on the
-    scale of d1.  s is taken as twice the largest |entry| of d1/2, which is
-    a float even where the modulus of an entry is not.  The Kuranishi maps
-    apply d1* Gamma = d1^+ = a* Gamma_a / s, Gamma_a that of a, so a tiny d1
-    does not overflow Gamma on the way to a d1^+ that is a float.
+    of d1, so the rank split, the condition, the status and the harmonic
+    projector do not depend on the scale of d1.  s is taken as twice the
+    largest |entry| of d1/2, which is a float even where the modulus of an
+    entry is not.  The Kuranishi maps apply d1* Gamma = d1^+ = a* Gamma_a / s,
+    Gamma_a that of a, so a tiny d1 does not overflow Gamma on the way to a
+    d1^+ that is a float.  Gamma itself is not stored: the gamma property
+    derives it from d1^+.
 
     An eigenvalue falling in the gray zone just above the rank cutoff makes
     the zero/nonzero split numerically ambiguous; that is reported as an
     ill-conditioned warning status rather than a failure.
     """
-    gamma, pinv, harm = {}, {}, {}
+    pinv, harm = {}, {}
     worst = 1.0
     ambiguous = False
     for g in cx.grades:
@@ -184,7 +190,6 @@ def greens_operator(cx: GradedComplex) -> GreensOperator:
         half = 0.5 * cx.d1[g]
         scale = np.abs(half).max(initial=0.0)
         if scale == 0:
-            gamma[g] = np.zeros((n2, n2), dtype=complex)
             pinv[g] = np.zeros((cx.n1(g), n2), dtype=complex)
             harm[g] = np.eye(n2, dtype=complex)
             continue
@@ -195,7 +200,6 @@ def greens_operator(cx: GradedComplex) -> GreensOperator:
         keep = mag > cutoff
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
         gamma_a = (v * inv) @ v.conj().T
-        gamma[g] = gamma_a * 0.25 / scale / scale
         # halved before the division by the scale, so that it overflows only
         # where d1^+ itself does
         pinv[g] = a.conj().T @ gamma_a * 0.5 / scale
@@ -204,7 +208,7 @@ def greens_operator(cx: GradedComplex) -> GreensOperator:
         worst = max(worst, float(mag.max() / mag[keep].min()))
         ambiguous = ambiguous or bool(np.any(keep & (mag < 1e4 * cutoff)))
     status = "ill-conditioned" if ambiguous else "ok"
-    return GreensOperator(gamma, pinv, harm, status, worst)
+    return GreensOperator(pinv, harm, status, worst)
 
 
 def kuranishi_forward(cx: GradedComplex, u: GVec, greens: GreensOperator | None = None) -> GVec:

@@ -62,16 +62,17 @@ def _check_point(p: PolytopeQ, q: Sequence) -> QVec:
 
 def _relint_lp(p: PolytopeQ, q: QVec):
     """max t s.t. q = sum_i (t + beta_i) g_i, sum_i (t + beta_i) = 1,
-    beta >= 0, 0 <= t <= 1.
+    beta >= 0, t >= 0.
 
-    Substituting alpha_i = t + beta_i keeps the row count at dim+2
-    regardless of the number of generators.  Feasibility (with t = 0) is
-    hull membership; optimum t* > 0 is relative-interior membership, since
-    relint(conv G) is exactly the set of all-positive convex combinations.
+    Substituting alpha_i = t + beta_i keeps the row count at dim+1
+    regardless of the number of generators, and the sum row alone bounds t
+    by 1/m.  Feasibility (with t = 0) is hull membership; optimum t* > 0 is
+    relative-interior membership, since relint(conv G) is exactly the set of
+    all-positive convex combinations.
 
     Returns (t*, alphas), or (None, x) when infeasible: the Farkas multipliers
-    (x, mu, nu) of the coordinate, sum and t + s rows have <g_i, x> + mu >= 0,
-    nu >= 0, <q, x> + mu + nu < 0, so <g_i - q, x> > 0 on every generator.
+    (x, mu) of the coordinate and sum rows have <g_i, x> + mu >= 0 on every
+    beta column and <q, x> + mu < 0, so <g_i - q, x> > 0 on every generator.
     """
     gens = p.generators
     m = len(gens)
@@ -85,11 +86,7 @@ def _relint_lp(p: PolytopeQ, q: QVec):
         rhs.append(q[i])
     rows.append([1] * m + [m])
     rhs.append(1)
-    # t <= 1 via slack: t + s = 1
-    rows = [r + [0] for r in rows]
-    rows.append([0] * m + [1, 1])
-    rhs.append(1)
-    obj = [0] * m + [1, 0]
+    obj = [0] * m + [1]
     res = solve_lp(rows, rhs, obj)
     if res.status == INFEASIBLE:
         return None, res.farkas[:d]
@@ -304,13 +301,10 @@ def solve_mixed_system(
         k = len(basis)
         ge = [([*c, -1], h) for c, h in over_z(0)]
         ge += [([0] * k + [-1], -1), ([0] * k + [1], 0)]  # 0 <= t <= 1
-        res = solve_lp_mixed([], ge, [0] * k + [1])
-        if res.status != OPTIMAL:
-            return None
-        tstar = res.value
+        tstar = solve_lp_mixed(ge, [0] * k + [1])
     else:
         tstar = min([1, *(dot(g, y) - h for g, h in strict_inequalities)])
-    if tstar <= 0:
+    if tstar is None or tstar <= 0:
         return None
 
     for i in range(nvars):
@@ -321,22 +315,14 @@ def solve_mixed_system(
         # of minimal absolute value (0 whenever the interval straddles it);
         # the upper end is needed only when the lower one is not positive
         ge = over_z(tstar)
-        lo = _extreme(ge, row, maximize=False)
-        if lo is not None and y[i] + lo > 0:
-            val = y[i] + lo
+        neg_lo = solve_lp_mixed(ge, [-v for v in row])  # -min <row, z>
+        if neg_lo is not None and y[i] - neg_lo > 0:
+            val = y[i] - neg_lo
         else:
-            hi = _extreme(ge, row, maximize=True)
+            hi = solve_lp_mixed(ge, row)
             val = y[i] + hi if hi is not None and y[i] + hi < 0 else 0
         rows.append([int(j == i) for j in range(nvars)])
         rhs.append(val)
         y, basis = solve_affine(rows, rhs, nvars)
     return tuple(Fraction(v) if v else 0 for v in y)
 
-
-def _extreme(ge, obj, maximize):
-    """max (or min) of <obj, z> over free z with the rows <c, z> >= h of
-    ge, or None when unbounded in that direction."""
-    res = solve_lp_mixed([], ge, obj if maximize else [-c for c in obj])
-    if res.status != OPTIMAL:
-        return None
-    return res.value if maximize else -res.value

@@ -28,6 +28,16 @@ An infeasible LP returns Farkas multipliers y, y.a >= 0 and y.b < 0 (Schrijver
 ch. 7): the phase-1 objective row holds D * (-1 - pi_i) over the artificials,
 pi the duals, so y_i = s_i * (-obj[nvars + i] - D), s_i = -1 on negated rows.
 
+Free variables.  An LP over free z, max c.z s.t. G z >= h, is solved as its
+dual, max h.y s.t. -G^T y = c, y >= 0, which is already the standard form
+(Schrijver ch. 7), so the tableau has one row per free variable and one
+column per inequality, with no x+/x- split and no surplus columns.  Only the
+optimal value carries over: by strong duality the two LPs are both optimal,
+with values that are negatives of each other, or neither is.  A dual that is
+infeasible leaves the primal infeasible or unbounded, and a dual that is
+unbounded leaves it infeasible, so solve_lp_mixed reports both as None; its
+callers treat an infeasible and an unbounded primal alike.
+
 Entering columns need a positive reduced cost and leaving rows a positive
 entry, and ratios are compared by cross-multiplying, so D > 0 keeps every
 sign test equal to the rational one.  The one pivot Bland's rule does not
@@ -194,46 +204,9 @@ def solve_lp(a: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
                     value=Fraction(-t.obj[-1], t.det * cscale))
 
 
-def solve_lp_mixed(
-    eq: Sequence[tuple[Sequence, object]],
-    ge: Sequence[tuple[Sequence, object]],
-    c: Sequence,
-) -> LPResult:
-    """Maximize c.x over free variables x with equality rows <a,x> = b and
-    inequality rows <g,x> >= h.
-
-    Each variable x_i is split into x_i^+ (column i) and x_i^- (column
-    n + i); inequality rows get one surplus variable each.  The reported
-    solution is in the original variables.
-    """
-    n = len(c)
-    col = 2 * n  # the first surplus column
-    total = col + len(ge)
-
-    def expand(coeffs):
-        # entries pass through as given; solve_lp clears their denominators
-        row = [0] * total
-        for i, v in enumerate(coeffs):
-            row[i] = v
-            row[n + i] = -v
-        return row
-
-    rows, rhs = [], []
-    for coeffs, b in eq:
-        rows.append(expand(coeffs))
-        rhs.append(b)
-    for k, (coeffs, h) in enumerate(ge):
-        row = expand(coeffs)
-        row[col + k] = -1
-        rows.append(row)
-        rhs.append(h)
-
-    res = solve_lp(rows, rhs, expand(c))
-    if res.x is None:
-        return res
-
-    def fold(vec):
-        return tuple(vec[i] - vec[n + i] for i in range(n))
-
-    return LPResult(res.status, x=fold(res.x), value=res.value,
-                    ray=fold(res.ray) if res.ray is not None else None)
+def solve_lp_mixed(ge: Sequence[tuple[Sequence, object]], c: Sequence) -> Fraction | None:
+    """max c.z over free z with the rows <g, z> >= h of ge, solved as its
+    dual max h.y s.t. -G^T y = c, y >= 0; None unless both are optimal."""
+    a = [[-g[j] for g, _ in ge] for j in range(len(c))]
+    dual = solve_lp(a, list(c), [h for _, h in ge])
+    return -dual.value if dual.status == OPTIMAL else None

@@ -72,15 +72,21 @@ class StabilityResult:
         (D, n) = clear_denominators(combination): sum n_i = D, every
         n_i >= 0 (> 0 for Stable and PolystableNotStable) and
         sum n_i w_i = 0.  Stable's empty saturated kernel is one rank test.
+        A cocharacter or flat lattice of another dimension than the weights
+        is rejected.
         """
         w = self.weights
+        k = len(w[0]) if w else 0
+        x, lat = self.cocharacter, self.flat_lattice
+        if any(len(wt) != k for wt in w) or (x is not None and len(x) != k) or (
+                lat is not None and lat.ambient_dim != k):
+            return False
         if self.combination is not None:
             if len(self.combination) != len(w):
                 return False
             den, nums = clear_denominators(self.combination)
             if sum(nums) != den or any(n < 0 for n in nums):
                 return False
-            k = len(w[0]) if w else 0
             if any(sum(n * g[i] for n, g in zip(nums, w)) for i in range(k)):
                 return False
             if self.stability in (STABLE, POLYSTABLE_NOT_STABLE) and 0 in nums:
@@ -88,15 +94,12 @@ class StabilityResult:
         if self.stability == STABLE:
             return saturated_kernel(w).rank == 0
         if self.stability == POLYSTABLE_NOT_STABLE:
-            lat = self.flat_lattice
             return lat is not None and lat.rank > 0 and all(
                 dot(wt, b) == 0 for wt in w for b in lat.basis
             )
         if self.stability == UNSTABLE:
-            x = self.cocharacter
             return x is not None and all(dot(wt, x) >= 1 for wt in w)
         if self.stability == SEMISTABLE_NOT_POLYSTABLE:
-            x = self.cocharacter
             return (
                 x is not None
                 and all(dot(wt, x) >= 0 for wt in w)

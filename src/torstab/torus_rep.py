@@ -120,6 +120,10 @@ class WeightLine:
     def __post_init__(self):
         if self.norm2 <= 0:
             raise ValueError("squared-norm scale must be positive")
+        # the exact layers compute in ints; a float here would leak out
+        rho = () if self.rho is None else (self.rho,)
+        if not all(isinstance(v, int) for v in (*self.weight, *rho)):
+            raise ValueError(f"line {self.label!r}: weight and rho must be integers")
 
     @property
     def graded(self) -> bool:

@@ -43,7 +43,7 @@ from torstab.qexact import (
     solve_linear,
     vsub,
 )
-from torstab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from torstab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp, solve_lp_mixed
 
 F = Fraction
 
@@ -620,14 +620,16 @@ def test_solve_mixed_no_constraints():
 
 
 def _count_lps(monkeypatch):
-    """Record the objective of every exact LP solved from here on."""
+    """Record the right-hand side of every exact LP solved from here on.
+    solve_lp_mixed solves the dual of its LP, whose right-hand side is the
+    objective of the LP over free variables."""
     import torstab.simplex as simplex
 
     calls = []
     real = simplex.solve_lp
 
     def counting(a, b, c):
-        calls.append(tuple(c))
+        calls.append(tuple(b))
         return real(a, b, c)
 
     monkeypatch.setattr(simplex, "solve_lp", counting)
@@ -642,7 +644,8 @@ def test_solve_mixed_skips_upper_bound_above_zero(monkeypatch):
     stricts = [((1, 0), 1), ((0, 1), -1), ((0, -1), -1)]
     assert solve_mixed_system([], stricts, 2) == (2, 0)
     assert len(calls) == 4
-    # with no equalities z = x: the x_0 LP minimizes (objective -x_0)
+    # with no equalities z = x: the x_0 LP minimizes (objective -x_0,
+    # recorded as its dual's right-hand side)
     assert calls[1][0] == -1
 
 
@@ -682,34 +685,35 @@ def test_solve_mixed_satisfies_constraints(eqs, stricts):
 def lp_only_solve_mixed(equalities, strict_inequalities, nvars):
     """Reference: the solver as it was before exact elimination, one LP for
     the slack t and then both ends of every coordinate over x and t, with
-    the equalities kept as LP rows."""
-    from torstab.simplex import solve_lp_mixed
+    each equality kept as a pair of >= rows."""
 
-    def extreme(eq_rows, ge_rows, i, maximize):
+    def unit(i, sign):
         obj = [0] * (nvars + 1)
-        obj[i] = 1 if maximize else -1
-        res = solve_lp_mixed(eq_rows, ge_rows, obj)
-        return res.x[i] if res.status == OPTIMAL else None
+        obj[i] = sign
+        return obj
 
-    eq_rows = [([*a, 0], b) for a, b in equalities]
-    ge_rows = [([*g, -1], h) for g, h in strict_inequalities]
-    ge_rows.append(([0] * nvars + [-1], -1))  # t <= 1
-    ge_rows.append(([0] * nvars + [1], 0))    # t >= 0
-    res = solve_lp_mixed(eq_rows, ge_rows, [0] * nvars + [1])
-    if res.status != OPTIMAL or res.x[nvars] <= 0:
+    def pinned(i, val):
+        # x_i = val (t when i = nvars) as two >= rows
+        return [(unit(i, 1), val), (unit(i, -1), -val)]
+
+    rows = [r for a, b in equalities
+            for r in (([*a, 0], b), ([-v for v in a] + [0], -b))]
+    rows += [([*g, -1], h) for g, h in strict_inequalities]
+    rows.append(([0] * nvars + [-1], -1))  # t <= 1
+    rows.append(([0] * nvars + [1], 0))    # t >= 0
+    t = solve_lp_mixed(rows, unit(nvars, 1))
+    if t is None or t <= 0:
         return None
-    eq_rows.append(([0] * nvars + [1], res.x[nvars]))
+    rows += pinned(nvars, t)
     fixed = []
     for i in range(nvars):
-        lo = extreme(eq_rows, ge_rows, i, maximize=False)
-        if lo is not None and lo > 0:
-            val = lo
+        neg_lo = solve_lp_mixed(rows, unit(i, -1))
+        if neg_lo is not None and -neg_lo > 0:
+            val = -neg_lo
         else:
-            hi = extreme(eq_rows, ge_rows, i, maximize=True)
+            hi = solve_lp_mixed(rows, unit(i, 1))
             val = hi if hi is not None and hi < 0 else 0
-        unit = [0] * (nvars + 1)
-        unit[i] = 1
-        eq_rows.append((unit, val))
+        rows += pinned(i, val)
         fixed.append(val)
     return tuple(fixed)
 
@@ -746,6 +750,36 @@ def test_solve_mixed_matches_lp_only_reference(system):
     if got is not None:
         assert got == want
         assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@st.composite
+def free_lps(draw):
+    """max c.z over free z with rows <g, z> >= h: 1-3 variables, 0-5 rows,
+    int or Fraction entries, so optimal, infeasible and unbounded all occur."""
+    n = draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(-3, 3), small_fraction)
+    ge = draw(st.lists(st.tuples(st.tuples(*[entry] * n), entry), max_size=5))
+    return ge, draw(st.tuples(*[entry] * n))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(free_lps())
+def test_solve_lp_mixed_matches_highs(lp):
+    # HiGHS on the LP itself, free bounds, against the exact dual's value
+    from scipy.optimize import linprog
+
+    ge, c = lp
+    n = len(c)
+    got = solve_lp_mixed(ge, c)
+    ref = linprog([-float(v) for v in c],
+                  A_ub=[[-float(v) for v in g] for g, _ in ge] or None,
+                  b_ub=[-float(h) for _, h in ge] or None,
+                  bounds=[(None, None)] * n, method="highs")
+    assert ref.status in (0, 2, 3)
+    assert (got is None) == (ref.status != 0)
+    if got is not None:
+        assert type(got) is F
+        assert abs(float(got) + ref.fun) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from torstab import polytope
 from torstab.errors import ZeroVectorError
-from torstab.qexact import saturated_kernel
+from torstab.qexact import Lattice, saturated_kernel
 from torstab.stability import (
     POLYSTABLE_NOT_STABLE,
     SEMISTABLE_NOT_POLYSTABLE,
     STABLE,
     UNSTABLE,
+    StabilityResult,
     _box_points,
     _first_hit,
     classify,
@@ -156,6 +158,19 @@ def test_classify_invariant_under_torus_rescaling(ws, x):
 @given(weight_sets)
 def test_certificates_always_verify(ws):
     assert classify(vec(ws)).verify()
+
+
+def test_verify_rejects_certificate_of_wrong_dimension():
+    # a cocharacter or flat lattice of another rank than the weights is a
+    # rejected certificate, not an error
+    assert not StabilityResult(UNSTABLE, ((1, 2), (1, -5)), cocharacter=(1,)).verify()
+    assert not StabilityResult(
+        SEMISTABLE_NOT_POLYSTABLE, ((1, 0), (0, 0)), cocharacter=(1, 0, 0)).verify()
+    polystable = classify(vec([(1, 0), (-1, 0)]))
+    assert polystable.stability == POLYSTABLE_NOT_STABLE and polystable.verify()
+    wide = Lattice(3, ((0, 1, 0),))
+    assert not dataclasses.replace(polystable, flat_lattice=wide).verify()
+    assert not StabilityResult(UNSTABLE, ((1, 2), (1,)), cocharacter=(1, 0)).verify()
 
 
 @pytest.mark.parametrize(

@@ -121,6 +121,14 @@ def test_rep_validation():
         WeightLine("a", (1,), norm2=0.0)
 
 
+@pytest.mark.parametrize("weight, rho", [((1,), 1.0), ((1.0,), 1), ((1, 0.5), None)])
+def test_weight_line_refuses_non_integer_weight_or_rho(weight, rho):
+    # a float weight or rho would reach the exact layers and come out of
+    # stratify as float exponents
+    with pytest.raises(ValueError, match="line 'a'"):
+        WeightLine("a", weight, rho=rho)
+
+
 weights2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 amp = st.sampled_from([0.0, 1.0, -2.0, 0.5 + 1.5j])
 
