@@ -135,6 +135,17 @@ def validate_document(text: str) -> dict:
     return doc
 
 
+def _read_document(path: str) -> dict:
+    """Read one problem file as UTF-8 and validate it; bytes that do not
+    decode are a parse error, like any other malformed input."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError([f"parse error: {exc}"]) from exc
+    return validate_document(text)
+
+
 def _semantic_errors(doc: dict) -> list[str]:
     kind = doc["kind"]
     payload = doc["payload"]
@@ -797,8 +808,7 @@ def main(argv=None) -> int:
             worst = 0
             for path in args.input:
                 try:
-                    with open(path) as fh:
-                        validate_document(fh.read())
+                    _read_document(path)
                     print(f"{path}: valid")
                 except ValidationError as exc:
                     worst = 2
@@ -819,8 +829,7 @@ def main(argv=None) -> int:
         worst = 0
         for path in args.input:
             try:
-                with open(path) as fh:
-                    doc = validate_document(fh.read())
+                doc = _read_document(path)
             except ValidationError as exc:
                 report = {
                     "schema_version": SCHEMA_VERSION,

@@ -21,8 +21,7 @@ elimination step of the exact layer, which qexact's echelon form also runs.
 The objective row holds D times the reduced costs and, in its
 right-hand-side column, -D times the objective value.  It is set once at
 the start of each phase and updated by every pivot.
-Fractions are built only where the solution, the ray and the value are
-read off.
+Fractions are built only where the solution and the value are read off.
 
 An infeasible LP returns Farkas multipliers y, y.a >= 0 and y.b < 0 (Schrijver
 ch. 7): the phase-1 objective row holds D * (-1 - pi_i) over the artificials,
@@ -68,7 +67,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -76,7 +74,6 @@ class LPResult:
     status: str
     x: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
-    ray: tuple[Fraction, ...] | None = None  # improving direction if unbounded
     # if infeasible: integer y, one per row of a, with y.a >= 0, y.b < 0
     farkas: tuple[int, ...] | None = None
 
@@ -150,20 +147,8 @@ class _Tableau:
                 return OPTIMAL
             leave = self._ratio_row(enter)
             if leave is None:
-                self._last_ray_col = enter
                 return UNBOUNDED
             self.pivot(leave, enter)
-
-    def ray(self):
-        """Improving direction in the original variables after UNBOUNDED."""
-        c = self._last_ray_col
-        d = [_ZERO] * self.nvars
-        if c < self.nvars:
-            d[c] = _ONE
-        for i, bi in enumerate(self.basis):
-            if bi < self.nvars:
-                d[bi] = Fraction(-self.rows[i][c], self.det)
-        return tuple(d)
 
 
 def solve_lp(a: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
@@ -199,7 +184,7 @@ def solve_lp(a: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
     # phase 2: artificials barred from entering
     t.set_objective(list(cint) + [0] * m)
     if t.optimize(nvars) == UNBOUNDED:
-        return LPResult(UNBOUNDED, x=t.solution(), ray=t.ray())
+        return LPResult(UNBOUNDED, x=t.solution())
     return LPResult(OPTIMAL, x=t.solution(),
                     value=Fraction(-t.obj[-1], t.det * cscale))
 

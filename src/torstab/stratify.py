@@ -33,6 +33,13 @@ classify runs only when they do not span or stage 0 breaks down, and
 rejects u when it is not Stable.  Both hull dimensions of a stage come off
 one elimination.
 
+Each stage pairs every remaining line's weight with G_n's basis once, on
+u's own lines: nu_n is the lines whose restricted weight vanishes, and the
+stage's points are built from the same restricted weights.
+verify_decomposition stays independent of them: it re-derives every
+restricted weight it tests from u's lines.  stage_kn_minimizers restricts
+only each stage's lines S_n.
+
 The combinatorial output depends only on which amplitudes are nonzero;
 per-stage Kempf-Ness minimizers (the metric updates) are computed
 separately by stage_kn_minimizers and never feed back into the iteration.
@@ -102,6 +109,11 @@ class StratifyResult:
         return tuple(s.d for s in self.stages)
 
 
+def _restrict(weight: tuple[int, ...], h: Subtorus) -> tuple[int, ...]:
+    """A weight's pairings with h's cocharacter basis: its weight under h."""
+    return tuple(dot(weight, b) for b in h.basis)
+
+
 def _require_graded_positive(u: RepVector):
     if u.is_zero():
         raise ZeroVectorError("cannot stratify the zero vector")
@@ -139,31 +151,29 @@ def stratify(
     # weights all lie at 0, the interior of R^0
     tori = [g0]
     stages: list[dict] = []
-    removed: set[str] = set()
     x_prev: QVec = (0,) * k
     lines = {ln.label: ln for ln in u.effective_lines()}
-    effective = set(lines)
+    left = sorted(lines)  # labels in no bucket yet
 
     try:
         while tori[-1].dim > 0:
             n = len(stages)
             gn = tori[-1]
-            u_n = u.project_labels(effective - removed)
-            nu = u_n.fixed_part(gn)
-            nu_labels = tuple(sorted(ln.label for ln in nu.effective_lines()))
-            removed.update(nu_labels)
-
-            active = [lines[lab] for lab in sorted(effective - removed)]
+            # each line's restricted weight, computed once per stage: nu_n is
+            # where it vanishes, and the stage's points are built from it
+            restricted = {lab: _restrict(lines[lab].weight, gn) for lab in left}
+            nu_labels = tuple(lab for lab in left if not any(restricted[lab]))
+            active = [lab for lab in left if any(restricted[lab])]
             if not active:
                 raise StratifyInternalError(
                     "EmptyResidual", f"no weights left at stage {n} with dim G_n > 0"
                 )
             # sheared, projected points; one polytope generator per distinct point
             pts: dict[tuple, list] = {}
-            for ln in active:
-                sheared_rho = ln.rho + dot(ln.weight, x_prev)
-                point = tuple(dot(ln.weight, b) for b in gn.basis) + (sheared_rho,)
-                pts.setdefault(point, []).append(ln)
+            for lab in active:
+                ln = lines[lab]
+                point = restricted[lab] + (ln.rho + dot(ln.weight, x_prev),)
+                pts.setdefault(point, []).append(lab)
             gens = sorted(pts)
             hull = PolytopeQ.from_points(gens, ambient_dim=gn.dim + 1)
             entry = ray_entry(hull, list(range(gn.dim)), gn.dim)
@@ -180,9 +190,7 @@ def stratify(
             face_pts = [g for g, a in zip(gens, face_comb) if a > 0]
             if len(face_pts) < 2:
                 raise StratifyInternalError("VertexFace", f"F_{n} degenerates to a vertex")
-            s_labels = tuple(
-                sorted(ln.label for p in face_pts for ln in pts[p])
-            )
+            s_labels = tuple(sorted(lab for p in face_pts for lab in pts[p]))
 
             # exact system for x_n inside the span of G_n, in basis coordinates
             eqs, stricts = [], []
@@ -247,7 +255,7 @@ def stratify(
             )
             if n == 0 and ker.rank:
                 _require_stable(u, g0)  # stage 0's face weights do not span
-            removed.update(s_labels)
+            left = [lab for lab in active if lab not in s_labels]
             tori.append(g_next)
     except StratifyInternalError:
         # stage 0 broke down: say first whether u itself is at fault
@@ -255,21 +263,18 @@ def stratify(
             _require_stable(u, g0)
         raise
 
-    residual = tuple(sorted(effective - removed))
+    residual = tuple(left)
 
     # over one common denominator: x_prev = X / D and q = qn / D.  D is the
     # lcm of x_prev's denominators, so gcd(D, X) = 1 and the least sigma
     # making sigma * x_prev (and so every sigma * q) integral is D itself
     den, xn = clear_denominators(x_prev)
-    qn = {
-        lab: lines[lab].rho * den + dot(lines[lab].weight, xn)
-        for lab in sorted(effective)
-    }
+    qn = {lab: ln.rho * den + dot(ln.weight, xn) for lab, ln in lines.items()}
     sigma = den * options.sigma_multiple
     x = tuple(c * options.sigma_multiple for c in xn)
 
     exponents = u.one_ps_exponents(x, sigma)
-    for lab in sorted(effective):
+    for lab in sorted(lines):
         if exponents[lab] * den != sigma * qn[lab]:
             raise InternalError(f"exponent of {lab} is {exponents[lab]}, "
                                 f"not sigma * q = {sigma * qn[lab]}/{den}")
@@ -311,6 +316,7 @@ def verify_decomposition(result: StratifyResult, u: RepVector) -> CheckReport:
     """Recompute every exponent independently and check all the bounds, the
     fixedness conditions, per-stage polystability, and the exact sum."""
     rep = CheckReport()
+    effective = u.effective_lines()
     exps = u.one_ps_exponents(result.x, result.sigma)
     ladder = result.d_ladder
     rep.add(
@@ -334,22 +340,22 @@ def verify_decomposition(result: StratifyResult, u: RepVector) -> CheckReport:
             all(e > prev_d for e in nu_exp.values()),
             f"need > {prev_d}, got {sorted(nu_exp.values())}",
         )
-        nu_vec = u.project_labels(st.nu_labels)
-        fixed = nu_vec.fixed_part(st.torus)
+        # re-derived from u's lines, never from the stage's own weights
+        nu = [ln.weight for ln in effective if ln.label in st.nu_labels]
         rep.add(
             f"stage{i}-nu-fixed",
-            fixed.amplitudes == nu_vec.amplitudes,
+            not any(any(_restrict(w, st.torus)) for w in nu),
             "nu_i must be fixed by G_i",
         )
-        proj = u.project_labels(st.s_labels)
+        face = [ln.weight for ln in effective if ln.label in st.s_labels]
         next_torus = result.tori[i + 1]
         rep.add(
             f"stage{i}-projection-fixed-by-next",
-            proj.fixed_part(next_torus).amplitudes == proj.amplitudes,
+            not any(any(_restrict(w, next_torus)) for w in face),
             "P_Si(u) must be fixed by G_{i+1}",
         )
         pcls = st.projection
-        weights = tuple(sorted(proj.restrict(st.torus).effective_g_weights()))
+        weights = tuple(sorted({_restrict(w, st.torus) for w in face}))
         rep.add(
             f"stage{i}-polystable",
             pcls.weights == weights
@@ -375,7 +381,7 @@ def verify_decomposition(result: StratifyResult, u: RepVector) -> CheckReport:
     for st in result.stages:
         buckets.extend(st.nu_labels)
         buckets.extend(st.s_labels)
-    eff = sorted(ln.label for ln in u.effective_lines())
+    eff = sorted(ln.label for ln in effective)
     rep.add(
         "exact-sum-decomposition",
         sorted(buckets) == eff,
@@ -409,12 +415,18 @@ def stage_kn_minimizers(result: StratifyResult,
     numbers, and only they load numpy."""
     from .kempf_ness import KNProblem, kn_minimize
 
+    u = result.u
     out = []
     for st in result.stages:
-        proj = result.u.project_labels(st.s_labels).restrict(st.torus)
+        # only the stage's lines are restricted; every other line of u keeps
+        # amplitude 0 in the rescaled vector
+        face = tuple(ln for ln in u.lines if ln.label in st.s_labels)
+        proj = RepVector(face, {ln.label: u.amplitude(ln.label) for ln in face})
+        proj = proj.restrict(st.torus)
         res = kn_minimize(KNProblem.from_vector(proj), st.projection, tol=tol)
         rescaled = {}
         if res.minimizer is not None:
-            rescaled = proj.rescale(res.minimizer).amplitudes
-        out.append((res, dict(rescaled)))
+            rescaled = dict.fromkeys((ln.label for ln in u.lines), 0j)
+            rescaled.update(proj.rescale(res.minimizer).amplitudes)
+        out.append((res, rescaled))
     return out

@@ -640,6 +640,29 @@ def test_main_run_writes_one_line_per_document_in_input_order(tmp_path, capsys):
     assert "validation_errors" in singles[2]["report"]
 
 
+def test_undecodable_input_is_a_parse_error_and_the_batch_goes_on(tmp_path, capsys):
+    # a label holding byte 0xff, which is not UTF-8
+    raw = json.dumps(stability_doc()).encode().replace(b'"a"', b'"\xff"')
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(raw)
+    paths = []
+    for name in ("first", "last"):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(stability_doc()))
+        paths.append(str(p))
+    assert main(["validate", "--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{bad}: parse error: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err == ""
+    assert main(["run", "--input", paths[0], str(bad), paths[1]]) == 2
+    captured = capsys.readouterr()
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["status"] for r in reports] == ["ok", "rejected", "ok"]
+    [error] = reports[1]["report"]["validation_errors"]
+    assert error.startswith("parse error: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err == ""
+
+
 def test_dump_is_one_compact_sorted_line():
     from torstab.cli import _dump
 

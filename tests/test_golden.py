@@ -37,11 +37,14 @@ from torstab.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 KINDS = ("stability", "kempf-ness", "stratify", "shb", "kuranishi")
 # an amplitude too large for a float (refused, exit 2); a rank-4 document
-# whose box bound of 50 is scanned only to its witness bound 2; and two
+# whose box bound of 50 is scanned only to its witness bound 2; two
 # Kempf-Ness minimizers, ln 4 / 4 next to a zero-weight line of norm 1e30,
-# and ln(2e-12 / 3e18) / 10 for weights 3, -2 with norms 30 decades apart
+# and ln(2e-12 / 3e18) / 10 for weights 3, -2 with norms 30 decades apart;
+# and a two-stage stratification whose line e has amplitude 0, which every
+# stage still lists among its rescaled amplitudes, as 0
 EXTRA_CASES = ["edge-stability-int-overflow", "edge-stability-rank-4-box-50",
-               "edge-kempf-ness-zero-weight-line", "edge-kempf-ness-spread-norms"]
+               "edge-kempf-ness-zero-weight-line", "edge-kempf-ness-spread-norms",
+               "edge-stratify-zero-amplitude"]
 # one refusal (exit 2) per check that a document reaches past the schema:
 # rho on some lines only, a brute-force box over the point cap and one whose
 # pairings overflow 64 bits, a dependent and an unsaturated subtorus, a

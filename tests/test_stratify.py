@@ -368,6 +368,27 @@ def test_verify_rejects_forged_combination(make_u, i, weights, combination):
     assert _failed(verify_decomposition(tampered, u)) == [f"stage{i}-polystable"]
 
 
+def test_verify_rejects_a_face_label_among_nu():
+    # a2 shares a's point, so S_0 keeps its weights without a2; a2 in nu_0
+    # has the stage's exponent, above 0, but G_0 moves it
+    u = graded([("a", (1,), 1), ("a2", (1,), 1), ("b", (-1,), 2)])
+    res = stratify(u)
+    s0 = res.stages[0]
+    assert s0.s_labels == ("a", "a2", "b") and s0.nu_labels == ()
+    tampered = _with_stage(res, 0, s_labels=("a", "b"), nu_labels=("a2",))
+    assert _failed(verify_decomposition(tampered, u)) == ["stage0-nu-fixed"]
+
+
+def test_verify_rejects_a_next_torus_that_moves_the_projection():
+    u = two_stage_example()
+    res = stratify(u)
+    assert res.stages[0].s_labels == ("l0", "l1")
+    # the first coordinate axis moves l0 and l1, of weights (1, 0), (-1, 0)
+    axis = Subtorus.kernel_of([(0, 1)], 2)
+    tampered = dataclasses.replace(res, tori=(res.tori[0], axis, *res.tori[2:]))
+    assert _failed(verify_decomposition(tampered, u)) == ["stage0-projection-fixed-by-next"]
+
+
 @st.composite
 def stable_graded_under_subtorus(draw):
     """A graded vector of rank 1-3 with rho in [1, 4] and, half the time, a
@@ -509,3 +530,89 @@ def test_stage_hull_dimensions_match_polytope_dim(case):
         assert stage.dim_hull == polytope.PolytopeQ.from_points(pts).dim()
         assert stage.dim_projected_hull == polytope.PolytopeQ.from_points(
             projected, ambient_dim=stage.torus.dim).dim()
+
+
+# ---------------------------------------------------------------------------
+# the stage bookkeeping against RepVector's projections and restrictions
+
+
+def reference_labels(u, res):
+    """Each stage's nu and face labels, re-derived through project_labels
+    and fixed_part: nu_n is the G_n-fixed part of what is left, and S_n the
+    rest whose sheared rho is c_n under x_0 + ... + x_n."""
+    left = {ln.label for ln in u.effective_lines()}
+    shift = (0,) * u.rank
+    out = []
+    for stage in res.stages:
+        u_n = u.project_labels(left)
+        nu = tuple(sorted(ln.label for ln in u_n.fixed_part(stage.torus).effective_lines()))
+        shift = tuple(a + b for a, b in zip(shift, stage.x_stage))
+        face = tuple(sorted(
+            ln.label for ln in u_n.project_labels(left - set(nu)).effective_lines()
+            if ln.rho + dot(ln.weight, shift) == stage.c
+        ))
+        out.append((nu, face))
+        left -= set(nu) | set(face)
+    return out
+
+
+def reference_stage_checks(res, u):
+    """verify_decomposition's per-stage checks as RepVector computes them."""
+    out = {}
+    for i, stage in enumerate(res.stages):
+        nu_vec = u.project_labels(stage.nu_labels)
+        out[f"stage{i}-nu-fixed"] = (
+            nu_vec.fixed_part(stage.torus).amplitudes == nu_vec.amplitudes)
+        proj = u.project_labels(stage.s_labels)
+        out[f"stage{i}-projection-fixed-by-next"] = (
+            proj.fixed_part(res.tori[i + 1]).amplitudes == proj.amplitudes)
+        weights = tuple(sorted(proj.restrict(stage.torus).effective_g_weights()))
+        pcls = stage.projection
+        out[f"stage{i}-polystable"] = (
+            pcls.weights == weights and pcls.verify()
+            and pcls.stability in (STABLE, POLYSTABLE_NOT_STABLE))
+    return out
+
+
+@st.composite
+def stable_graded_with_zeros(draw):
+    """stable_graded_under_subtorus, plus zero-amplitude lines of any
+    weight, and some of its own lines set to 0 while u stays stable."""
+    u, torus = draw(stable_graded_under_subtorus())
+    coord = st.integers(-3, 3)
+    extra = draw(st.lists(st.tuples(st.tuples(*[coord] * u.rank), st.integers(1, 4)),
+                          max_size=3))
+    lines = u.lines + tuple(WeightLine(f"z{i}", w, rho=r) for i, (w, r) in enumerate(extra))
+    amps = dict(u.amplitudes)
+    for ln in u.lines:
+        if draw(st.integers(0, 4)) == 0:
+            amps[ln.label] = 0.0
+    v = RepVector(lines, amps)
+    assume(not v.is_zero())
+    assume(classify(v.restrict(torus or Subtorus.full(u.rank))).stability == STABLE)
+    return v, torus
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(stable_graded_with_zeros(), st.integers(0, 2))
+def test_stage_bookkeeping_matches_repvector_reference(case, tamper):
+    u, torus = case
+    res = stratify(u, torus=torus)
+    assert [(s.nu_labels, s.s_labels) for s in res.stages] == reference_labels(u, res)
+    for (kn, rescaled), stage in zip(stage_kn_minimizers(res), res.stages):
+        proj = u.project_labels(stage.s_labels).restrict(stage.torus)
+        want = {}
+        if kn.minimizer is not None:
+            want = proj.rescale(kn.minimizer).amplitudes
+        assert rescaled == want
+    # the checks also agree on a result tampered with: a face label listed
+    # in nu_0, or G_0 as every next torus
+    if res.stages and tamper == 1:
+        s0 = res.stages[0]
+        res = _with_stage(res, 0, s_labels=s0.s_labels[1:],
+                          nu_labels=s0.nu_labels + s0.s_labels[:1])
+    elif tamper == 2:
+        res = dataclasses.replace(res, tori=(res.tori[0],) * len(res.tori))
+    rep = verify_decomposition(res, u)
+    expected = reference_stage_checks(res, u)
+    assert {name: ok for name, ok, _ in rep.checks if name in expected} == expected
