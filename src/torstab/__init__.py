@@ -29,9 +29,9 @@ _EXPORTS = {
                   "partition_dim", "partitions_with_order",
                   "positive_slice_lines", "rr_h1_lower_bound", "slice_vector"),
     "stability": ("StabilityResult", "classify", "destabilizer_bruteforce"),
-    "stratify": ("StratifyOptions", "StratifyResult", "stage_kn_minimizers",
-                 "stratify", "verify_decomposition"),
-    "torus_rep": ("RepVector", "Subtorus", "Torus", "WeightLine"),
+    "stratify": ("StratifyResult", "stage_kn_minimizers", "stratify",
+                 "verify_decomposition"),
+    "torus_rep": ("RepVector", "Subtorus", "WeightLine"),
 }
 
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 from . import shb_model
 from .errors import NotStableError, TorstabError, ValidationError
 from .stability import classify, destabilizer_bruteforce, witness_bound
-from .stratify import StratifyOptions, stage_kn_minimizers, stratify, verify_decomposition
+from .stratify import stage_kn_minimizers, stratify, verify_decomposition
 from .torus_rep import RepVector, Subtorus, WeightLine
 
 if TYPE_CHECKING:
@@ -136,13 +136,16 @@ def validate_document(text: str) -> dict:
 
 
 def _read_document(path: str) -> dict:
-    """Read one problem file as UTF-8 and validate it; bytes that do not
-    decode are a parse error, like any other malformed input."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """Read one problem file as UTF-8 and validate it.  A file that cannot
+    be read is a read error and bytes that do not decode are a parse error,
+    like any other bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError([f"parse error: {exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError([f"parse error: {exc}"]) from exc
+    except OSError as exc:
+        raise ValidationError([f"read error: {exc}"]) from exc
     return validate_document(text)
 
 
@@ -502,8 +505,8 @@ def _run_stratify(payload, options, *, tol, convention, emit_certificates, box_b
             payload["rank"],
             Lattice(payload["rank"], tuple(tuple(r) for r in payload["subtorus"])),
         )
-    opts = StratifyOptions(sigma_multiple=int(options.get("sigma_multiple", 1)))
-    res = stratify(v, torus=torus, options=opts)
+    res = stratify(v, torus=torus,
+                   sigma_multiple=int(options.get("sigma_multiple", 1)))
     verification = verify_decomposition(res, v)
     stages = []
     for st in res.stages:
@@ -738,7 +741,7 @@ def generate_instance(kind: str, seed: int) -> dict:
             }
             payload = {"rank": rank, "lines": lines, "amplitudes": amps}
             v = rep_from_payload(payload)
-            if classify(v.restrict(Subtorus.full(rank))).stability == _STABLE:
+            if classify(v).stability == _STABLE:
                 break
     elif kind == "shb":
         k = int(rng.integers(1, 4))

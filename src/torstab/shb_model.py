@@ -24,9 +24,8 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .errors import TorstabError, ValidationError
-from .qexact import dot
 from .stability import classify
-from .torus_rep import RepVector, Subtorus, Torus, WeightLine
+from .torus_rep import RepVector, Subtorus, WeightLine
 
 DEFAULT = "default"
 FLIPPED = "flipped"
@@ -114,17 +113,9 @@ class AutomorphismTorus:
     relation_character: tuple[int, ...]
     subtorus: Subtorus
 
-    def restrict(self, weight: Sequence[int]) -> tuple[int, ...]:
-        return tuple(dot(weight, b) for b in self.subtorus.basis)
-
     @property
     def rank(self) -> int:
         return self.subtorus.dim
-
-    @property
-    def torus(self) -> Torus:
-        """Standalone torus carrying the character restriction map."""
-        return Torus(self.rank, embedding=self.subtorus.basis)
 
 
 def automorphism_torus(shb: SHBSpec) -> AutomorphismTorus:

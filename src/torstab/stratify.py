@@ -64,17 +64,6 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class StratifyOptions:
-    # extra positive multiple applied on top of the minimal denominator-
-    # clearing sigma
-    sigma_multiple: int = 1
-
-    def __post_init__(self):
-        if self.sigma_multiple < 1:
-            raise ValueError("sigma_multiple must be a positive integer")
-
-
-@dataclass(frozen=True)
 class Stage:
     index: int
     torus: Subtorus
@@ -109,11 +98,6 @@ class StratifyResult:
         return tuple(s.d for s in self.stages)
 
 
-def _restrict(weight: tuple[int, ...], h: Subtorus) -> tuple[int, ...]:
-    """A weight's pairings with h's cocharacter basis: its weight under h."""
-    return tuple(dot(weight, b) for b in h.basis)
-
-
 def _require_graded_positive(u: RepVector):
     if u.is_zero():
         raise ZeroVectorError("cannot stratify the zero vector")
@@ -135,14 +119,17 @@ def _require_stable(u: RepVector, g0: Subtorus):
 def stratify(
     u: RepVector,
     torus: Subtorus | None = None,
-    options: StratifyOptions = StratifyOptions(),
+    sigma_multiple: int = 1,
 ) -> StratifyResult:
-    """Run the full iteration on a G-stable vector of the positive slice.
+    """Run the full iteration on a G-stable vector of the positive slice;
+    sigma is sigma_multiple times the least denominator-clearing sigma.
 
     Raises NotStableError when u fails the stability precondition (with the
     classification certificate attached) and StratifyInternalError if any
     internal invariant breaks, which signals an invalid input.
     """
+    if sigma_multiple < 1:
+        raise ValueError("sigma_multiple must be a positive integer")
     _require_graded_positive(u)
     k = u.rank
     g0 = torus if torus is not None else Subtorus.full(k)
@@ -161,7 +148,7 @@ def stratify(
             gn = tori[-1]
             # each line's restricted weight, computed once per stage: nu_n is
             # where it vanishes, and the stage's points are built from it
-            restricted = {lab: _restrict(lines[lab].weight, gn) for lab in left}
+            restricted = {lab: gn.restrict(lines[lab].weight) for lab in left}
             nu_labels = tuple(lab for lab in left if not any(restricted[lab]))
             active = [lab for lab in left if any(restricted[lab])]
             if not active:
@@ -202,7 +189,7 @@ def stratify(
             y = solve_mixed_system(eqs, stricts, gn.dim)
             if y is None:
                 raise StratifyInternalError("NoCocharacter", f"stage {n} system infeasible")
-            x_n = tuple(sum(yj * b[i] for yj, b in zip(y, gn.basis)) for i in range(k))
+            x_n = gn.lift(y)
             x_prev = tuple(a + b for a, b in zip(x_prev, x_n))
 
             # face_comb weights the restricted face points to 0 with every
@@ -221,14 +208,7 @@ def stratify(
                 flat_lattice=ker if ker.rank else None,
             )
             # a saturated kernel lifted through a saturated basis is saturated
-            lifted = tuple(
-                tuple(
-                    sum(z[j] * gn.basis[j][i] for j in range(gn.dim))
-                    for i in range(k)
-                )
-                for z in ker.basis
-            )
-            g_next = Subtorus(k, Lattice(k, lifted))
+            g_next = Subtorus(k, Lattice(k, tuple(map(gn.lift, ker.basis))))
             if not g_next.dim < gn.dim:
                 raise StratifyInternalError(
                     "NonDecreasingTorus", f"stabilizer did not shrink at stage {n}"
@@ -270,8 +250,8 @@ def stratify(
     # making sigma * x_prev (and so every sigma * q) integral is D itself
     den, xn = clear_denominators(x_prev)
     qn = {lab: ln.rho * den + dot(ln.weight, xn) for lab, ln in lines.items()}
-    sigma = den * options.sigma_multiple
-    x = tuple(c * options.sigma_multiple for c in xn)
+    sigma = den * sigma_multiple
+    x = tuple(c * sigma_multiple for c in xn)
 
     exponents = u.one_ps_exponents(x, sigma)
     for lab in sorted(lines):
@@ -312,6 +292,14 @@ class CheckReport:
         return [(n, d) for n, ok, d in self.checks if not ok]
 
 
+def _exponents(labels, exps: dict) -> tuple[list[int], str]:
+    """The exponents of the labels, and a note naming those that have none:
+    a label of a line that is not effective in u fails its check."""
+    absent = [lab for lab in labels if lab not in exps]
+    note = f"; not effective in u: {absent}" if absent else ""
+    return [exps[lab] for lab in labels if lab in exps], note
+
+
 def verify_decomposition(result: StratifyResult, u: RepVector) -> CheckReport:
     """Recompute every exponent independently and check all the bounds, the
     fixedness conditions, per-stage polystability, and the exact sum."""
@@ -328,34 +316,34 @@ def verify_decomposition(result: StratifyResult, u: RepVector) -> CheckReport:
 
     prev_d = 0
     for i, st in enumerate(result.stages):
-        s_exp = {lab: exps[lab] for lab in st.s_labels}
+        s_exp, absent = _exponents(st.s_labels, exps)
         rep.add(
             f"stage{i}-projection-exponent",
-            all(e == st.d for e in s_exp.values()),
-            f"expected {st.d}, got {sorted(set(s_exp.values()))}",
+            not absent and all(e == st.d for e in s_exp),
+            f"expected {st.d}, got {sorted(set(s_exp))}{absent}",
         )
-        nu_exp = {lab: exps[lab] for lab in st.nu_labels}
+        nu_exp, absent = _exponents(st.nu_labels, exps)
         rep.add(
             f"stage{i}-nu-bound",
-            all(e > prev_d for e in nu_exp.values()),
-            f"need > {prev_d}, got {sorted(nu_exp.values())}",
+            not absent and all(e > prev_d for e in nu_exp),
+            f"need > {prev_d}, got {sorted(nu_exp)}{absent}",
         )
         # re-derived from u's lines, never from the stage's own weights
         nu = [ln.weight for ln in effective if ln.label in st.nu_labels]
         rep.add(
             f"stage{i}-nu-fixed",
-            not any(any(_restrict(w, st.torus)) for w in nu),
+            not any(any(st.torus.restrict(w)) for w in nu),
             "nu_i must be fixed by G_i",
         )
         face = [ln.weight for ln in effective if ln.label in st.s_labels]
         next_torus = result.tori[i + 1]
         rep.add(
             f"stage{i}-projection-fixed-by-next",
-            not any(any(_restrict(w, next_torus)) for w in face),
+            not any(any(next_torus.restrict(w)) for w in face),
             "P_Si(u) must be fixed by G_{i+1}",
         )
         pcls = st.projection
-        weights = tuple(sorted({_restrict(w, st.torus) for w in face}))
+        weights = tuple(sorted({st.torus.restrict(w) for w in face}))
         rep.add(
             f"stage{i}-polystable",
             pcls.weights == weights
@@ -365,11 +353,11 @@ def verify_decomposition(result: StratifyResult, u: RepVector) -> CheckReport:
         )
         prev_d = st.d
 
-    res_exp = {lab: exps[lab] for lab in result.residual_labels}
+    res_exp, absent = _exponents(result.residual_labels, exps)
     rep.add(
         "residual-bound",
-        all(e > prev_d for e in res_exp.values()),
-        f"need > {prev_d}, got {sorted(res_exp.values())}",
+        not absent and all(e > prev_d for e in res_exp),
+        f"need > {prev_d}, got {sorted(res_exp)}{absent}",
     )
     rep.add(
         "all-exponents-positive",

@@ -6,6 +6,10 @@ C^*-factor in graded settings) and a positive squared-norm scale.  A vector
 assigns a complex amplitude to each line.  All weight arithmetic is exact;
 amplitudes are ordinary complex floats and only their being literally zero
 or not ever influences a combinatorial decision.
+
+Subtorus owns the map to its parent torus, and every restriction or lift in
+the library goes through it: restrict pairs a character with the cocharacter
+basis, and lift sums the basis vectors into a cocharacter of the parent.
 """
 
 from __future__ import annotations
@@ -18,34 +22,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .qexact import Lattice, clear_denominators, dot, saturated_kernel
-
-
-@dataclass(frozen=True)
-class Torus:
-    """A complex torus (C^x)^rank; cocharacters are integer vectors.
-
-    The optional embedding records how this torus sits inside an ambient
-    coordinate torus, as the integer character quotient map (one row per
-    cocharacter-basis vector of the subtorus, full row rank)."""
-
-    rank: int
-    embedding: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
-        if self.embedding is not None:
-            from .qexact import rational_rank
-
-            if len(self.embedding) != self.rank:
-                raise ValueError("embedding needs one row per rank")
-            if self.rank and rational_rank(self.embedding) != self.rank:
-                raise ValueError("embedding map must have full row rank")
-
-    def restrict_character(self, weight: Sequence[int]) -> tuple[int, ...]:
-        if self.embedding is None:
-            raise ValueError("torus carries no embedding data")
-        return tuple(dot(weight, row) for row in self.embedding)
 
 
 @dataclass(frozen=True)
@@ -84,6 +60,17 @@ class Subtorus:
     @property
     def basis(self):
         return self.lattice.basis
+
+    def restrict(self, weight: Sequence[int]) -> tuple[int, ...]:
+        """A character's pairings with the cocharacter basis: its weight
+        under this subtorus."""
+        return tuple(dot(weight, b) for b in self.lattice.basis)
+
+    def lift(self, coords: Sequence) -> tuple:
+        """The cocharacter sum_j c_j b_j of the parent torus whose
+        coordinates in the basis b are c."""
+        return tuple(sum(c * b[i] for c, b in zip(coords, self.lattice.basis))
+                     for i in range(self.parent_rank))
 
 
 def log_sum_exp(values: Sequence[float]) -> float:
@@ -128,10 +115,6 @@ class WeightLine:
     @property
     def graded(self) -> bool:
         return self.rho is not None
-
-    @property
-    def full_weight(self) -> tuple[int, ...]:
-        return self.weight if self.rho is None else self.weight + (self.rho,)
 
 
 @dataclass(frozen=True)
@@ -180,22 +163,9 @@ class RepVector:
     def effective_lines(self) -> tuple[WeightLine, ...]:
         return tuple(ln for ln in self.lines if self.amplitude(ln.label) != 0)
 
-    def effective_weights(self) -> frozenset[tuple[int, ...]]:
-        """Distinct full weights carrying a nonzero amplitude."""
-        return frozenset(ln.full_weight for ln in self.effective_lines())
-
     def effective_g_weights(self) -> frozenset[tuple[int, ...]]:
         """Distinct torus weights (rho dropped) carrying a nonzero amplitude."""
         return frozenset(ln.weight for ln in self.effective_lines())
-
-    def project(self, weights: Iterable[tuple[int, ...]]) -> "RepVector":
-        """Zero out every component whose full weight is not in the set."""
-        keep = frozenset(weights)
-        amps = {
-            ln.label: (self.amplitude(ln.label) if ln.full_weight in keep else 0.0)
-            for ln in self.lines
-        }
-        return RepVector(self.lines, amps)
 
     def project_labels(self, labels: Iterable[str]) -> "RepVector":
         keep = frozenset(labels)
@@ -210,12 +180,9 @@ class RepVector:
         grading circle is excluded from the fixing condition."""
         if h.parent_rank != self.rank:
             raise ValueError("subtorus of wrong rank")
-        fixed = {
-            ln.label
-            for ln in self.lines
-            if all(dot(ln.weight, b) == 0 for b in h.basis)
-        }
-        return self.project_labels(fixed)
+        return self.project_labels(
+            ln.label for ln in self.lines if not any(h.restrict(ln.weight))
+        )
 
     def restrict(self, h: Subtorus) -> "RepVector":
         """Replace each weight by its pairing vector against the subtorus
@@ -223,12 +190,7 @@ class RepVector:
         if h.parent_rank != self.rank:
             raise ValueError("subtorus of wrong rank")
         lines = tuple(
-            WeightLine(
-                ln.label,
-                tuple(dot(ln.weight, b) for b in h.basis),
-                ln.rho,
-                ln.norm2,
-            )
+            WeightLine(ln.label, h.restrict(ln.weight), ln.rho, ln.norm2)
             for ln in self.lines
         )
         return RepVector(lines, dict(self.amplitudes))

@@ -663,6 +663,23 @@ def test_undecodable_input_is_a_parse_error_and_the_batch_goes_on(tmp_path, caps
     assert captured.err == ""
 
 
+def test_unreadable_input_is_a_read_error_and_the_batch_goes_on(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(stability_doc()))
+    missing = tmp_path / "missing.json"
+    assert main(["validate", "--input", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{missing}: read error: [Errno 2]")
+    assert captured.err == ""
+    assert main(["run", "--input", str(good), str(missing), str(good)]) == 2
+    captured = capsys.readouterr()
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["status"] for r in reports] == ["ok", "rejected", "ok"]
+    [error] = reports[1]["report"]["validation_errors"]
+    assert error.startswith("read error: [Errno 2] No such file or directory")
+    assert captured.err == ""
+
+
 def test_dump_is_one_compact_sorted_line():
     from torstab.cli import _dump
 

@@ -42,9 +42,9 @@ EXPORTS = {
                   "partition_dim", "partitions_with_order",
                   "positive_slice_lines", "rr_h1_lower_bound", "slice_vector"),
     "stability": ("StabilityResult", "classify", "destabilizer_bruteforce"),
-    "stratify": ("StratifyOptions", "StratifyResult", "stage_kn_minimizers",
-                 "stratify", "verify_decomposition"),
-    "torus_rep": ("RepVector", "Subtorus", "Torus", "WeightLine"),
+    "stratify": ("StratifyResult", "stage_kn_minimizers", "stratify",
+                 "verify_decomposition"),
+    "torus_rep": ("RepVector", "Subtorus", "WeightLine"),
 }
 
 # `torstab.cli.main(argv)` with its output swallowed; prints the exit code

@@ -15,12 +15,7 @@ from torstab.errors import NotStableError, ZeroVectorError
 from torstab.kempf_ness import CONVERGED, FLAT_DIRECTIONS
 from torstab.qexact import dot
 from torstab.stability import POLYSTABLE_NOT_STABLE, STABLE, classify
-from torstab.stratify import (
-    StratifyOptions,
-    stage_kn_minimizers,
-    stratify,
-    verify_decomposition,
-)
+from torstab.stratify import stage_kn_minimizers, stratify, verify_decomposition
 from torstab.torus_rep import RepVector, Subtorus, WeightLine
 
 
@@ -181,10 +176,12 @@ def test_equal_dim_stop_gives_zero_residual():
 
 
 def test_sigma_multiple_option():
-    res = stratify(two_line_example(), options=StratifyOptions(sigma_multiple=3))
+    res = stratify(two_line_example(), sigma_multiple=3)
     assert res.sigma == 6
     assert res.x == (3,)
     assert res.stages[0].d == 9
+    with pytest.raises(ValueError, match="sigma_multiple"):
+        stratify(two_line_example(), sigma_multiple=0)
 
 
 def test_two_stage_chain_hand_checked():
@@ -389,6 +386,18 @@ def test_verify_rejects_a_next_torus_that_moves_the_projection():
     assert _failed(verify_decomposition(tampered, u)) == ["stage0-projection-fixed-by-next"]
 
 
+def test_verify_fails_a_label_that_is_not_effective():
+    # z0 has amplitude 0, so it has no exponent: naming it in a bucket
+    # fails the bucket's bound and the exact sum instead of raising
+    u = graded([("z0", (0,), 1), ("a", (1,), 1), ("b", (-1,), 2)],
+               {"z0": 0.0, "a": 1.0, "b": 1.0})
+    res = stratify(u)
+    tampered = _with_stage(res, 0, nu_labels=("z0",))
+    report = verify_decomposition(tampered, u)
+    assert _failed(report) == ["stage0-nu-bound", "exact-sum-decomposition"]
+    assert "not effective in u: ['z0']" in dict(report.failures())["stage0-nu-bound"]
+
+
 @st.composite
 def stable_graded_under_subtorus(draw):
     """A graded vector of rank 1-3 with rho in [1, 4] and, half the time, a
@@ -432,7 +441,7 @@ def test_sigma_and_x_clear_the_summed_cocharacter(case, multiple):
     # Fraction reference: sigma is the multiple times the least positive
     # integer clearing the summed x_stage and every line's rho + <w, sum>
     u, torus = case
-    res = stratify(u, torus=torus, options=StratifyOptions(sigma_multiple=multiple))
+    res = stratify(u, torus=torus, sigma_multiple=multiple)
     total = [Fraction(0)] * u.rank
     for stage in res.stages:
         total = [a + b for a, b in zip(total, stage.x_stage)]

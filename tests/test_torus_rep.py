@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torstab.qexact import dot
-from torstab.torus_rep import RepVector, Subtorus, Torus, WeightLine
+from torstab.torus_rep import RepVector, Subtorus, WeightLine
 
 
 def rep(*lines, amps):
@@ -20,12 +20,12 @@ def test_effective_weights_drops_zero_components():
         WeightLine("b", (0, 1)),
         amps={"a": 1.0, "b": 0.0},
     )
-    assert v.effective_weights() == frozenset({(1, 0)})
+    assert v.effective_g_weights() == frozenset({(1, 0)})
 
 
 def test_effective_weights_zero_vector():
     v = rep(WeightLine("a", (1,)), amps={"a": 0.0})
-    assert v.effective_weights() == frozenset()
+    assert v.effective_g_weights() == frozenset()
     assert v.is_zero()
 
 
@@ -35,7 +35,7 @@ def test_effective_weights_set_semantics():
         WeightLine("b", (2,)),
         amps={"a": 1.0, "b": 0.0},
     )
-    assert v.effective_weights() == frozenset({(2,)})
+    assert v.effective_g_weights() == frozenset({(2,)})
 
 
 def test_project_examples():
@@ -44,9 +44,9 @@ def test_project_examples():
         WeightLine("b", (0, 1)),
         amps={"a": 1.0, "b": 2.0},
     )
-    assert v.project(v.effective_weights()).amplitudes == v.amplitudes
-    assert v.project([]).is_zero()
-    picked = v.project([(0, 1)])
+    assert v.project_labels(["a", "b"]).amplitudes == v.amplitudes
+    assert v.project_labels([]).is_zero()
+    picked = v.project_labels(["b"])
     assert picked.amplitude("a") == 0 and picked.amplitude("b") == 2.0
 
 
@@ -144,22 +144,23 @@ def rep_vectors(draw):
     return RepVector(lines, amps)
 
 
+labels = st.sets(st.sampled_from([f"l{i}" for i in range(6)]), max_size=6)
+
+
 @settings(max_examples=80, deadline=None)
-@given(rep_vectors(), st.sets(weights2, max_size=6), st.sets(weights2, max_size=6))
+@given(rep_vectors(), labels, labels)
 def test_project_intersection_identity(v, s1, s2):
-    s1f = frozenset(w + (r,) for w in s1 for r in range(1, 5))
-    s2f = frozenset(w + (r,) for w in s2 for r in range(1, 5))
-    a = v.project(s1f).project(s2f)
-    b = v.project(s1f & s2f)
+    a = v.project_labels(s1).project_labels(s2)
+    b = v.project_labels(s1 & s2)
     assert a.amplitudes == b.amplitudes
 
 
 @settings(max_examples=80, deadline=None)
-@given(rep_vectors())
-def test_project_idempotent_and_support(v):
-    s = v.effective_weights()
-    assert v.project(s).project(s).amplitudes == v.project(s).amplitudes
-    assert v.project(s).effective_weights() <= s
+@given(rep_vectors(), labels)
+def test_project_idempotent_and_support(v, s):
+    p = v.project_labels(s)
+    assert p.project_labels(s).amplitudes == p.amplitudes
+    assert {ln.label for ln in p.effective_lines()} <= s
 
 
 @settings(max_examples=80, deadline=None)
@@ -183,6 +184,29 @@ def test_fixed_part_pairs_to_zero(v):
         assert all(dot(ln.weight, b) == 0 for b in h.basis)
 
 
+@st.composite
+def kernel_subtori(draw):
+    rank = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * rank)
+    chars = draw(st.lists(vec, min_size=1, max_size=3))
+    return Subtorus.kernel_of(chars, rank), chars
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kernel_subtori(), st.data())
+def test_restrict_and_lift_are_adjoint(case, data):
+    # <w, h.lift(z)> = <h.restrict(w), z>: restriction is the transpose of
+    # the lift, and it kills exactly the characters that cut h out
+    h, chars = case
+    w = data.draw(st.tuples(*[st.integers(-5, 5)] * h.parent_rank))
+    z = data.draw(st.tuples(*[st.integers(-5, 5)] * h.dim))
+    lifted = h.lift(z)
+    assert len(lifted) == h.parent_rank and len(h.restrict(w)) == h.dim
+    assert dot(w, lifted) == dot(h.restrict(w), z)
+    for c in chars:
+        assert not any(h.restrict(c))
+
+
 @pytest.mark.parametrize(
     "amplitude, weight",
     [(1e-300, 1000), (1e-300 * (0.6 + 0.8j), 1000), (1e300, -1000), (-1e300j, -1000)],
@@ -196,17 +220,3 @@ def test_rescale_beyond_the_range_of_exp(amplitude, weight):
     assert abs(log_r) > 300 and math.isfinite(abs(got)) and got != 0
     assert math.log(abs(got)) == pytest.approx(log_r, rel=1e-13)
     assert cmath.phase(got) == pytest.approx(cmath.phase(amplitude), abs=1e-15)
-
-
-def test_torus_rank_validation():
-    with pytest.raises(ValueError):
-        Torus(-1)
-
-
-def test_torus_embedding_restriction():
-    t = Torus(1, embedding=((1, -1),))
-    assert t.restrict_character((2, -2)) == (4,)
-    with pytest.raises(ValueError):
-        Torus(2, embedding=((1, 1), (2, 2)))  # not full row rank
-    with pytest.raises(ValueError):
-        Torus(1).restrict_character((1,))
