@@ -13,10 +13,9 @@ from types import ModuleType
 _EXPORTS = {
     "errors": ("NotStableError", "StratifyInternalError", "TorstabError",
                "ValidationError", "ZeroVectorError"),
-    "graded_kuranishi": ("GradedComplex", "GreensOperator", "SliceVector",
-                         "greens_operator", "kuranishi_forward",
-                         "kuranishi_inverse_graded", "obstruction",
-                         "random_graded_complex"),
+    "graded_kuranishi": ("GradedComplex", "GreensOperator", "greens_operator",
+                         "kuranishi_forward", "kuranishi_inverse_graded",
+                         "obstruction", "random_graded_complex"),
     "kempf_ness": ("ConjugationProblem", "KNProblem", "KNResult",
                    "kn_conjugation_eval", "kn_eval", "kn_minimize",
                    "moment_map_conjugation"),

@@ -3,8 +3,8 @@ analysis modules, and emit machine- or human-readable reports.
 
 Exit codes: 0 on success, 2 when a TorstabError refuses the input (a
 ValidationError where the input is judged, or a precondition such as a
-non-stable stratification input), 1 for any other exception, which is a
-bug in this library.  Reports are deterministic: rerunning the same
+non-stable stratification input) or a file cannot be read or written, 1
+for any other exception, which is a bug in this library.  Reports are deterministic: rerunning the same
 specification reproduces them byte for byte, and exact rationals are
 serialized as integers or "p/q" strings, never as floats.
 
@@ -270,11 +270,11 @@ def _kuranishi_floats(body: dict) -> None:
 def shb_from_payload(payload: dict) -> shb_model.SHBSpec:
     blocks = tuple(
         shb_model.StableBlock(
-            tuple(b["ranks"]), tuple(b["degrees"]), tag=b.get("tag", "")
+            tuple(map(int, b["ranks"])), tuple(map(int, b["degrees"])), tag=b.get("tag", "")
         )
         for b in payload["blocks"]
     )
-    return shb_model.SHBSpec(payload["genus"], blocks)
+    return shb_model.SHBSpec(int(payload["genus"]), blocks)
 
 
 def _check_complex_size(grades, dims=()) -> None:
@@ -347,13 +347,13 @@ def complex_from_payload(payload: dict) -> GradedComplex:
 
     if "generator" in payload:
         gen = payload["generator"]
-        grades = tuple(gen.get("grades", (1, 2, 3, 4)))
-        max_dim = gen.get("max_dim", 5)
+        grades = tuple(map(int, gen.get("grades", (1, 2, 3, 4))))
+        max_dim = int(gen.get("max_dim", 5))
         _check_complex_size(grades, [max_dim])
         grades = _distinct_grades(grades)
-        rng = np.random.default_rng(gen["seed"])
+        rng = np.random.default_rng(int(gen["seed"]))
         return random_graded_complex(rng, grades=grades, max_dim=max_dim)
-    grades = tuple(payload["grades"])
+    grades = tuple(map(int, payload["grades"]))
     _check_complex_size(grades)
     grades = _distinct_grades(grades)
     missing = [g for g in grades if str(g) not in payload["dims"]]
@@ -364,7 +364,7 @@ def complex_from_payload(payload: dict) -> GradedComplex:
              for name in ("dims", "d0", "d1") for key in payload[name] if key not in keys]
     if stray:
         raise ValidationError(stray)
-    dims = {g: tuple(payload["dims"][str(g)]) for g in grades}
+    dims = {g: tuple(map(int, payload["dims"][str(g)])) for g in grades}
     _check_complex_size(grades, [n for dim in dims.values() for n in dim])
 
     def matrix(name, g, shape):
@@ -377,7 +377,7 @@ def complex_from_payload(payload: dict) -> GradedComplex:
     d1 = {g: matrix("d1", g, (dims[g][2], dims[g][1])) for g in grades}
     bracket = {}
     for ent in payload.get("bracket", []):
-        g1, g2 = ent["g1"], ent["g2"]
+        g1, g2 = int(ent["g1"]), int(ent["g2"])
         if g1 not in dims or g2 not in dims or g1 + g2 not in dims:
             raise ValidationError([f"bracket grades ({g1}, {g2}) leave the range"])
         if (g1, g2) in bracket:  # either order of the pair
@@ -403,6 +403,8 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
         options["seed"] = seed
     emit_certificates = options.get("emit_certificates", emit_certificates)
     box_bound = options.get("box_bound", box_bound)
+    if box_bound is not None:
+        box_bound = int(box_bound)
     convention = options.get("convention", convention or shb_model.DEFAULT)
     runner = {
         "stability": _run_stability,
@@ -501,9 +503,9 @@ def _run_stratify(payload, options, *, tol, convention, emit_certificates, box_b
     if "subtorus" in payload:
         from .qexact import Lattice
 
+        rank = int(payload["rank"])
         torus = Subtorus(
-            payload["rank"],
-            Lattice(payload["rank"], tuple(tuple(r) for r in payload["subtorus"])),
+            rank, Lattice(rank, tuple(tuple(map(int, r)) for r in payload["subtorus"]))
         )
     res = stratify(v, torus=torus,
                    sigma_multiple=int(options.get("sigma_multiple", 1)))
@@ -599,7 +601,7 @@ def _run_shb(payload, options, *, tol, convention, emit_certificates, box_bound)
             }
         if "x" in payload:
             table_obj = shb_model.conformal_degree_table(
-                shb, payload["x"], payload.get("sigma", 1), convention
+                shb, [int(c) for c in payload["x"]], int(payload.get("sigma", 1)), convention
             )
             body["conformal_degrees"] = {
                 f"{cod[0]}.{cod[1]}|{dom[0]}.{dom[1]}": deg
@@ -822,8 +824,12 @@ def main(argv=None) -> int:
         if args.command == "gen":
             text = _dump(generate_instance(args.kind, args.seed))
             if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
+                try:
+                    with open(args.out, "w") as fh:
+                        fh.write(text)
+                except OSError as exc:  # like an unreadable --input, not a bug
+                    print(f"write error: {exc}", file=sys.stderr)
+                    return 2
             else:
                 sys.stdout.write(text)
             return 0

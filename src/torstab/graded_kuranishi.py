@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qexact import nullspace, rational_rank
+from .qexact import nullspace
 
 GVec = dict  # grade -> complex ndarray
 
@@ -92,24 +92,6 @@ class GradedComplex:
         return {g: np.zeros(self.n2(g), dtype=complex) for g in self.grades}
 
 
-@dataclass(frozen=True)
-class SliceVector:
-    """Level-one graded vector; positive when supported in grades > 0."""
-
-    parts: dict
-
-    @property
-    def is_positive(self) -> bool:
-        return not any(np.any(np.asarray(arr) != 0) for g, arr in self.parts.items() if g <= 0)
-
-
-def gvec_add(a: GVec, b: GVec) -> GVec:
-    out = dict(a)
-    for g, arr in b.items():
-        out[g] = out.get(g, 0) + arr
-    return out
-
-
 def gvec_scale_action(t: complex, a: GVec) -> GVec:
     """The grading circle action: grade-j parts pick up t^j."""
     return {g: (t ** g) * arr for g, arr in a.items()}
@@ -117,10 +99,6 @@ def gvec_scale_action(t: complex, a: GVec) -> GVec:
 
 def gvec_norm(a: GVec) -> float:
     return float(np.sqrt(sum(float(np.vdot(x, x).real) for x in a.values())))
-
-
-def gvec_truncate(a: GVec, max_grade: int) -> GVec:
-    return {g: arr for g, arr in a.items() if g <= max_grade}
 
 
 def bracket_eval(cx: GradedComplex, u: GVec, v: GVec) -> GVec:
@@ -139,14 +117,6 @@ def quadratic_part(cx: GradedComplex, u: GVec) -> GVec:
     return {g: a / 2.0 for g, a in bracket_eval(cx, u, u).items()}
 
 
-def d1_apply(cx: GradedComplex, u: GVec) -> GVec:
-    out = cx.zero2()
-    for g, arr in u.items():
-        if g in cx.d1 and cx.d1[g].size:
-            out[g] = out[g] + cx.d1[g] @ arr
-    return out
-
-
 @dataclass(frozen=True)
 class GreensOperator:
     # grade -> d1* Gamma = d1^+, the C2 -> C1 map of the Kuranishi maps
@@ -154,12 +124,6 @@ class GreensOperator:
     harmonic: dict  # grade -> projector onto harmonic C2
     status: str  # "ok" or "ill-conditioned"
     condition: float
-
-    @property
-    def gamma(self) -> dict:
-        """grade -> Gamma, the pseudoinverse of d1 d1* on C2, as
-        (d1^+)* d1^+."""
-        return {g: p.conj().T @ p for g, p in self.d1_pinv.items()}
 
     def project_harmonic(self, v: GVec) -> GVec:
         return {g: (self.harmonic[g] @ arr if arr.size else arr) for g, arr in v.items()}
@@ -175,8 +139,7 @@ def greens_operator(cx: GradedComplex) -> GreensOperator:
     largest |entry| of d1/2, which is a float even where the modulus of an
     entry is not.  The Kuranishi maps apply d1* Gamma = d1^+ = a* Gamma_a / s,
     Gamma_a that of a, so a tiny d1 does not overflow Gamma on the way to a
-    d1^+ that is a float.  Gamma itself is not stored: the gamma property
-    derives it from d1^+.
+    d1^+ that is a float.  Gamma itself is not stored.
 
     An eigenvalue falling in the gray zone just above the rank cutoff makes
     the zero/nonzero split numerically ambiguous; that is reported as an
@@ -229,8 +192,7 @@ def kuranishi_inverse_graded(
     brackets of strictly lower grades, so the recursion always terminates
     and only ever reads input grades <= j to produce output grades <= j.
     """
-    sv = SliceVector(x)
-    if not sv.is_positive:
+    if any(np.any(np.asarray(arr) != 0) for g, arr in x.items() if g <= 0):
         raise ValidationError(["input must be supported in positive grades"])
     greens = greens or greens_operator(cx)
     u: GVec = {}
@@ -254,25 +216,6 @@ def obstruction(cx: GradedComplex, x: GVec, greens: GreensOperator | None = None
     return greens.project_harmonic(quadratic_part(cx, x))
 
 
-def curvature(cx: GradedComplex, u: GVec) -> GVec:
-    """d1 u + q(u); vanishes on the deformation space the slice models."""
-    return gvec_add(d1_apply(cx, u), quadratic_part(cx, u))
-
-
-def satisfies_slice_conditions(cx: GradedComplex, u: GVec, tol: float = 1e-9) -> bool:
-    """Model slice conditions under which curvature(u) = obstruction(kappa(u))
-    holds: kappa(u) is d1-closed and q(u), q(kappa(u)) share their harmonic
-    part."""
-    greens = greens_operator(cx)
-    x = kuranishi_forward(cx, u, greens)
-    closed = gvec_norm(d1_apply(cx, x))
-    qu = greens.project_harmonic(quadratic_part(cx, u))
-    qx = greens.project_harmonic(quadratic_part(cx, x))
-    drift = gvec_norm({g: qu[g] - qx[g] for g in qu})
-    scale = max(1.0, gvec_norm(u))
-    return closed <= tol * scale and drift <= tol * scale * scale
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -289,31 +232,18 @@ def _integer_kernel_matrix(m) -> np.ndarray:
     return np.array(nullspace(m.tolist()), dtype=np.int64).reshape(-1, n_cols).T
 
 
-def random_graded_complex(
-    rng,
-    grades=(1, 2, 3, 4),
-    max_dim=5,
-    surjective_d1_above=None,
-):
+def random_graded_complex(rng, grades=(1, 2, 3, 4), max_dim=5):
     """Random complex with exact integer structure constants.
 
-    d0 is built inside ker(d1) so d1 d0 = 0 holds exactly.  When
-    surjective_d1_above is set, every grade above it gets a full-row-rank
-    d1, killing harmonic C2 there (used by slice-instance construction).
-    The matrices stay int64 until the complex is built.
+    d0 is built inside ker(d1) so d1 d0 = 0 holds exactly.  The matrices
+    stay int64 until the complex is built.
     """
     grades = tuple(sorted(grades))
     dims, d0, d1 = {}, {}, {}
     for g in grades:
         n1 = int(rng.integers(1, max_dim + 1))
         n2 = int(rng.integers(0, max(1, n1)))
-        if surjective_d1_above is not None and g > surjective_d1_above and n2 > 0:
-            while True:
-                m = _int_matrix(rng, n2, n1)
-                if rational_rank(m.tolist()) == n2:
-                    break
-        else:
-            m = _int_matrix(rng, n2, n1)
+        m = _int_matrix(rng, n2, n1)
         ker = _integer_kernel_matrix(m)
         n0 = int(rng.integers(0, ker.shape[1] + 1))
         mix = _int_matrix(rng, ker.shape[1], n0, lo=-1, hi=2) if n0 else np.zeros(
@@ -340,43 +270,3 @@ def random_graded_complex(
                 bracket[(a, b)] = t
                 bracket[(b, a)] = np.transpose(t, (0, 2, 1))
     return GradedComplex(grades, dims, d0, d1, bracket)
-
-
-def nilpotent_chain_complex(n: int = 3, grades=(1, 2, 3)):
-    """Deterministic triangular model: one line per grade at each level,
-    shift differentials, and a bracket stacking grades additively."""
-    grades = tuple(sorted(grades))
-    dims = {g: (1, 2, 1) for g in grades}
-    d0 = {g: np.array([[1.0], [0.0]], dtype=complex) for g in grades}
-    d1 = {g: np.array([[0.0, 1.0]], dtype=complex) for g in grades}
-    bracket = {}
-    for a in grades:
-        for b in grades:
-            if (a + b) in dims:
-                t = np.zeros((1, 2, 2), dtype=complex)
-                t[0, 0, 0] = 1.0
-                bracket[(a, b)] = t
-    return GradedComplex(grades, dims, d0, d1, bracket)
-
-
-def random_slice_instance(rng, grades=(1, 2, 3, 4), max_dim=5):
-    """(complex, u, x) satisfying the model slice conditions: harmonic C2 is
-    confined to the lowest grade and x is a d1-closed positive vector, so
-    curvature(kappa^{-1}(x)) and the obstruction both vanish."""
-    grades = tuple(sorted(grades))
-    while True:
-        cx = random_graded_complex(
-            rng, grades=grades, max_dim=max_dim, surjective_d1_above=grades[0]
-        )
-        x = {}
-        for g in grades:
-            n1 = cx.n1(g)
-            ker = _integer_kernel_matrix(cx.d1[g].real.astype(np.int64)).astype(complex)
-            if ker.shape[1]:
-                coeff = rng.normal(size=ker.shape[1]) + 1j * rng.normal(size=ker.shape[1])
-                x[g] = ker @ coeff
-            else:
-                x[g] = np.zeros(n1, dtype=complex)
-        if any(np.any(arr != 0) for arr in x.values()):
-            u = kuranishi_inverse_graded(cx, x)
-            return cx, u, x

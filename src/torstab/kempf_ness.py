@@ -25,7 +25,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import ValidationError
-from .qexact import Lattice, dot
+from .qexact import Lattice, dot, rational_rank
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult
 from .torus_rep import RepVector, _exp, log_sum_exp
 
@@ -41,6 +41,10 @@ MAX_ITER = 500
 # sizes the full step far beyond the minimizer; it is cut to this length
 # before the line search.
 MAX_LOG_STEP = 40.0
+# A term of F is live at a point when its share of F exceeds e^LIVE_LOG_SHARE
+# of the largest term's; below that its float contribution to F's gradient
+# and hessian cannot steer Newton.
+LIVE_LOG_SHARE = math.log(1e-8)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -127,7 +131,9 @@ def kn_minimize(
     Converged with a unique minimizer iff the underlying vector is stable;
     FlatDirections with the kernel lattice iff polystable but not stable;
     Diverging with an exact descent ray otherwise.  Nonconvergence inside
-    the iteration cap is reported as an explicit Failure status.
+    the iteration cap is reported as an explicit Failure status, and so is
+    a stop where the live terms (share of F above 1e-8 of the largest) span
+    less than all nonzero weights.
 
     Newton runs on F(z) = log sum_i n_i e^{<2 B^T w_i, z>} over the nonzero
     weights w_i, in coordinates z of the orthonormal complement B of the
@@ -164,6 +170,7 @@ def kn_minimize(
             share = dict(zip(stability.weights, stability.combination))
             start = _balanced_start(rows, shifts, [share[w] for w, _ in terms])
         z, it, converged = _newton(rows, shifts, tol, start or [0.0] * len(cols))
+        converged = converged and _resolved(rows, shifts, z, [w for w, _ in terms])
     else:
         z, it, converged = [], 0, True
 
@@ -180,6 +187,17 @@ def kn_minimize(
         stability=stability,
         iterations=it,
     )
+
+
+def _resolved(rows, shifts, z, weights) -> bool:
+    """False when the live terms of F at z span less than all its weights:
+    the directions they leave flat are moved only by terms whose shares
+    are below round-off, so Newton's stop there says nothing about them."""
+    t = [c + sum(map(mul, a, z)) for a, c in zip(rows, shifts)]
+    top = max(t)
+    live = [w for w, ti in zip(weights, t) if ti - top > LIVE_LOG_SHARE]
+    # every term live, the usual case, needs no rank
+    return len(live) == len(weights) or rational_rank(live) == rational_rank(weights)
 
 
 def _balanced_start(rows, shifts, combination):
@@ -280,12 +298,6 @@ def _cholesky_solve(lower, rhs):
     return x if all(map(math.isfinite, x)) else None
 
 
-def moment_map(p: KNProblem, x) -> np.ndarray:
-    """Torus moment map sum |v_w|^2 e^{2<w,x>} w; half the gradient."""
-    _, grad, _ = kn_eval(p, x)
-    return grad / 2.0
-
-
 # ---------------------------------------------------------------------------
 # matrix-conjugation representation
 
@@ -369,15 +381,6 @@ def _check_finite(*arrays):
         raise FloatingPointError("the conjugation functional overflows at this g")
 
 
-def conjugation_gradient_pairing(phi, g, v) -> float:
-    """Directional derivative of the conjugation functional at g along the
-    traceless hermitian direction v."""
-    phi = _check_phi(phi)
-    v = _check_direction(v, phi.shape[0])
-    _, m = kn_conjugation_eval(phi, g)
-    return float(np.real(np.trace(m @ v)))
-
-
 def standard_hermitian_directions(n: int) -> tuple[np.ndarray, ...]:
     """Real basis of the traceless hermitian n x n matrices."""
     out = []
@@ -413,7 +416,3 @@ class ConjugationProblem:
         dirs = tuple(directions) if directions is not None else standard_hermitian_directions(n)
         dirs = tuple(_check_direction(v, n) for v in dirs)
         return ConjugationProblem(phi, dirs)
-
-    def gradient_coefficients(self, g) -> np.ndarray:
-        _, m = kn_conjugation_eval(self.phi, g)
-        return np.array([float(np.real(np.trace(m @ v))) for v in self.directions])

@@ -109,7 +109,6 @@ class AutomorphismTorus:
     """Scalar automorphisms (xi_1, ..., xi_k) subject to prod xi_i^{r_i} = 1,
     presented as a saturated subtorus of the ambient coordinate torus."""
 
-    ambient_rank: int
     relation_character: tuple[int, ...]
     subtorus: Subtorus
 
@@ -123,7 +122,7 @@ def automorphism_torus(shb: SHBSpec) -> AutomorphismTorus:
         raise TorstabError("automorphism torus needs pairwise distinct blocks")
     ranks = shb.block_ranks()
     sub = Subtorus.kernel_of([ranks], rank=shb.k)
-    return AutomorphismTorus(shb.k, ranks, sub)
+    return AutomorphismTorus(ranks, sub)
 
 
 def _check_convention(convention: str):
@@ -304,16 +303,6 @@ class PartitionPoset:
                 coarser = ([c for j in group for c in id_parts[j]] for group in merge)
                 order.add((self._index[_signature(coarser)], ib))
         return frozenset(order)
-
-    def greater(self, a: PartitionP, b: PartitionP) -> bool:
-        index = self._index
-        return (index[_signature(self._id_parts(a))],
-                index[_signature(self._id_parts(b))]) in self.order
-
-    @property
-    def maximum(self) -> PartitionP:
-        tops = [p for p in self.partitions if p.is_trivial]
-        return tops[0]
 
 
 def partitions_with_order(shb: SHBSpec) -> PartitionPoset:

@@ -46,10 +46,6 @@ class Subtorus:
         return Subtorus(rank, Lattice(rank, basis))
 
     @staticmethod
-    def trivial(rank: int) -> "Subtorus":
-        return Subtorus(rank, Lattice(rank, ()))
-
-    @staticmethod
     def kernel_of(characters: Sequence[Sequence[int]], rank: int) -> "Subtorus":
         return Subtorus(rank, saturated_kernel(characters, ambient_dim=rank))
 
@@ -141,10 +137,6 @@ class RepVector:
         gradings = {ln.graded for ln in self.lines}
         if len(gradings) > 1:
             raise ValidationError(["cannot mix graded and ungraded lines"])
-
-    @staticmethod
-    def make(lines: Iterable[WeightLine], amplitudes: Mapping[str, complex]) -> "RepVector":
-        return RepVector(tuple(lines), dict(amplitudes))
 
     @property
     def rank(self) -> int:

@@ -228,6 +228,55 @@ def test_integral_floats_in_integer_fields_read_as_ints():
     assert json.dumps(got[0], sort_keys=True) == json.dumps(want[0], sort_keys=True)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def float_twin(value):
+    """value with every int of magnitude at most 2**53 written as a float,
+    which the schema's integer type admits."""
+    if isinstance(value, dict):
+        return {k: float_twin(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [float_twin(v) for v in value]
+    if type(value) is int and abs(value) <= 2**53:
+        return float(value)
+    return value
+
+
+def box_bound_doc():
+    # a witness bound of 2, so that the scan reads box_bound itself
+    doc = rank_doc(2, [((2, 1), None), ((-1, 0), None), ((0, -1), None)])
+    for ln in doc["payload"]["lines"]:
+        del ln["rho"]
+    return {**doc, "kind": "stability", "options": {"box_bound": 2}}
+
+
+FLOAT_TWIN_DOCS = {
+    **{p.name.removesuffix(".problem.json"): p for p in sorted(GOLDEN.glob("*.problem.json"))},
+    "stability-options-box-bound": box_bound_doc(),
+    "stratify-subtorus": rank_doc(2, [((1, 0), 1), ((-1, 1), 2), ((0, 1), 1)],
+                                  subtorus=[[1, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_TWIN_DOCS)
+def test_float_twin_gives_the_int_documents_report(name, tmp_path, capsys):
+    doc = FLOAT_TWIN_DOCS[name]
+    if isinstance(doc, Path):
+        doc = json.loads(doc.read_text())
+    texts = [json.dumps(doc), json.dumps(float_twin(doc))]
+    assert texts[0] != texts[1]
+    runs = []
+    for text in texts:
+        stability._box_points.cache_clear()  # a cached int box hides a float bound
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code = main(["run", "--input", str(path)])
+        runs.append((code, capsys.readouterr()))
+    (code, want), (twin_code, got) = runs
+    assert (twin_code, got.out, got.err) == (code, want.out, want.err)
+
+
 @pytest.mark.parametrize("doc, stability", [
     (rank_doc(1, [((1,), 1), ((2,), 1)]), "Unstable"),
     (rank_doc(1, [((1,), 1), ((-1,), 2)], {"l0": 1.0, "l1": 0.0}), "Unstable"),
@@ -698,6 +747,14 @@ def test_main_gen_out_is_one_line_that_run_accepts(tmp_path, capsys):
     assert text.count("\n") == 1 and text.endswith("\n")
     assert main(["run", "--input", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+def test_unwritable_gen_out_is_a_write_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "inst.json"
+    assert main(["gen", "--kind", "shb", "--seed", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"write error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
 # oversized kuranishi complexes are refused before any array is built

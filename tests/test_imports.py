@@ -8,11 +8,13 @@ interpreter, since this test process has long loaded all three.
 `tests/test_cli.py::test_cli_import_leaves_out_scipy_linalg` checks that
 `import torstab.cli` alone loads none of them."""
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import torstab
@@ -26,10 +28,9 @@ HEAVY = ("numpy", "scipy", "jsonschema")
 EXPORTS = {
     "errors": ("NotStableError", "StratifyInternalError", "TorstabError",
                "ValidationError", "ZeroVectorError"),
-    "graded_kuranishi": ("GradedComplex", "GreensOperator", "SliceVector",
-                         "greens_operator", "kuranishi_forward",
-                         "kuranishi_inverse_graded", "obstruction",
-                         "random_graded_complex"),
+    "graded_kuranishi": ("GradedComplex", "GreensOperator", "greens_operator",
+                         "kuranishi_forward", "kuranishi_inverse_graded",
+                         "obstruction", "random_graded_complex"),
     "kempf_ness": ("ConjugationProblem", "KNProblem", "KNResult",
                    "kn_conjugation_eval", "kn_eval", "kn_minimize",
                    "moment_map_conjugation"),
@@ -130,3 +131,85 @@ def test_rejected_document_prints_jsonschema_error_list(tmp_path, capsys):
     )]
     # and in a fresh interpreter, where only this rejection loads jsonschema
     assert main_in_fresh_interpreter(["validate", "--input", str(p)]) == (2, ["jsonschema"])
+
+
+# ---------------------------------------------------------------------------
+# no test-only API in the library
+
+# what src/torstab defines although neither the library, scripts/ nor
+# torbench/ names it, and why each stays
+ALLOWED = {
+    "KNProblem.from_norms": "test_acceptance.py builds Kempf-Ness problems from squared norms",
+    "gvec_scale_action": "test_acceptance.py: the grading circle action of its equivariance check",
+    "PartitionP.of": "test_acceptance.py builds its partitions with it",
+    "CheckReport.failures": "test_acceptance.py reads a decomposition's failed checks",
+    "RepVector.fixed_part": "the stratify tests' reference for the part a subtorus fixes",
+    "Lattice.contains": "the saturated-kernel tests' oracle",
+    "PartitionP.refines": "the partition-order tests' oracle",
+    "report_validator": "the tests' report oracle, report.schema.json",
+    "rr_h1_lower_bound": "the Riemann-Roch positivity bound of the Hodge-bundle model",
+    # the matrix-conjugation variant of the Kempf-Ness functional, which no
+    # kind runs yet; test_acceptance.py imports the first two
+    "kn_conjugation_eval": "the conjugation functional's value and gradient",
+    "moment_map_conjugation": "the conjugation moment map [phi, phi*]",
+    "ConjugationProblem": "a conjugation problem with its checked directions",
+    "ConjugationProblem.make": "builds and checks a ConjugationProblem",
+}
+
+
+def references(tree: ast.AST, strings: bool = False) -> tuple[Counter, Counter]:
+    """(names, attributes) referenced in tree: bare and imported names, and
+    attribute names, plus string constants (as both) when strings is set."""
+    names, attrs = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1
+            attrs[node.value] += 1
+    return names, attrs
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node, is a method) of every top-level function and
+    class and of every method; dunders run without being named."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("__"):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, defs) and not sub.name.startswith("__"):
+                    yield f"{node.name}.{sub.name}", sub, True
+
+
+def test_library_defines_nothing_that_only_tests_call():
+    # a function or class counts as called when its name occurs in the
+    # library outside its own definition, or anywhere in scripts/ or
+    # torbench/ (whose tracer wraps functions by name); a method when its
+    # name occurs as an attribute.  Matching is by name, so a method that
+    # shares its name with another attribute passes.
+    lib = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "torstab").rglob("*.py"))]
+    names, attrs = Counter(), Counter()
+    for tree in lib:
+        n, a = references(tree)
+        names, attrs = names + n, attrs + a
+    for d in ("scripts", "torbench"):
+        for p in sorted((ROOT / d).rglob("*.py")):
+            n, a = references(ast.parse(p.read_text()), strings=True)
+            names, attrs = names + n, attrs + a
+    either = names + attrs
+    defined, unused = set(), []
+    for tree in lib:
+        for qualname, node, method in definitions(tree):
+            defined.add(qualname)
+            own_names, own_attrs = references(node)
+            seen, own = (attrs, own_attrs) if method else (either, own_names + own_attrs)
+            if seen[node.name] <= own[node.name] and qualname not in ALLOWED:
+                unused.append(qualname)
+    assert unused == []
+    assert set(ALLOWED) <= defined

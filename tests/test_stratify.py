@@ -13,7 +13,7 @@ import torstab.kempf_ness as kempf_ness
 import torstab.polytope as polytope
 from torstab.errors import NotStableError, ZeroVectorError
 from torstab.kempf_ness import CONVERGED, FLAT_DIRECTIONS
-from torstab.qexact import dot
+from torstab.qexact import Lattice, dot
 from torstab.stability import POLYSTABLE_NOT_STABLE, STABLE, classify
 from torstab.stratify import stage_kn_minimizers, stratify, verify_decomposition
 from torstab.torus_rep import RepVector, Subtorus, WeightLine
@@ -80,7 +80,7 @@ def test_trivial_torus_degenerate():
 
 def test_trivial_subtorus_of_positive_rank():
     u = graded([("a", (1,), 2), ("b", (2,), 3)])
-    res = stratify(u, torus=Subtorus.trivial(1))
+    res = stratify(u, torus=Subtorus(1, Lattice(1, ())))
     assert res.num_stages == 0
     assert res.x == (0,)
     assert res.exponents == {"a": 2, "b": 3}

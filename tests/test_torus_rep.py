@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torstab.qexact import dot
+from torstab.qexact import Lattice, dot
 from torstab.torus_rep import RepVector, Subtorus, WeightLine
 
 
 def rep(*lines, amps):
-    return RepVector.make(lines, amps)
+    return RepVector(tuple(lines), dict(amps))
 
 
 def test_effective_weights_drops_zero_components():
@@ -58,7 +58,7 @@ def test_fixed_part_examples():
     )
     whole = v.fixed_part(Subtorus.full(2))
     assert whole.amplitude("a") == 1.0 and whole.amplitude("b") == 0.0
-    trivial = v.fixed_part(Subtorus.trivial(2))
+    trivial = v.fixed_part(Subtorus(2, Lattice(2, ())))
     assert trivial.amplitudes == v.amplitudes
 
 
@@ -76,7 +76,7 @@ def test_restrict_examples():
     v = rep(WeightLine("a", (2, -2), rho=3), amps={"a": 1.0})
     ident = v.restrict(Subtorus.full(2))
     assert ident.lines[0].weight == (2, -2) and ident.lines[0].rho == 3
-    trivial = v.restrict(Subtorus.trivial(2))
+    trivial = v.restrict(Subtorus(2, Lattice(2, ())))
     assert trivial.lines[0].weight == ()
     # pairing of (2,-2) against the basis vector (1,1) vanishes
     sub = v.restrict(Subtorus.kernel_of([(1, -1)], rank=2))
