@@ -194,14 +194,13 @@ def test_library_defines_nothing_that_only_tests_call():
     # name occurs as an attribute.  Matching is by name, so a method that
     # shares its name with another attribute passes.
     lib = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "torstab").rglob("*.py"))]
+    outside = [ast.parse(p.read_text()) for d in ("scripts", "torbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
     names, attrs = Counter(), Counter()
-    for tree in lib:
-        n, a = references(tree)
-        names, attrs = names + n, attrs + a
-    for d in ("scripts", "torbench"):
-        for p in sorted((ROOT / d).rglob("*.py")):
-            n, a = references(ast.parse(p.read_text()), strings=True)
-            names, attrs = names + n, attrs + a
+    for tree, strings in [(t, False) for t in lib] + [(t, True) for t in outside]:
+        n, a = references(tree, strings)
+        names.update(n)
+        attrs.update(a)
     either = names + attrs
     defined, unused = set(), []
     for tree in lib:
