@@ -426,6 +426,24 @@ def test_inverse_rejects_nonpositive_support():
     assert list(u) == [1] and np.array_equal(u[1], [1.0])
 
 
+def test_slice_vector_positivity_flag():
+    # the three cases of the former SliceVector.is_positive, checked as the
+    # positivity gate of kuranishi_inverse_graded
+    dims = {g: (0, 1, 0) for g in (0, 1, 2)}
+    cx = GradedComplex(
+        (0, 1, 2), dims,
+        {g: np.zeros((1, 0)) for g in dims},
+        {g: np.zeros((0, 1)) for g in dims},
+        {},
+    )
+    u = kuranishi_inverse_graded(cx, {1: np.array([1.0])})
+    assert np.array_equal(u[1], [1.0]) and np.array_equal(u[2], [0.0])
+    u = kuranishi_inverse_graded(cx, {0: np.array([0.0]), 2: np.array([1.0])})
+    assert 0 not in u and np.array_equal(u[2], [1.0])
+    with pytest.raises(ValueError, match="positive grades"):
+        kuranishi_inverse_graded(cx, {0: np.array([1.0])})
+
+
 # ---------------------------------------------------------------------------
 # obstruction and the curvature identity
 
