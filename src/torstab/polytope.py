@@ -4,13 +4,17 @@ Polytopes are stored as a finite generating set (not necessarily vertices;
 duplicates are harmless).  Facts usually read off an H-representation --
 membership, relative interior, minimal faces, axis slices -- are answered
 on demand by the exact simplex, so no double-description step is needed.
+
+locate and ray_entry also return their LP's tight columns (simplex), which
+hold the minimal face of the point they place; face_combination searches
+only those candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalError
 from .qexact import QVec, dot, qvec, rational_rank, solve_affine, vsub
@@ -70,9 +74,10 @@ def _relint_lp(p: PolytopeQ, q: QVec):
     relative-interior membership, since relint(conv G) is exactly the set of
     all-positive convex combinations.
 
-    Returns (t*, alphas), or (None, x) when infeasible: the Farkas multipliers
-    (x, mu) of the coordinate and sum rows have <g_i, x> + mu >= 0 on every
-    beta column and <q, x> + mu < 0, so <g_i - q, x> > 0 on every generator.
+    Returns (t*, alphas, tight beta columns), or (None, x, ()) when
+    infeasible: the Farkas multipliers (x, mu) of the coordinate and sum
+    rows have <g_i, x> + mu >= 0 on every beta column and <q, x> + mu < 0,
+    so <g_i - q, x> > 0 on every generator.
     """
     gens = p.generators
     m = len(gens)
@@ -89,30 +94,32 @@ def _relint_lp(p: PolytopeQ, q: QVec):
     obj = [0] * m + [1]
     res = solve_lp(rows, rhs, obj)
     if res.status == INFEASIBLE:
-        return None, res.farkas[:d]
+        return None, res.farkas[:d], ()
     t = res.x[m]
-    alphas = tuple(b + t for b in res.x[:m])
-    return t, alphas
+    return t, tuple(b + t for b in res.x[:m]), tuple(j for j in res.tight if j < m)
 
 
-def locate(p: PolytopeQ, q: Sequence) -> tuple[str, tuple]:
-    """(hull_position, convex_combination or separating x) of q from one LP."""
+def locate(p: PolytopeQ, q: Sequence) -> tuple[str, tuple, tuple[int, ...]]:
+    """(hull_position, convex_combination or separating x, candidates) of q
+    from one LP, the candidates its tight beta columns, () when Outside.  On
+    OnProperFace t* = 0, so every convex representation of q is optimal, and
+    they hold minimal_face(p, q); inside, the combination is all positive."""
     q = _check_point(p, q)
-    t, cert = _relint_lp(p, q)
+    t, cert, tight = _relint_lp(p, q)
     if t is None:
-        return OUTSIDE, cert
+        return OUTSIDE, cert, tight
     if t == 0:
-        return ON_PROPER_FACE, cert
+        return ON_PROPER_FACE, cert, tight
     if p.dim() == p.ambient_dim:
-        return INTERIOR, cert
-    return RELATIVE_INTERIOR_ONLY, cert
+        return INTERIOR, cert, tight
+    return RELATIVE_INTERIOR_ONLY, cert, tight
 
 
 def convex_combination(p: PolytopeQ, q: Sequence) -> tuple[Fraction, ...] | None:
     """Coefficients of a convex combination of the generators equal to q,
     or None when q is outside the hull.  The relint LP is reused so interior
     points get all-positive coefficients."""
-    pos, cert = locate(p, q)
+    pos, cert, _ = locate(p, q)
     return None if pos == OUTSIDE else cert
 
 
@@ -130,65 +137,47 @@ def hull_position(p: PolytopeQ, q: Sequence) -> str:
 def minimal_face(p: PolytopeQ, q: Sequence) -> tuple[int, ...]:
     """Indices of the generators on the unique face whose relative interior
     contains q."""
-    base = convex_combination(p, q)
-    if base is None:
+    pos, cert, tight = locate(p, q)
+    if pos == OUTSIDE:
         raise ValueError("q lies outside the hull")
-    return face_support(p, q, base)
+    return tuple(i for i, a in enumerate(face_combination(p, q, cert, tight)) if a > 0)
 
 
-def face_support(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction]) -> tuple[int, ...]:
-    """minimal_face of q, given any convex combination of the generators
-    equal to q.
-
-    A generator belongs to that face iff some convex representation of q
-    gives it positive weight, so each index is settled by one small LP
-    maximizing its coefficient; supports of maximizers, starting from the
-    given combination, are merged to skip indices already known to be on
-    the face.
-    """
-    return _face_search(p, q, combination)[0]
-
-
-def face_combination(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def face_combination(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction],
+                     candidates: Iterable[int]) -> tuple[Fraction, ...]:
     """A convex combination of the generators equal to q that is positive
-    exactly on minimal_face(p, q), given any convex combination equal to q.
+    exactly on minimal_face(p, q), given any convex combination equal to q
+    and candidates, indices of every face generator it leaves at 0 and
+    maybe more (locate's or ray_entry's; range(m) searches them all).
 
-    It is the mean of the given combination and the maximizers face_support
-    merges: each is a convex representation of q, and the supports of the
-    mean's terms cover the face.  So q lies in the relative interior of the
-    hull of the face generators, certified by this combination.  When no
-    maximizer is merged (the given combination is already positive on the
-    whole face) it is the given combination itself.
+    A generator is on the face iff some convex representation of q weights
+    it, so each candidate off the face found so far, in increasing order,
+    is settled by one LP maximizing its coefficient, and the supports of
+    positive maximizers are merged.  A generator off the face has maximum 0
+    and is never merged, so the result does not depend on the candidates.
+    It is the mean of the given combination and the merged maximizers, all
+    convex representations of q whose supports cover the face, or the given
+    combination itself when none is merged.
     """
-    found = [tuple(combination), *_face_search(p, q, combination)[1]]
-    if len(found) == 1:
-        return found[0]
-    return tuple(Fraction(sum(col), len(found)) for col in zip(*found))
-
-
-def _face_search(p: PolytopeQ, q: Sequence, combination: Sequence[Fraction]):
-    """face_support's search: the face, and the maximizers whose supports
-    were merged into it."""
     q = _check_point(p, q)
     gens = p.generators
     m = len(gens)
-    d = p.ambient_dim
     face = {i for i in range(m) if combination[i] > 0}
-    found = []
-    rows = [[g[i] for g in gens] for i in range(d)] + [[1] * m]
+    found = [tuple(combination)]
+    rows = [[g[i] for g in gens] for i in range(p.ambient_dim)] + [[1] * m]
     rhs = list(q) + [1]
-    for i in range(m):
+    for i in sorted(candidates):
         if i in face:
             continue
-        obj = [0] * m
-        obj[i] = 1
-        res = solve_lp(rows, rhs, obj)
+        res = solve_lp(rows, rhs, [int(j == i) for j in range(m)])
         if res.status != OPTIMAL:
             raise InternalError(f"face LP is {res.status}, but q is in the hull")
         if res.value > 0:
             face.update(j for j in range(m) if res.x[j] > 0)
             found.append(res.x)
-    return tuple(sorted(face)), found
+    if len(found) == 1:
+        return found[0]
+    return tuple(Fraction(sum(col), len(found)) for col in zip(*found))
 
 
 @dataclass(frozen=True)
@@ -216,20 +205,21 @@ def ray_entry(
     p: PolytopeQ,
     axis_complement_dims: Sequence[int],
     positive_coord: int,
-) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """(lo, combination) for the least rho with the point (0,...,0,rho) in
+) -> tuple[Fraction, tuple[Fraction, ...], tuple[int, ...]] | None:
+    """(lo, combination, candidates) for the least rho with (0,...,0,rho) in
     the hull, where the listed coordinates are pinned to zero and
     positive_coord carries rho, or None when no hull point has them zero.
 
     One LP minimizes rho over that slice.  lo is not clamped, so it may be
     <= 0, and combination is a convex combination of the generators equal
-    to the point at rho = lo.
+    to the point at rho = lo.  Every convex representation of that point is
+    optimal, so the LP's tight columns, the candidates, hold its minimal face.
     """
     rows, rhs, obj = _ray_lp(p, axis_complement_dims, positive_coord)
     bot = solve_lp(rows, rhs, [-x for x in obj])
     if bot.status != OPTIMAL:
         return None  # slice empty
-    return -bot.value, tuple(bot.x)
+    return -bot.value, tuple(bot.x), bot.tight
 
 
 def ray_intersect(
@@ -248,7 +238,7 @@ def ray_intersect(
     entry = ray_entry(p, axis_complement_dims, positive_coord)
     if entry is None:
         return None
-    lo, lo_comb = entry
+    lo, lo_comb, _ = entry
     rows, rhs, obj = _ray_lp(p, axis_complement_dims, positive_coord)
     top = solve_lp(rows, rhs, obj)
     if top.value <= 0:

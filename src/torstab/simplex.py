@@ -23,6 +23,11 @@ right-hand-side column, -D times the objective value.  It is set once at
 the start of each phase and updated by every pivot.
 Fractions are built only where the solution and the value are read off.
 
+An optimal LP also reports ``tight``, the columns j < nvars with obj[j] == 0
+at the phase-2 optimum.  Every feasible x has c.x = value + sum_j r_j x_j,
+r the reduced costs, all <= 0 there, so a column outside ``tight`` is 0 in
+every optimal solution (complementary slackness, Schrijver ch. 7).
+
 An infeasible LP returns Farkas multipliers y, y.a >= 0 and y.b < 0 (Schrijver
 ch. 7): the phase-1 objective row holds D * (-1 - pi_i) over the artificials,
 pi the duals, so y_i = s_i * (-obj[nvars + i] - D), s_i = -1 on negated rows.
@@ -76,6 +81,9 @@ class LPResult:
     value: Fraction | None = None
     # if infeasible: integer y, one per row of a, with y.a >= 0, y.b < 0
     farkas: tuple[int, ...] | None = None
+    # if optimal: the columns of zero reduced cost, a superset of the
+    # support of every optimal solution
+    tight: tuple[int, ...] | None = None
 
 
 class _Tableau:
@@ -186,7 +194,8 @@ def solve_lp(a: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
     if t.optimize(nvars) == UNBOUNDED:
         return LPResult(UNBOUNDED, x=t.solution())
     return LPResult(OPTIMAL, x=t.solution(),
-                    value=Fraction(-t.obj[-1], t.det * cscale))
+                    value=Fraction(-t.obj[-1], t.det * cscale),
+                    tight=tuple(j for j in range(nvars) if t.obj[j] == 0))
 
 
 def solve_lp_mixed(ge: Sequence[tuple[Sequence, object]], c: Sequence) -> Fraction | None:

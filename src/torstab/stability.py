@@ -28,7 +28,7 @@ from .polytope import (
     ON_PROPER_FACE,
     RELATIVE_INTERIOR_ONLY,
     PolytopeQ,
-    face_support,
+    face_combination,
     locate,
     solve_mixed_system,
 )
@@ -108,12 +108,12 @@ class StabilityResult:
         return False
 
 
-def _face_cocharacter(weights, face_idx) -> tuple[int, ...]:
-    """Integer x vanishing on the face weights, >= 1 off the face."""
+def _face_cocharacter(weights, face_comb) -> tuple[int, ...]:
+    """Integer x vanishing on the weights where face_comb is positive, the
+    face, and >= 1 off it."""
     k = len(weights[0])
-    face = set(face_idx)
-    eqs = [(weights[i], 0) for i in sorted(face)]
-    stricts = [(weights[i], 0) for i in range(len(weights)) if i not in face]
+    eqs = [(w, 0) for w, a in zip(weights, face_comb) if a]
+    stricts = [(w, 0) for w, a in zip(weights, face_comb) if not a]
     sol = solve_mixed_system(eqs, stricts, k)
     if sol is None:
         raise InternalError("no face cocharacter, but the face is a proper face")
@@ -129,7 +129,7 @@ def classify(v: RepVector) -> StabilityResult:
     k = len(weights[0])
     hull = PolytopeQ.from_points(weights, ambient_dim=k)
     origin = (0,) * k
-    pos, cert = locate(hull, origin)
+    pos, cert, tight = locate(hull, origin)
     if pos == INTERIOR:
         return StabilityResult(STABLE, weights, combination=cert)
     if pos == RELATIVE_INTERIOR_ONLY:
@@ -140,7 +140,7 @@ def classify(v: RepVector) -> StabilityResult:
             flat_lattice=saturated_kernel(weights),
         )
     if pos == ON_PROPER_FACE:
-        face = face_support(hull, origin, cert)
+        face = face_combination(hull, origin, cert, tight)
         return StabilityResult(
             SEMISTABLE_NOT_POLYSTABLE,
             weights,
@@ -281,10 +281,10 @@ def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
             f"exceeds the limit of {MAX_BOX_POINTS}"
         ])
     largest = max(abs(c) for w in weights for c in w)
-    if largest * k * box_bound >= 2**63:
+    if largest * k * bound >= 2**63:
         raise ValidationError([
             f"weights up to {largest} overflow the 64-bit pairings of the "
-            f"brute-force scan at bound {box_bound}"
+            f"brute-force scan at bound {bound}"
         ])
     # Why the first hit lies within M: if the cone meets x_1 = 0 beyond the
     # origin, the first hit lies in that slice, the cone of W without its

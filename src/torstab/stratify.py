@@ -18,20 +18,20 @@ computed in integers over one common denominator D of the summed
 cocharacter: with x_n summed to X / D and each line's sheared rho
 rho + <w, X / D> = q / D, sigma = m D and x = m X, m = sigma_multiple.
 
-Each exact fact is decided once: c_n and a convex combination certifying
-it come from one LP, and F_n is read off that combination together with a
-convex combination positive exactly on F_n.  That combination puts 0 in
-the relative interior of the projection's restricted weights, so each
-stage's classification is read off the face certificate rather than
-decided again: Stable when the weights span, PolystableNotStable with
-their saturated kernel as flat lattice otherwise.  verify_decomposition
-re-checks it against weights recomputed from u, and stage_kn_minimizers
-passes it to the minimizer.  Stage 0's certificate also settles the
-precondition: when its face weights span, 0 is interior to their hull and
-so to the hull of all of u's weights, which is u Stable under G_0.
-classify runs only when they do not span or stage 0 breaks down, and
-rejects u when it is not Stable.  Both hull dimensions of a stage come off
-one elimination.
+Each exact fact is decided once: c_n, a convex combination certifying it
+and the LP's tight columns, which hold F_n, come from one LP, and face LPs
+on those candidates alone give a combination positive exactly on F_n.
+That combination puts 0 in the relative interior of the projection's
+restricted weights, so each stage's classification is read off the face
+certificate rather than decided again: Stable when the weights span,
+PolystableNotStable with their saturated kernel as flat lattice otherwise.
+verify_decomposition re-checks it against weights recomputed from u, and
+stage_kn_minimizers passes it to the minimizer.  Stage 0's certificate
+also settles the precondition: when its face weights span, 0 is interior
+to their hull and so to the hull of all of u's weights, which is u Stable
+under G_0.  classify runs only when they do not span or stage 0 breaks
+down, and rejects u when it is not Stable.  Both hull dimensions of a
+stage come off one elimination.
 
 Each stage pairs every remaining line's weight with G_n's basis once, on
 u's own lines: nu_n is the lines whose restricted weight vanishes, and the
@@ -166,14 +166,14 @@ def stratify(
             entry = ray_entry(hull, list(range(gn.dim)), gn.dim)
             if entry is None:
                 raise StratifyInternalError("RayEmpty", f"the rho-axis misses C_{n}")
-            c_n, entry_combination = entry
+            c_n, entry_combination, candidates = entry
             c_prev = stages[-1]["c"] if stages else 0
             if not c_prev < c_n:
                 raise StratifyInternalError(
                     "NonIncreasingC", f"c_{n} = {c_n} is not above c_{n - 1} = {c_prev}"
                 )
             axis_point = (0,) * gn.dim + (c_n,)
-            face_comb = face_combination(hull, axis_point, entry_combination)
+            face_comb = face_combination(hull, axis_point, entry_combination, candidates)
             face_pts = [g for g, a in zip(gens, face_comb) if a > 0]
             if len(face_pts) < 2:
                 raise StratifyInternalError("VertexFace", f"F_{n} degenerates to a vertex")

@@ -435,6 +435,26 @@ def test_bruteforce_box_cap_counts_the_box_scanned():
     assert report["report"]["box_sound"] is True
 
 
+def test_huge_box_bound_scanned_to_the_witness_bound_is_not_refused():
+    # the scan reaches min(box_bound, witness bound), and only that bound can
+    # overflow the 64-bit pairings: rank 2 with weights up to 100 at 2**60,
+    # and rank 1 with a weight of 2**62 at 2, each scan to bound 100 and 1
+    rank2 = stability_doc()
+    rank2["payload"]["rank"] = 2
+    rank2["payload"]["lines"] = [{"label": "a", "weight": [100, 1]},
+                                 {"label": "b", "weight": [-1, 100]},
+                                 {"label": "c", "weight": [-100, -100]}]
+    rank2["payload"]["amplitudes"] = {"a": 1.0, "b": 1.0, "c": 1.0}
+    rank1 = stability_doc()
+    rank1["payload"]["lines"][0]["weight"] = [2**62]
+    for doc, box_bound in ((rank2, 2**60), (rank1, 2)):
+        report, code = run_document(doc, box_bound=box_bound)
+        assert code == 0, report
+        assert report["report"]["class"] == "Stable"
+        assert report["report"]["bruteforce_witness"] is None
+        assert report["report"]["box_sound"] is True
+
+
 def test_run_stability_with_bruteforce_scan():
     report, code = run_document(stability_doc(), box_bound=5)
     assert code == 0
@@ -461,7 +481,7 @@ def unstable_doc():
 def test_internal_error_is_not_a_rejection(tmp_path, capsys, monkeypatch):
     assert not issubclass(InternalError, (TorstabError, ValueError))
     monkeypatch.setattr(stability, "locate",
-                        lambda hull, q: (OUTSIDE, (0,) * hull.ambient_dim))
+                        lambda hull, q: (OUTSIDE, (0,) * hull.ambient_dim, ()))
     with pytest.raises(InternalError, match="no separating cocharacter"):
         run_document(unstable_doc())
     p = tmp_path / "unstable.json"
@@ -478,7 +498,7 @@ import torstab.stability as stability
 from torstab.cli import run_document
 from torstab.errors import InternalError
 from torstab.polytope import OUTSIDE
-stability.locate = lambda hull, q: (OUTSIDE, (0,) * hull.ambient_dim)
+stability.locate = lambda hull, q: (OUTSIDE, (0,) * hull.ambient_dim, ())
 assert False, "asserts are on"
 try:
     run_document({unstable_doc()!r})

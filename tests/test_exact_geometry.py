@@ -387,7 +387,7 @@ def test_locate_outside_separates(data):
     # an independent check of the separator: <g - q, x> > 0 for every g
     dim, pts, q = data
     p = PolytopeQ.from_points(pts, ambient_dim=dim)
-    pos, cert = locate(p, q)
+    pos, cert, _ = locate(p, q)
     assert pos == oracle_position(pts, q, dim)
     if pos == OUTSIDE:
         assert len(cert) == dim and all(type(c) is int for c in cert)
@@ -474,11 +474,69 @@ def test_face_combination_is_positive_exactly_on_minimal_face(data):
     given = tuple(F(w, total) for w in weights)
     q = tuple(sum(a * g[i] for a, g in zip(given, pts)) for i in range(dim))
     p = PolytopeQ.from_points(pts, ambient_dim=dim)
-    comb = face_combination(p, q, given)
+    comb = face_combination(p, q, given, range(len(pts)))
     assert sum(comb) == 1 and all(a >= 0 for a in comb)
     assert all(sum(a * g[i] for a, g in zip(comb, pts)) == q[i] for i in range(dim))
     face = tuple(i for i, a in enumerate(comb) if a > 0)
     assert face == oracle_minimal_face(pts, q) == minimal_face(p, q)
+
+
+def _pooled_points(dim):
+    # repeated generators, and small coordinates for degenerate optima
+    pool = st.lists(st.tuples(*([st.integers(-2, 2)] * dim)), min_size=1, max_size=5)
+    return pool.flatmap(lambda base: st.lists(st.sampled_from(base), min_size=2, max_size=8))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.tuples(st.just(d), _pooled_points(d),
+                        st.lists(st.integers(0, 2), min_size=8, max_size=8))))
+def test_pruned_candidates_give_the_unpruned_face_combination(data):
+    # the tight columns of locate's and ray_entry's LPs against every index
+    dim, pts, weights = data
+    m = len(pts)
+    p = PolytopeQ.from_points(pts, ambient_dim=dim)
+    weights = weights[:m]
+    if not any(weights):
+        weights[-1] = 1
+    q = tuple(F(sum(w * g[i] for w, g in zip(weights, pts)), sum(weights)) for i in range(dim))
+    cases = [(r, *locate(p, r)) for r in (q, (0,) * dim)]
+    entry = ray_entry(p, list(range(dim - 1)), dim - 1)
+    if entry is not None:
+        lo, comb, tight = entry
+        cases.append(((0,) * (dim - 1) + (lo,), None, comb, tight))
+    for point, pos, comb, tight in cases:
+        if pos == OUTSIDE:
+            assert tight == () and point == (0,) * dim
+            continue
+        pruned = face_combination(p, point, comb, tight)
+        assert pruned == face_combination(p, point, comb, range(m))
+        face = tuple(i for i, a in enumerate(pruned) if a > 0)
+        assert face == oracle_minimal_face(pts, point)
+        # off an interior point's all-positive combination, tight holds the face
+        assert set(face) <= set(tight) or all(comb)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda rows: st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                 min_size=rows, max_size=rows),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.lists(st.integers(-1, 1), min_size=n, max_size=n)))))
+def test_tight_columns_hold_every_optimal_solution(data):
+    # each coordinate's maximizer over the optimal set, with the optimal
+    # value pinned as an equality row, is zero outside tight
+    a, x0, c = data
+    n = len(c)
+    a = a + [[1] * n]  # bounds the LP
+    b = [sum(r * x for r, x in zip(row, x0)) for row in a]
+    res = solve_lp(a, b, c)
+    assert res.status == OPTIMAL and res.tight == tuple(sorted(set(res.tight)))
+    for j in range(n):
+        top = solve_lp(a + [c], b + [res.value], [int(i == j) for i in range(n)])
+        assert top.status == OPTIMAL
+        assert all(top.x[i] == 0 for i in range(n) if i not in res.tight)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +636,7 @@ def test_ray_entry_is_the_lower_end_of_ray_intersect(data):
         assert iv is None and not any(
             oracle_member(pts, (0,) * (dim - 1) + (F(r, 2),)) for r in range(-8, 9))
         return
-    lo, comb = entry
+    lo, comb, _ = entry
     assert sum(comb) == 1 and all(a >= 0 for a in comb)
     point = [sum(a * g[i] for a, g in zip(comb, pts)) for i in range(dim)]
     assert point == [0] * (dim - 1) + [lo]

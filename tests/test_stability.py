@@ -182,6 +182,20 @@ def test_bruteforce_refuses_pairings_beyond_int64(weights):
         destabilizer_bruteforce(vec(weights), 5)
 
 
+def test_bruteforce_guards_the_bound_it_scans():
+    # the pairings are bounded at the bound scanned, min(B, witness bound):
+    # 1 at rank 1, and 100 at rank 2 with weights up to 100, however large B is
+    assert destabilizer_bruteforce(vec([(2**63 - 1,), (-1,)]), 5) is None
+    assert destabilizer_bruteforce(vec([(2**63 - 1,), (1,)]), 5) == (1,)
+    v = vec([(100, 1), (-1, 100), (-100, -100)])
+    assert destabilizer_bruteforce(v, 2**60) == full_scan(v, 100)
+    # rank 2 at B = 1 scans to 1, and largest * k * 1 meets 2**63 at 2**62
+    fits = vec([(2**62 - 1, 0), (-1, 1), (0, -1)])
+    assert destabilizer_bruteforce(fits, 1) == full_scan(fits, 1)
+    with pytest.raises(ValueError, match="overflow .* at bound 1$"):
+        destabilizer_bruteforce(vec([(2**62, 0), (-1, 1), (0, -1)]), 1)
+
+
 def test_bruteforce_rejects_bad_box():
     with pytest.raises(ValueError):
         destabilizer_bruteforce(vec([(1,)]), 0)

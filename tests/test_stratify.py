@@ -317,7 +317,7 @@ def test_stage_classification_decided_once(monkeypatch):
     # its face certificate, so no relint LP runs after the input's
     assert (len(classify_calls), len(relint_calls)) == (1, 1)
     # the input's relint LP, then per stage one ray LP and the face LPs
-    assert len(lp_calls) == 5
+    assert len(lp_calls) == 4
     assert [st.projection.stability for st in res.stages] == [
         POLYSTABLE_NOT_STABLE, STABLE]
 
