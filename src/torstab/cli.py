@@ -491,8 +491,7 @@ def _run_kempf_ness(payload, options, *, tol, convention, emit_certificates, box
         body["flat_space"] = [list(b) for b in res.flat_space.basis]
     if res.descent_ray is not None:
         body["descent_ray"] = list(res.descent_ray)
-    if emit_certificates and res.stability is not None:
-        body.update(_certificate_doc(res.stability, True))
+    body.update(_certificate_doc(cls, emit_certificates))
     return body
 
 

@@ -24,11 +24,8 @@ class StratifyInternalError(TorstabError):
     """Internal assertion failure of the stratification iteration (empty ray
     slice, non-increasing c_n, vertex face, infeasible cocharacter system,
     torus that does not shrink).
-    These indicate an input violating the preconditions, never ignored."""
-
-    def __init__(self, kind, message):
-        super().__init__(f"{kind}: {message}")
-        self.kind = kind
+    These indicate an input violating the preconditions, never ignored.
+    The message starts with the kind of failure, as in "RayEmpty: ..."."""
 
 
 class ValidationError(TorstabError, ValueError):

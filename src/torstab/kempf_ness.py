@@ -106,7 +106,6 @@ class KNResult:
     gradient_norm: float | None = None
     flat_space: Lattice | None = None
     descent_ray: tuple[int, ...] | None = None
-    stability: StabilityResult | None = None
     iterations: int = 0
 
 
@@ -154,7 +153,7 @@ def kn_minimize(
         ray = tuple(-c for c in stability.cocharacter)
         level = [c for w, c in zip(p.weights, p.log_norms2) if dot(w, ray) == 0]
         limit = _exp(log_sum_exp(level)) if level else 0
-        return KNResult(DIVERGING, value=limit, descent_ray=ray, stability=stability)
+        return KNResult(DIVERGING, value=limit, descent_ray=ray)
 
     # Stable certifies that the flat lattice is trivial
     flat = stability.flat_lattice or Lattice(p.rank, ())
@@ -184,7 +183,6 @@ def kn_minimize(
         value=sum(e),
         gradient_norm=math.hypot(*grad),
         flat_space=flat if status == FLAT_DIRECTIONS and converged else None,
-        stability=stability,
         iterations=it,
     )
 

@@ -4,16 +4,17 @@ kernel lattices.
 
 Everything here is exact; no floating point enters any computation.
 One elimination step, _eliminate (the integer-preserving pivot of Bareiss
-1968), serves the whole exact layer: _echelon runs it for rref,
-rational_rank, solve_affine and nullspace, and the simplex tableau
-(simplex.py) pivots with it.  It also decides full rank for
-saturated_kernel, which runs a Smith normal form only when the kernel is
-nontrivial.
+1968), serves the whole exact layer: _echelon runs it for rational_rank,
+solve_affine and nullspace, and the simplex tableau (simplex.py) pivots
+with it.  solve_affine and nullspace share one read-off of the echelon
+rows, _kernel, so every kernel basis is integer.  _echelon also decides
+full rank for saturated_kernel, which runs a Smith normal form only when
+the kernel is nontrivial.
 Integer data stays int up to the first division: sums, products and
 differences are computed on the values given, clear_denominators returns
 int input as it is, and a Fraction is built only where the exact layer
-divides (the rref and simplex read-offs) or where input is neither int nor
-Fraction (qvec).
+divides (solve_affine's particular solution and the simplex read-off of
+solution and value) or where input is neither int nor Fraction (qvec).
 """
 
 from __future__ import annotations
@@ -96,68 +97,53 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     return m[:len(pivots)], pivots
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column indices).
-
-    Eliminates fraction-free on ints (_echelon); a pivot row is divided by
-    its pivot D only at the read-off, which gives the unique RREF with
-    Fraction entries.
-    """
-    m, pivots = _echelon(rows)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)], pivots
-
-
 def rational_rank(vectors: Sequence[Sequence]) -> int:
     """Rank over Q: the number of pivots of _echelon."""
     return len(_echelon(vectors)[1])
 
 
-def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: int) -> tuple[QVec, list[QVec]] | None:
-    """All rational solutions of A x = b (A given by rows of length n) as
-    (x0, kernel basis): the solutions are x0 + sum_j z_j N_j over rational
-    z.  Both are read from one rref of [A | b]; None if A x = b is
-    inconsistent.  x0 is zero off the pivot columns, and each kernel vector
-    has a 1 at its free column and 0 at the other free columns."""
-    red, pivots = rref([[*r, b] for r, b in zip(rows, rhs)])
-    if pivots and pivots[-1] == n:
-        return None
-    x0 = [0] * n
-    for i, p in enumerate(pivots):
-        x0[p] = red[i][n]
+def _kernel(m: list[list[int]], pivots: list[int], n: int) -> list[IVec]:
+    """Integer kernel basis of the first n columns of _echelon's rows m, one
+    vector per free column f: the RREF kernel vector with 1 at f and 0 at
+    the other free columns, times the least positive integer that clears
+    its denominators (as clear_denominators would).  The entry at pivot
+    column c of row i is -row_i[f] / D, so the least such integer is
+    |D| / gcd(D, row_1[f], row_2[f], ...)."""
+    d = m[0][pivots[0]] if m else 1
     basis = []
     for f in range(n):
         if f in pivots:
             continue
-        v = [0] * n
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(tuple(v))
-    return tuple(x0), basis
-
-
-def nullspace(rows: Sequence[Sequence]) -> list[IVec]:
-    """Integer basis of {x : A x = 0} (A given by rows), one vector per free
-    column f: the RREF kernel vector with 1 at f and 0 at the other free
-    columns, times the least positive integer that clears its denominators
-    (as clear_denominators would).  Read off the fraction-free echelon rows
-    in ints: the entry at pivot column c of row i is -row_i[f] / D, so the
-    least such integer is |D| / gcd(D, row_1[f], row_2[f], ...)."""
-    if not rows:
-        raise ValueError("need at least one row to know the dimension")
-    m, pivots = _echelon(rows)
-    d = m[0][pivots[0]] if m else 1
-    basis = []
-    for f in range(len(rows[0])):
-        if f in pivots:
-            continue
         scale = abs(d) // gcd(d, *(row[f] for row in m))
-        v = [0] * len(rows[0])
+        v = [0] * n
         v[f] = scale
         for row, c in zip(m, pivots):
             v[c] = -row[f] * scale // d
         basis.append(tuple(v))
     return basis
+
+
+def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: int) -> tuple[QVec, list[IVec]] | None:
+    """All rational solutions of A x = b (A given by rows of length n) as
+    (x0, kernel basis): the solutions are x0 + sum_j z_j N_j over rational
+    z.  Both are read off one _echelon of [A | b]; None if A x = b is
+    inconsistent.  x0 is zero off the pivot columns and row_i[n] / D at
+    pivot column c_i; the kernel basis is nullspace's integer basis."""
+    m, pivots = _echelon([[*r, b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == n:
+        return None
+    x0 = [0] * n
+    for row, c in zip(m, pivots):
+        x0[c] = Fraction(row[n], row[c])
+    return tuple(x0), _kernel(m, pivots, n)
+
+
+def nullspace(rows: Sequence[Sequence]) -> list[IVec]:
+    """Integer basis of {x : A x = 0} (A given by rows), read off the
+    fraction-free echelon rows in ints (_kernel)."""
+    if not rows:
+        raise ValueError("need at least one row to know the dimension")
+    return _kernel(*_echelon(rows), len(rows[0]))
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> QVec | None:

@@ -252,23 +252,45 @@ def partition_dim_comparison(partition: PartitionP, block_ranks: Sequence[int], 
     return dim, dim < full
 
 
-def _set_partitions(n: int):
-    if n == 0:
-        yield []
-        return
-    if n == 1:
-        yield [[0]]
-        return
-    for smaller in _set_partitions(n - 1):
-        for i in range(len(smaller)):
-            yield smaller[:i] + [smaller[i] + [n - 1]] + smaller[i + 1:]
-        yield smaller + [[n - 1]]
+def _rg_partitions(ids) -> list:
+    """The set partitions of range(len(ids)), one per state, in
+    restricted-growth order (item i joins one of the parts opened before it,
+    or opens a new one): parts[j] holds the items of part j.  The state of
+    a partition, or of a prefix of one, is the sorted multiset of its parts'
+    sorted ids, and only the first partition of each state is kept, so
+    distinct ids keep every set partition.
+
+    The partitions are built directly, not by filtering all Bell(k) of
+    them: prefixes are extended one item at a time in lexicographic order,
+    and a prefix is pruned when an earlier one of the same length has the
+    same state.  Both prefixes reach the same states, and every completion
+    of the earlier one comes first, so no state loses its first partition.
+    """
+    # the surviving prefixes of each length, as (parts, id_parts) keyed by
+    # state, id_parts[j] the sorted ids of parts[j].  A level lists its
+    # prefixes in lexicographic order, and so does the next one, built from
+    # them in turn; the first prefix to reach a state is kept.
+    prefixes = [((), ())]
+    for i, x in enumerate(ids):
+        level: dict = {}
+        for parts, id_parts in prefixes:
+            for j, (part, id_part) in enumerate(zip(parts, id_parts)):
+                child = id_parts[:j] + (tuple(sorted(id_part + (x,))),) + id_parts[j + 1:]
+                state = tuple(sorted(child))
+                if state not in level:
+                    level[state] = (parts[:j] + (part + (i,),) + parts[j + 1:], child)
+            child = id_parts + ((x,),)
+            state = tuple(sorted(child))
+            if state not in level:
+                level[state] = (parts + ((i,),), child)
+        prefixes = level.values()
+    return [parts for parts, _ in prefixes]
 
 
 @lru_cache(maxsize=None)
 def _merges(n: int) -> tuple:
     """The set partitions of n parts that merge at least two of them."""
-    return tuple(tuple(map(tuple, m)) for m in _set_partitions(n) if len(m) < n)
+    return tuple(m for m in _rg_partitions(range(n)) if len(m) < n)
 
 
 def _signature(id_parts) -> tuple:
@@ -310,42 +332,16 @@ def partitions_with_order(shb: SHBSpec) -> PartitionPoset:
     (P > P' when P' refines P); the order is computed only when read.
 
     Partitions identifying the same multiset of block-data multisets are one
-    class, listed once by its first set partition in restricted-growth order
-    (block i joins one of the parts opened before it, or opens a new one),
-    in that order.  The classes are built directly, not by filtering the
-    Bell(k) set partitions: restricted-growth prefixes are extended one
-    block at a time in lexicographic order, and a prefix is pruned when an
-    earlier one of the same length has the same state, the sorted multiset
-    of its parts' sorted block-data ids.  Both prefixes reach the same
-    classes, and every completion of the earlier one comes first, so no
-    class loses its first representative; at full length the state is the
-    class."""
+    class, listed once by its first set partition in restricted-growth
+    order, in that order (_rg_partitions on the blocks' data ids).  At full
+    length a partition's state is its class."""
     k = shb.k
     if k > MAX_PARTITION_BLOCKS:
         raise TorstabError(f"partition enumeration capped at {MAX_PARTITION_BLOCKS} blocks")
     data_ids: dict = {}
     ids = tuple(data_ids.setdefault((b.ranks, b.degrees, b.tag), len(data_ids))
                 for b in shb.blocks)
-    # the surviving prefixes of each length, as (parts, id_parts) keyed by
-    # state: parts[j] holds the blocks of part j, id_parts[j] their sorted
-    # data ids.  A level lists its prefixes in lexicographic order, and so
-    # does the next one, built from them in turn; the first prefix to reach
-    # a state is kept.
-    prefixes = [((), ())]
-    for i, x in enumerate(ids):
-        level: dict = {}
-        for parts, id_parts in prefixes:
-            for j, (part, id_part) in enumerate(zip(parts, id_parts)):
-                child = id_parts[:j] + (tuple(sorted(id_part + (x,))),) + id_parts[j + 1:]
-                state = tuple(sorted(child))
-                if state not in level:
-                    level[state] = (parts[:j] + (part + (i,),) + parts[j + 1:], child)
-            child = id_parts + ((x,),)
-            state = tuple(sorted(child))
-            if state not in level:
-                level[state] = (parts + ((i,),), child)
-        prefixes = level.values()
-    reps = [PartitionP(parts) for parts, _ in prefixes]
+    reps = [PartitionP(parts) for parts in _rg_partitions(ids)]
     return PartitionPoset(tuple(reps), ids)
 
 

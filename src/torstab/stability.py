@@ -281,7 +281,8 @@ def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
             f"exceeds the limit of {MAX_BOX_POINTS}"
         ])
     largest = max(abs(c) for w in weights for c in w)
-    if largest * k * bound >= 2**63:
+    # only a scan of rank >= 2 builds int64 arrays (_first_hit)
+    if k > 1 and largest * k * bound >= 2**63:
         raise ValidationError([
             f"weights up to {largest} overflow the 64-bit pairings of the "
             f"brute-force scan at bound {bound}"

@@ -153,7 +153,7 @@ def stratify(
             active = [lab for lab in left if any(restricted[lab])]
             if not active:
                 raise StratifyInternalError(
-                    "EmptyResidual", f"no weights left at stage {n} with dim G_n > 0"
+                    f"EmptyResidual: no weights left at stage {n} with dim G_n > 0"
                 )
             # sheared, projected points; one polytope generator per distinct point
             pts: dict[tuple, list] = {}
@@ -165,18 +165,18 @@ def stratify(
             hull = PolytopeQ.from_points(gens, ambient_dim=gn.dim + 1)
             entry = ray_entry(hull, list(range(gn.dim)), gn.dim)
             if entry is None:
-                raise StratifyInternalError("RayEmpty", f"the rho-axis misses C_{n}")
+                raise StratifyInternalError(f"RayEmpty: the rho-axis misses C_{n}")
             c_n, entry_combination, candidates = entry
             c_prev = stages[-1]["c"] if stages else 0
             if not c_prev < c_n:
                 raise StratifyInternalError(
-                    "NonIncreasingC", f"c_{n} = {c_n} is not above c_{n - 1} = {c_prev}"
+                    f"NonIncreasingC: c_{n} = {c_n} is not above c_{n - 1} = {c_prev}"
                 )
             axis_point = (0,) * gn.dim + (c_n,)
             face_comb = face_combination(hull, axis_point, entry_combination, candidates)
             face_pts = [g for g, a in zip(gens, face_comb) if a > 0]
             if len(face_pts) < 2:
-                raise StratifyInternalError("VertexFace", f"F_{n} degenerates to a vertex")
+                raise StratifyInternalError(f"VertexFace: F_{n} degenerates to a vertex")
             s_labels = tuple(sorted(lab for p in face_pts for lab in pts[p]))
 
             # exact system for x_n inside the span of G_n, in basis coordinates
@@ -188,7 +188,7 @@ def stratify(
                     stricts.append((p[: gn.dim], c_n - p[gn.dim]))
             y = solve_mixed_system(eqs, stricts, gn.dim)
             if y is None:
-                raise StratifyInternalError("NoCocharacter", f"stage {n} system infeasible")
+                raise StratifyInternalError(f"NoCocharacter: stage {n} system infeasible")
             x_n = gn.lift(y)
             x_prev = tuple(a + b for a, b in zip(x_prev, x_n))
 
@@ -211,7 +211,7 @@ def stratify(
             g_next = Subtorus(k, Lattice(k, tuple(map(gn.lift, ker.basis))))
             if not g_next.dim < gn.dim:
                 raise StratifyInternalError(
-                    "NonDecreasingTorus", f"stabilizer did not shrink at stage {n}"
+                    f"NonDecreasingTorus: stabilizer did not shrink at stage {n}"
                 )
 
             # both hull dimensions from one elimination of the differences

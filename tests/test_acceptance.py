@@ -37,7 +37,7 @@ from torstab.shb_model import (
     expected_dim_central_locus,
     partition_dim,
     slice_vector,
-    _set_partitions,
+    _rg_partitions,
 )
 from torstab.stability import STABLE, classify, destabilizer_bruteforce
 from torstab.stratify import stratify, verify_decomposition
@@ -163,7 +163,7 @@ def test_criterion_5_dimension_formulas():
     checked = 0
     for ranks in rank_multisets(8):
         k = len(ranks)
-        for parts in _set_partitions(k):
+        for parts in _rg_partitions(range(k)):
             p = PartitionP.of(parts)
             if p.is_trivial:
                 continue
@@ -171,6 +171,9 @@ def test_criterion_5_dimension_formulas():
                 dim = partition_dim(p, ranks, g)
                 assert dim < expected_dim_central_locus(sum(ranks), g), (ranks, parts, g)
                 checked += 1
+    # every proper set partition: Bell(k) - 1 of them, at each genus
+    bell = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+    assert checked == 3 * sum(bell[len(r)] - 1 for r in rank_multisets(8))
     _report(5, "dimension formulas", f"{checked} proper partitions")
 
 

@@ -455,6 +455,19 @@ def test_huge_box_bound_scanned_to_the_witness_bound_is_not_refused():
         assert report["report"]["box_sound"] is True
 
 
+def test_rank1_scan_with_a_weight_beyond_int64_answers(tmp_path, capsys):
+    # a rank-1 scan builds no array, so no 64-bit pairing can wrap
+    doc = stability_doc()
+    doc["payload"]["lines"][0]["weight"] = [2**63]
+    p = tmp_path / "rank1.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--input", str(p), "--box-bound", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["class"] == "Stable"
+    assert report["bruteforce_witness"] is None
+    assert report["box_sound"] is True
+
+
 def test_run_stability_with_bruteforce_scan():
     report, code = run_document(stability_doc(), box_bound=5)
     assert code == 0

@@ -37,9 +37,9 @@ from torstab.qexact import (
     nullspace,
     qvec,
     rational_rank,
-    rref,
     saturated_kernel,
     smith_normal_form,
+    solve_affine,
     solve_linear,
     vsub,
 )
@@ -834,7 +834,8 @@ def test_solve_lp_mixed_matches_highs(lp):
 
 def fraction_rref(rows):
     """Reduced row echelon form by plain Fraction Gauss-Jordan elimination:
-    the reference for qexact.rref's fraction-free elimination."""
+    the reference for qexact's fraction-free elimination and its
+    read-offs."""
     m = [[F(x) for x in r] for r in rows]
     if not m:
         return [], []
@@ -892,31 +893,49 @@ def test_rational_rank_matches_fraction_rref(rows):
     assert rational_rank(rows) == fraction_rref_rank(rows)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(rank_matrices())
-def test_rref_matches_fraction_rref(rows):
-    got, pivots = rref(rows)
-    want, want_pivots = fraction_rref(rows)
-    assert (got, pivots) == (want, want_pivots)
-    assert all(type(x) is F for row in got for x in row)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(rank_matrices().filter(bool))
-def test_nullspace_is_the_fraction_rref_kernel_cleared(rows):
-    # one vector per free column f: 1 at f, minus the rref's column f at
-    # the pivots, times the lcm of its denominators
-    n = len(rows[0])
-    red, pivots = fraction_rref(rows)
-    want = []
+def fraction_rref_kernel(red, pivots, n):
+    """One vector per free column f < n: 1 at f, minus the rref's column f
+    at the pivots, times the lcm of its denominators."""
+    basis = []
     for f in (f for f in range(n) if f not in pivots):
         v = [F(int(j == f)) for j in range(n)]
         for row, c in zip(red, pivots):
             v[c] = -row[f]
         scale = math.lcm(*(x.denominator for x in v))
-        want.append(tuple(int(x * scale) for x in v))
+        basis.append(tuple(int(x * scale) for x in v))
+    return basis
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rank_matrices().filter(lambda rows: rows and rows[0]))
+def test_rref_matches_fraction_rref(rows):
+    # each row is [a | b]: solve_affine is None exactly when the rref of
+    # [A | b] has a pivot in the b column; otherwise x0 is the rref's last
+    # column at the pivots and the kernel is the rref kernel, cleared
+    n = len(rows[0]) - 1
+    a, b = [r[:n] for r in rows], [r[n] for r in rows]
+    red, pivots = fraction_rref(rows)
+    got = solve_affine(a, b, n)
+    if pivots and pivots[-1] == n:
+        assert got is None
+        return
+    x0, basis = got
+    want = [0] * n
+    for row, c in zip(red, pivots):
+        want[c] = row[n]
+    assert list(x0) == want
+    assert all(type(x) is (F if i in pivots else int) for i, x in enumerate(x0))
+    assert basis == fraction_rref_kernel(red, pivots, n)
+    assert all(type(x) is int for v in basis for x in v)
+    assert all(dot(r, x0) == c for r, c in zip(a, b))
+    assert all(dot(r, v) == 0 for r in a for v in basis)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rank_matrices().filter(bool))
+def test_nullspace_is_the_fraction_rref_kernel_cleared(rows):
     got = nullspace(rows)
-    assert got == want
+    assert got == fraction_rref_kernel(*fraction_rref(rows), len(rows[0]))
     assert all(type(x) is int for v in got for x in v)
     assert all(dot(r, v) == 0 for r in rows for v in got)
 
@@ -925,7 +944,7 @@ def test_nullspace_is_the_fraction_rref_kernel_cleared(rows):
 @given(rank_matrices())
 def test_echelon_pivots_equal_one_common_denominator(rows):
     # integer-preserving Gauss-Jordan keeps every row at D times its RREF
-    # row, so rref and nullspace divide each pivot row by the same D
+    # row, so the read-offs divide each pivot row by the same D
     m, pivots = _echelon(rows)
     assert len({row[c] for row, c in zip(m, pivots)}) <= 1
     assert all(type(x) is int for row in m for x in row)

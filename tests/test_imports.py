@@ -92,6 +92,26 @@ def test_run_stability_goldens_without_box_loads_no_float_or_schema_library():
     assert main_in_fresh_interpreter(["run", "--input", *paths]) == (0, [])
 
 
+def test_rank1_bruteforce_scan_loads_no_numpy(tmp_path):
+    # a rank-1 scan reads its hit off the signs of the weights; a rank-2
+    # one builds its grid in numpy
+    doc = {"schema_version": "1", "kind": "stability",
+           "payload": {"rank": 1, "lines": [{"label": "a", "weight": [2]},
+                                            {"label": "b", "weight": [-1]}],
+                       "amplitudes": {"a": 1.0, "b": 1.0}}}
+    rank1 = tmp_path / "rank1.json"
+    rank1.write_text(json.dumps(doc))
+    doc["payload"] = {"rank": 2, "lines": [{"label": "a", "weight": [1, 0]},
+                                           {"label": "b", "weight": [-1, 1]},
+                                           {"label": "c", "weight": [0, -1]}],
+                      "amplitudes": {"a": 1.0, "b": 1.0, "c": 1.0}}
+    rank2 = tmp_path / "rank2.json"
+    rank2.write_text(json.dumps(doc))
+    for path, loaded in ((rank1, []), (rank2, ["numpy"])):
+        argv = ["run", "--input", str(path), "--box-bound", "5"]
+        assert main_in_fresh_interpreter(argv) == (0, loaded), path.name
+
+
 def test_float_kinds_load_numpy_only():
     # the probe does see numpy when a document needs it
     for kind in ("kempf-ness", "stratify", "kuranishi"):

@@ -15,6 +15,7 @@ from torstab.shb_model import (
     PartitionP,
     SHBSpec,
     StableBlock,
+    _merges,
     automorphism_torus,
     class_label,
     class_weight_data,
@@ -296,6 +297,15 @@ def rgs_set_partitions(n):
         for i in range(len(smaller)):
             yield smaller[:i] + [smaller[i] + [n - 1]] + smaller[i + 1:]
         yield smaller + [[n - 1]]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_merges_are_the_set_partitions_that_merge_parts(n):
+    # every set partition of n parts with fewer than n parts, listed once;
+    # the order of the list is free, since PartitionPoset.order is a set
+    want = {tuple(map(tuple, m)) for m in rgs_set_partitions(n) if len(m) < n}
+    got = _merges(n)
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 def bell_first_hits(shb):

@@ -174,12 +174,19 @@ def test_verify_rejects_certificate_of_wrong_dimension():
 
 
 @pytest.mark.parametrize(
-    "weights", [[(2**62, 1), (-(2**62), 1), (0, -1)], [(2**63,), (-1,)]], ids=["wrap", "int64"]
+    "weights, refused",
+    [([(2**62, 1), (-(2**62), 1), (0, -1)], True), ([(2**63,), (-1,)], False)],
+    ids=["wrap", "int64"],
 )
-def test_bruteforce_refuses_pairings_beyond_int64(weights):
-    # the first is stable; 64-bit pairings would wrap and report (2, 0)
-    with pytest.raises(ValueError, match="overflow"):
-        destabilizer_bruteforce(vec(weights), 5)
+def test_bruteforce_refuses_pairings_beyond_int64(weights, refused):
+    # both are stable.  At rank 2, 64-bit pairings would wrap and report
+    # (2, 0), so the scan is refused; a rank-1 scan builds no array, so
+    # nothing wraps and it answers
+    if refused:
+        with pytest.raises(ValueError, match="overflow"):
+            destabilizer_bruteforce(vec(weights), 5)
+    else:
+        assert destabilizer_bruteforce(vec(weights), 5) is None
 
 
 def test_bruteforce_guards_the_bound_it_scans():
@@ -187,6 +194,7 @@ def test_bruteforce_guards_the_bound_it_scans():
     # 1 at rank 1, and 100 at rank 2 with weights up to 100, however large B is
     assert destabilizer_bruteforce(vec([(2**63 - 1,), (-1,)]), 5) is None
     assert destabilizer_bruteforce(vec([(2**63 - 1,), (1,)]), 5) == (1,)
+    assert destabilizer_bruteforce(vec([(1,), (2**70,)]), 5) == (1,)
     v = vec([(100, 1), (-1, 100), (-100, -100)])
     assert destabilizer_bruteforce(v, 2**60) == full_scan(v, 100)
     # rank 2 at B = 1 scans to 1, and largest * k * 1 meets 2**63 at 2**62
