@@ -34,6 +34,12 @@ GUARDS = {
         # each LP is posed in its smallest standard form
         ("tableau_cells", "simplex.solve_lp.tableau_cells", 30, "simplex.solve_lp.calls"),
     ],
+    "hodge-systems": [
+        # the automorphism torus is one saturated kernel and one saturation
+        # check, solved once per abelian document
+        ("torus_smith_forms", "qexact.smith_normal_form.calls", 2,
+         "shb_model.positive_slice_lines.calls"),
+    ],
 }
 
 

@@ -15,6 +15,19 @@ so Higgs-parallel deformations are circle-fixed and quadratic-differential
 directions land in the positive slice.  The "flipped" convention negates
 both, matching the opposite reading of the index pair.  All identities in
 the test suite run under both.
+
+What is built once.  positive_slice_lines and conformal_degree_table each
+read one class table per call, built with each block pair's torus weight
+computed once and the convention checked once.  The partition poset
+depends only on the blocks' data-id pattern (which blocks share data, not
+the data itself nor the genus), so it is built once per pattern and kept
+in a least-recently-used cache of PARTITION_CACHE_SIZE = 32 patterns;
+every system of five distinct blocks shares one.  A full cache of the 32
+largest 8-block posets holds about 20 MB, and about 340 MB once every
+one's order has been read (CPython 3.11, measured by tracemalloc).
+Nothing keyed on a document's own content (its class table, Hodge lengths
+or ranks) is cached: that would make a repeated document cheaper than a
+new one without making new input any faster.
 """
 
 from __future__ import annotations
@@ -32,6 +45,8 @@ FLIPPED = "flipped"
 CONVENTIONS = (DEFAULT, FLIPPED)
 
 MAX_PARTITION_BLOCKS = 8
+# data-id patterns whose partition posets are kept (_pattern_poset)
+PARTITION_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -134,17 +149,6 @@ def class_label(kind: str, cod: tuple[int, int], dom: tuple[int, int]) -> str:
     return f"{kind}[{cod[0]}.{cod[1]}|{dom[0]}.{dom[1]}]"
 
 
-def index_classes(shb: SHBSpec):
-    """All Hom-index classes ((cod block, cod hodge), (dom block, dom hodge))."""
-    out = []
-    for p, bp in enumerate(shb.blocks, start=1):
-        for q, bq in enumerate(shb.blocks, start=1):
-            for a in range(1, bp.hodge_length + 1):
-                for b in range(1, bq.hodge_length + 1):
-                    out.append(((p, a), (q, b)))
-    return out
-
-
 def class_weight_data(cod, dom, k: int, convention: str = DEFAULT):
     """(ambient torus weight, beta circle weight) of an index class."""
     _check_convention(convention)
@@ -161,16 +165,35 @@ def class_weight_data(cod, dom, k: int, convention: str = DEFAULT):
     return tuple(w), rho_beta
 
 
+def _class_table(shb: SHBSpec, convention: str) -> list:
+    """(cod, dom, torus weight, beta weight) of every Hom-index class, cod =
+    (cod block, cod hodge) and dom = (dom block, dom hodge), ordered by cod
+    block, dom block, cod hodge, dom hodge.  The values are those of
+    class_weight_data, with each block pair's torus weight built once."""
+    _check_convention(convention)
+    sign = 1 if convention == DEFAULT else -1
+    lengths = [b.hodge_length for b in shb.blocks]
+    table = []
+    for p, lp in enumerate(lengths, start=1):
+        for q, lq in enumerate(lengths, start=1):
+            w = [0] * shb.k
+            w[p - 1] += sign
+            w[q - 1] -= sign
+            w = tuple(w)
+            for a in range(1, lp + 1):
+                for b in range(1, lq + 1):
+                    table.append(((p, a), (q, b), w, sign * (b - a)))
+    return table
+
+
 def positive_slice_lines(shb: SHBSpec, convention: str = DEFAULT) -> tuple[WeightLine, ...]:
     """Weight lines of the positively graded deformation slice: one line per
     admissible index class, beta classes with rho = beta grade and phi
     classes shifted by one, keeping only rho >= 1."""
     if not shb.abelian:
         raise TorstabError("positive slice needs pairwise distinct blocks")
-    _check_convention(convention)
     lines = []
-    for cod, dom in index_classes(shb):
-        w, rho_beta = class_weight_data(cod, dom, shb.k, convention)
+    for cod, dom, w, rho_beta in _class_table(shb, convention):
         if rho_beta >= 1:
             lines.append(WeightLine(class_label("beta", cod, dom), w, rho=rho_beta))
         if rho_beta + 1 >= 1:
@@ -289,8 +312,12 @@ def _rg_partitions(ids) -> list:
 
 @lru_cache(maxsize=None)
 def _merges(n: int) -> tuple:
-    """The set partitions of n parts that merge at least two of them."""
-    return tuple(m for m in _rg_partitions(range(n)) if len(m) < n)
+    """The set partitions of n parts that merge at least two of them: the
+    classes of n distinct ids with fewer than n parts."""
+    if n < 2:
+        return ()
+    return tuple(p.parts for p in _pattern_poset(tuple(range(n))).partitions
+                 if len(p.parts) < n)
 
 
 def _signature(id_parts) -> tuple:
@@ -327,6 +354,14 @@ class PartitionPoset:
         return frozenset(order)
 
 
+@lru_cache(maxsize=PARTITION_CACHE_SIZE)
+def _pattern_poset(ids: tuple) -> "PartitionPoset":
+    """The poset of a data-id pattern: ids[i] is the first-occurrence index
+    of block i's data, so every system with the same block multiplicities
+    in the same places shares it, whatever the blocks' data and the genus."""
+    return PartitionPoset(tuple(PartitionP(parts) for parts in _rg_partitions(ids)), ids)
+
+
 def partitions_with_order(shb: SHBSpec) -> PartitionPoset:
     """All partitions of the block multiset, ordered by strict coarsening
     (P > P' when P' refines P); the order is computed only when read.
@@ -334,15 +369,15 @@ def partitions_with_order(shb: SHBSpec) -> PartitionPoset:
     Partitions identifying the same multiset of block-data multisets are one
     class, listed once by its first set partition in restricted-growth
     order, in that order (_rg_partitions on the blocks' data ids).  At full
-    length a partition's state is its class."""
+    length a partition's state is its class.  The poset depends only on the
+    data-id pattern, and is built once per pattern (_pattern_poset)."""
     k = shb.k
     if k > MAX_PARTITION_BLOCKS:
         raise TorstabError(f"partition enumeration capped at {MAX_PARTITION_BLOCKS} blocks")
     data_ids: dict = {}
     ids = tuple(data_ids.setdefault((b.ranks, b.degrees, b.tag), len(data_ids))
                 for b in shb.blocks)
-    reps = [PartitionP(parts) for parts in _rg_partitions(ids)]
-    return PartitionPoset(tuple(reps), ids)
+    return _pattern_poset(ids)
 
 
 def rr_h1_lower_bound(r1: int, r2: int, deg: int, g: int):
@@ -428,8 +463,7 @@ def conformal_degree_table(
     if len(xs) != shb.k:
         raise ValueError("x must be an ambient cocharacter, one entry per block")
     entries = {}
-    for cod, dom in index_classes(shb):
-        w, rho_beta = class_weight_data(cod, dom, shb.k, convention)
+    for cod, dom, w, rho_beta in _class_table(shb, convention):
         # w is supported on the two blocks of the class (and zero when they
         # coincide), so <w, x> needs only those entries
         p, q = cod[0] - 1, dom[0] - 1

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import pytest
@@ -16,13 +17,13 @@ from torstab.shb_model import (
     SHBSpec,
     StableBlock,
     _merges,
+    _pattern_poset,
     automorphism_torus,
     class_label,
     class_weight_data,
     conformal_degree_table,
     cyclic_phi_weights,
     expected_dim_central_locus,
-    index_classes,
     partition_dim,
     partition_dim_comparison,
     partitions_with_order,
@@ -45,6 +46,27 @@ def two_line_shb(g=2):
 def hitchin_rank2(g=2):
     # K^{1/2} + K^{-1/2} with the tautological Higgs map
     return SHBSpec(g, (StableBlock((1, 1), (g - 1, 1 - g)),))
+
+
+def index_classes(shb):
+    """All Hom-index classes ((cod block, cod hodge), (dom block, dom hodge)),
+    cod block outermost, then dom block, cod hodge and dom hodge."""
+    return [((p, a), (q, b))
+            for p, bp in enumerate(shb.blocks, start=1)
+            for q, bq in enumerate(shb.blocks, start=1)
+            for a in range(1, bp.hodge_length + 1)
+            for b in range(1, bq.hodge_length + 1)]
+
+
+def reference_classes(shb, conv):
+    """(cod, dom, torus weight, beta weight) per index class, each weight
+    from class_weight_data."""
+    return [(cod, dom, *class_weight_data(cod, dom, shb.k, conv))
+            for cod, dom in index_classes(shb)]
+
+
+# a legal degree vector per Hodge length
+CHAIN_DEGREES = {1: (0,), 2: (1, -1), 3: (2, 0, -2)}
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +360,8 @@ def test_partition_classes_are_the_first_set_partition_of_each_class(shb):
     assert partitions_with_order(shb).partitions == bell_first_hits(shb)
 
 
-def test_partition_classes_are_built_once_each(monkeypatch):
+def count_partitions_built(monkeypatch) -> list:
+    """The PartitionP objects built from here on, in order."""
     built = []
     post_init = PartitionP.__post_init__
 
@@ -347,10 +370,55 @@ def test_partition_classes_are_built_once_each(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(PartitionP, "__post_init__", counting)
+    return built
+
+
+def test_partition_classes_are_built_once_each(monkeypatch):
+    _pattern_poset.cache_clear()
+    built = count_partitions_built(monkeypatch)
     shb = SHBSpec(2, tuple(KINDS[i % 2] for i in (0, 1, 1, 0, 0, 1, 0)))
     poset = partitions_with_order(shb)
     assert len(poset.partitions) == 57
     assert built == list(poset.partitions)
+
+
+def test_a_shared_pattern_builds_no_partition_again(monkeypatch):
+    # the same multiplicities in the same places, with other ranks, degrees,
+    # tags and genus: one data-id pattern, so one poset
+    first = SHBSpec(2, (KINDS[0], KINDS[1], KINDS[1], KINDS[0], KINDS[2]))
+    second = SHBSpec(4, (KINDS[3], KINDS[4], KINDS[4], KINDS[3], KINDS[7]))
+    _pattern_poset.cache_clear()
+    poset = partitions_with_order(first)
+    built = count_partitions_built(monkeypatch)
+    again = partitions_with_order(second)
+    assert built == []
+    assert again.partitions == poset.partitions and again.ids == poset.ids
+    assert again.partitions == bell_first_hits(second)
+
+
+def test_shb_report_is_the_same_from_a_cold_and_a_warm_cache():
+    blocks = [{"ranks": [1] * n, "degrees": list(CHAIN_DEGREES[n]), "tag": f"t{i}"}
+              for i, n in enumerate((1, 2, 3, 1, 2))]
+    doc = {"schema_version": "1", "kind": "shb",
+           "payload": {"genus": 3, "blocks": blocks, "x": [1, 0, -2, 2, -1], "sigma": 2}}
+    _pattern_poset.cache_clear()
+    cold = run_document(doc)
+    assert _pattern_poset.cache_info().currsize == 1
+    warm = run_document(doc)
+    assert cold[1] == 0 and json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
+
+
+def test_the_partition_cache_is_bounded():
+    maxsize = _pattern_poset.cache_info().maxsize
+    assert maxsize == shb_model.PARTITION_CACHE_SIZE
+    # every data-id pattern of 1-6 blocks: Bell(1) + ... + Bell(6) = 278
+    patterns = [pattern for n in range(1, 7) for pattern in rgs_set_partitions(n)]
+    assert len(patterns) > maxsize
+    _pattern_poset.cache_clear()
+    for pattern in patterns:
+        ids = {i: j for j, part in enumerate(pattern) for i in part}
+        partitions_with_order(SHBSpec(2, tuple(KINDS[ids[i]] for i in sorted(ids))))
+    assert _pattern_poset.cache_info().currsize == maxsize
 
 
 def test_shb_run_solves_the_automorphism_torus_once(monkeypatch):
@@ -376,9 +444,36 @@ def test_conformal_degrees_pair_the_class_weight_with_x(conv):
                       StableBlock((1, 1, 1), (1, 0, -1))))
     x, sigma = (2, -1, 3), 2
     table = conformal_degree_table(shb, x, sigma, conv)
-    for cod, dom in index_classes(shb):
-        w, rho_beta = class_weight_data(cod, dom, shb.k, conv)
+    for cod, dom, w, rho_beta in reference_classes(shb, conv):
         assert table.degree(cod, dom) == 2 * sigma * rho_beta + 2 * dot(w, x)
+
+
+@st.composite
+def distinct_block_systems(draw):
+    k = draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    blocks = tuple(StableBlock((1,) * n, CHAIN_DEGREES[n], tag=f"b{i}")
+                   for i, n in enumerate(lengths))
+    x = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    return SHBSpec(2, blocks), x, draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(distinct_block_systems(), st.sampled_from(CONVENTIONS))
+def test_slice_and_degree_table_match_the_class_by_class_weights(system, conv):
+    shb, x, sigma = system
+    ref = reference_classes(shb, conv)
+    lines = [(ln.label, ln.weight, ln.rho) for ln in positive_slice_lines(shb, conv)]
+    want = []
+    for cod, dom, w, rho_beta in ref:
+        if rho_beta >= 1:
+            want.append((class_label("beta", cod, dom), w, rho_beta))
+        if rho_beta >= 0:
+            want.append((class_label("phi", cod, dom), w, rho_beta + 1))
+    assert lines == want
+    table = conformal_degree_table(shb, x, sigma, conv)
+    assert list(table.entries.items()) == [
+        ((cod, dom), 2 * sigma * rho_beta + 2 * dot(w, x)) for cod, dom, w, rho_beta in ref]
 
 
 def test_rr_bound_examples():

@@ -18,7 +18,9 @@ AT_LIMIT = {
         "stability.classify.calls": 100, "simplex.solve_lp_mixed.calls": 25,
         "simplex.solve_lp.calls": 10, "simplex.solve_lp.tableau_cells": 300,
     },
-    "hodge-systems": {},
+    "hodge-systems": {
+        "qexact.smith_normal_form.calls": 40, "shb_model.positive_slice_lines.calls": 20,
+    },
 }
 # the counter each guard bounds, by the name the script prints
 BOUNDED = {
@@ -28,6 +30,7 @@ BOUNDED = {
     "face_lps": ("stratify-ladder", "simplex.solve_lp.calls"),
     "separating_lps": ("stability-routes", "simplex.solve_lp_mixed.calls"),
     "tableau_cells": ("stability-routes", "simplex.solve_lp.tableau_cells"),
+    "torus_smith_forms": ("hodge-systems", "qexact.smith_normal_form.calls"),
 }
 
 
