@@ -355,7 +355,7 @@ class PartitionPoset:
 
 
 @lru_cache(maxsize=PARTITION_CACHE_SIZE)
-def _pattern_poset(ids: tuple) -> "PartitionPoset":
+def _pattern_poset(ids: tuple) -> PartitionPoset:
     """The poset of a data-id pattern: ids[i] is the first-occurrence index
     of block i's data, so every system with the same block multiplicities
     in the same places shares it, whatever the blocks' data and the genus."""
