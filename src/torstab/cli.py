@@ -185,6 +185,8 @@ def _semantic_errors(doc: dict) -> list[str]:
                 errors.append(f"block {i}: degrees must sum to zero")
         if "x" in payload and len(payload["x"]) != len(payload["blocks"]):
             errors.append("x must have one entry per block")
+        if "sigma" in payload and "x" not in payload:
+            errors.append("sigma is given without x")
     elif kind == "kuranishi":
         explicit = {"grades", "dims", "d0", "d1"}
         if "generator" in payload:
@@ -396,16 +398,20 @@ def complex_from_payload(payload: dict) -> GradedComplex:
 def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
                  emit_certificates: bool = True, box_bound: int | None = None,
                  seed: int | None = None):
-    """Dispatch a validated document; returns (report_dict, exit_code)."""
+    """Dispatch a validated document; returns (report_dict, exit_code).  The
+    runners read one settings mapping: the flags, under the document's options."""
     kind = doc["kind"]
-    options = dict(doc.get("options", {}))
-    if seed is not None and "seed" not in options:
-        options["seed"] = seed
-    emit_certificates = options.get("emit_certificates", emit_certificates)
-    box_bound = options.get("box_bound", box_bound)
-    if box_bound is not None:
-        box_bound = int(box_bound)
-    convention = options.get("convention", convention or shb_model.DEFAULT)
+    options = {
+        "tol": tol,
+        "convention": convention or shb_model.DEFAULT,
+        "emit_certificates": emit_certificates,
+        "box_bound": box_bound,
+        "seed": 0 if seed is None else seed,
+        "sigma_multiple": 1,
+        **doc.get("options", {}),
+    }
+    if options["box_bound"] is not None:
+        options["box_bound"] = int(options["box_bound"])
     runner = {
         "stability": _run_stability,
         "kempf-ness": _run_kempf_ness,
@@ -414,11 +420,9 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
         "kuranishi": _run_kuranishi,
     }[kind]
     try:
-        tol = _fits(float, options.get("tol", tol), "options.tol")
-        _judge_flags(tol, box_bound)
-        body = runner(doc["payload"], options, tol=tol,
-                      convention=convention, emit_certificates=emit_certificates,
-                      box_bound=box_bound)
+        options["tol"] = _fits(float, options["tol"], "options.tol")
+        _judge_flags(options["tol"], options["box_bound"])
+        body = runner(doc["payload"], options)
         status, code = "ok", 0
     except TorstabError as exc:
         body = {"reason": str(exc)}
@@ -461,11 +465,12 @@ def _certificate_doc(res, emit: bool):
     return {"certificate": cert}
 
 
-def _run_stability(payload, options, *, tol, convention, emit_certificates, box_bound):
+def _run_stability(payload, options):
     v = rep_from_payload(payload)
     res = classify(v)
     body = {"class": res.stability, "certificate_verified": res.verify()}
-    body.update(_certificate_doc(res, emit_certificates))
+    body.update(_certificate_doc(res, options["emit_certificates"]))
+    box_bound = options["box_bound"]
     if box_bound is not None:
         witness = destabilizer_bruteforce(v, box_bound)
         body["bruteforce_witness"] = None if witness is None else list(witness)
@@ -473,13 +478,13 @@ def _run_stability(payload, options, *, tol, convention, emit_certificates, box_
     return body
 
 
-def _run_kempf_ness(payload, options, *, tol, convention, emit_certificates, box_bound):
+def _run_kempf_ness(payload, options):
     from .kempf_ness import KNProblem, kn_minimize
 
     _float_weights(payload)
     v = rep_from_payload(payload)
     cls = classify(v)  # refuses the zero vector as a stability document does
-    res = kn_minimize(KNProblem.from_vector(v), cls, tol=tol)
+    res = kn_minimize(KNProblem.from_vector(v), cls, tol=options["tol"])
     body = {"status": res.status}
     if res.minimizer is not None:
         body["minimizer"] = [float(c) for c in res.minimizer]
@@ -491,11 +496,11 @@ def _run_kempf_ness(payload, options, *, tol, convention, emit_certificates, box
         body["flat_space"] = [list(b) for b in res.flat_space.basis]
     if res.descent_ray is not None:
         body["descent_ray"] = list(res.descent_ray)
-    body.update(_certificate_doc(cls, emit_certificates))
+    body.update(_certificate_doc(cls, options["emit_certificates"]))
     return body
 
 
-def _run_stratify(payload, options, *, tol, convention, emit_certificates, box_bound):
+def _run_stratify(payload, options):
     _float_weights(payload)
     v = rep_from_payload(payload)
     torus = None
@@ -506,8 +511,7 @@ def _run_stratify(payload, options, *, tol, convention, emit_certificates, box_b
         torus = Subtorus(
             rank, Lattice(rank, tuple(tuple(map(int, r)) for r in payload["subtorus"]))
         )
-    res = stratify(v, torus=torus,
-                   sigma_multiple=int(options.get("sigma_multiple", 1)))
+    res = stratify(v, torus=torus, sigma_multiple=int(options["sigma_multiple"]))
     verification = verify_decomposition(res, v)
     stages = []
     for st in res.stages:
@@ -539,7 +543,7 @@ def _run_stratify(payload, options, *, tol, convention, emit_certificates, box_b
         },
     }
     minimizers = []
-    for kn, rescaled in stage_kn_minimizers(res, tol=tol):
+    for kn, rescaled in stage_kn_minimizers(res, tol=options["tol"]):
         entry = {"status": kn.status}
         if kn.minimizer is not None:
             entry["minimizer"] = [float(c) for c in kn.minimizer]
@@ -553,7 +557,8 @@ def _run_stratify(payload, options, *, tol, convention, emit_certificates, box_b
     return body
 
 
-def _run_shb(payload, options, *, tol, convention, emit_certificates, box_bound):
+def _run_shb(payload, options):
+    convention = options["convention"]
     shb = shb_from_payload(payload)
     block_ranks = shb.block_ranks()
     body: dict = {
@@ -566,16 +571,18 @@ def _run_shb(payload, options, *, tol, convention, emit_certificates, box_bound)
         body["expected_dim_central_locus"] = shb_model.expected_dim_central_locus(
             shb.total_rank, shb.genus
         )
-    poset = shb_model.partitions_with_order(shb)
+    # the full central-locus dimension, read once: the one-part partition's
+    full = shb_model.partition_dim(shb_model.PartitionP((tuple(range(shb.k)),)),
+                                   block_ranks, shb.genus)
     table = []
-    for p in poset.partitions:
-        dim, strict = shb_model.partition_dim_comparison(p, block_ranks, shb.genus)
+    for p in shb_model.partitions_with_order(shb).partitions:
+        dim = shb_model.partition_dim(p, block_ranks, shb.genus)
         table.append(
             {
                 "parts": [list(part) for part in p.parts],
                 "dim": dim,
                 "proper": not p.is_trivial,
-                "strictly_below_central": strict,
+                "strictly_below_central": dim < full,
             }
         )
     body["partition_table"] = table
@@ -598,14 +605,16 @@ def _run_shb(payload, options, *, tol, convention, emit_certificates, box_bound)
                     [list(w) for w in cyc.effective_g_weights()]
                 ),
             }
-        if "x" in payload:
-            table_obj = shb_model.conformal_degree_table(
-                shb, [int(c) for c in payload["x"]], int(payload.get("sigma", 1)), convention
-            )
-            body["conformal_degrees"] = {
-                f"{cod[0]}.{cod[1]}|{dom[0]}.{dom[1]}": deg
-                for (cod, dom), deg in sorted(table_obj.entries.items())
-            }
+    if "x" in payload:
+        # the table reads only the index classes and x, a cocharacter of the
+        # block-scalar torus that every system has
+        table_obj = shb_model.conformal_degree_table(
+            shb, [int(c) for c in payload["x"]], int(payload.get("sigma", 1)), convention
+        )
+        body["conformal_degrees"] = {
+            f"{cod[0]}.{cod[1]}|{dom[0]}.{dom[1]}": deg
+            for (cod, dom), deg in sorted(table_obj.entries.items())
+        }
     return body
 
 
@@ -625,7 +634,7 @@ def _input_from_payload(vectors: dict, cx: GradedComplex) -> dict:
     return x
 
 
-def _run_kuranishi(payload, options, *, tol, convention, emit_certificates, box_bound):
+def _run_kuranishi(payload, options):
     import numpy as np
 
     from .graded_kuranishi import (
@@ -649,7 +658,7 @@ def _run_kuranishi(payload, options, *, tol, convention, emit_certificates, box_
         if "input" in payload:
             x = _input_from_payload(payload["input"], cx)
         else:
-            seed = int(options.get("seed", 0))
+            seed = int(options["seed"])
             rng = np.random.default_rng(seed)
             x = {
                 g: rng.normal(size=cx.n1(g)) + 1j * rng.normal(size=cx.n1(g))

@@ -14,7 +14,9 @@ and b - a + 1 on Higgs-direction (phi) classes, and torus weight e_i - e_j;
 so Higgs-parallel deformations are circle-fixed and quadratic-differential
 directions land in the positive slice.  The "flipped" convention negates
 both, matching the opposite reading of the index pair.  All identities in
-the test suite run under both.
+the test suite run under both.  The class table (_class_table) is the one
+encoding of the convention; the cyclic Higgs lines' weights and rho do
+not depend on it.
 
 What is built once.  positive_slice_lines and conformal_degree_table each
 read one class table per call, built with each block pair's torus weight
@@ -27,7 +29,9 @@ largest 8-block posets holds about 20 MB, and about 340 MB once every
 one's order has been read (CPython 3.11, measured by tracemalloc).
 Nothing keyed on a document's own content (its class table, Hodge lengths
 or ranks) is cached: that would make a repeated document cheaper than a
-new one without making new input any faster.
+new one without making new input any faster.  An shb run reads the full
+central-locus dimension once, as partition_dim of the one-part partition,
+and compares each class's partition_dim against it.
 """
 
 from __future__ import annotations
@@ -149,27 +153,11 @@ def class_label(kind: str, cod: tuple[int, int], dom: tuple[int, int]) -> str:
     return f"{kind}[{cod[0]}.{cod[1]}|{dom[0]}.{dom[1]}]"
 
 
-def class_weight_data(cod, dom, k: int, convention: str = DEFAULT):
-    """(ambient torus weight, beta circle weight) of an index class."""
-    _check_convention(convention)
-    (p, a), (q, b) = cod, dom
-    w = [0] * k
-    if convention == DEFAULT:
-        w[p - 1] += 1
-        w[q - 1] -= 1
-        rho_beta = b - a
-    else:
-        w[q - 1] += 1
-        w[p - 1] -= 1
-        rho_beta = a - b
-    return tuple(w), rho_beta
-
-
 def _class_table(shb: SHBSpec, convention: str) -> list:
     """(cod, dom, torus weight, beta weight) of every Hom-index class, cod =
     (cod block, cod hodge) and dom = (dom block, dom hodge), ordered by cod
-    block, dom block, cod hodge, dom hodge.  The values are those of
-    class_weight_data, with each block pair's torus weight built once."""
+    block, dom block, cod hodge, dom hodge: the one place that applies the
+    convention's sign, each block pair's torus weight built once."""
     _check_convention(convention)
     sign = 1 if convention == DEFAULT else -1
     lengths = [b.hodge_length for b in shb.blocks]
@@ -266,13 +254,6 @@ def partition_dim(partition: PartitionP, block_ranks: Sequence[int], g: int) -> 
         r = sum(block_ranks[i] for i in part)
         total += (r * r - 1) * (g - 1)
     return total
-
-
-def partition_dim_comparison(partition: PartitionP, block_ranks: Sequence[int], g: int):
-    """(partition dimension, strictly smaller than the full central locus)."""
-    dim = partition_dim(partition, block_ranks, g)
-    full = (sum(block_ranks) ** 2 - 1) * (g - 1)
-    return dim, dim < full
 
 
 def _rg_partitions(ids) -> list:
@@ -375,8 +356,7 @@ def partitions_with_order(shb: SHBSpec) -> PartitionPoset:
     if k > MAX_PARTITION_BLOCKS:
         raise TorstabError(f"partition enumeration capped at {MAX_PARTITION_BLOCKS} blocks")
     data_ids: dict = {}
-    ids = tuple(data_ids.setdefault((b.ranks, b.degrees, b.tag), len(data_ids))
-                for b in shb.blocks)
+    ids = tuple(data_ids.setdefault(b, len(data_ids)) for b in shb.blocks)
     return _pattern_poset(ids)
 
 
@@ -409,14 +389,14 @@ def cyclic_phi_weights(shb: SHBSpec, convention: str = DEFAULT,
     lines = []
     for i, blk in enumerate(shb.blocks, start=1):
         j = i % shb.k + 1
-        # geometric map: last summand of block i into first summand of block
-        # j; the index-slot order of the class follows the convention
-        if convention == DEFAULT:
-            first, second = (j, 1), (i, blk.hodge_length)
-        else:
-            first, second = (i, blk.hodge_length), (j, 1)
-        w, rho_beta = class_weight_data(first, second, shb.k, convention)
-        lines.append(WeightLine(class_label("phi", first, second), w, rho=rho_beta + 1))
+        # the map from the last summand of block i into the first summand of
+        # block j has torus weight e_j - e_i and rho the length of block i
+        # under either convention, which orders only the label's two slots
+        src, dst = (i, blk.hodge_length), (j, 1)
+        slots = (dst, src) if convention == DEFAULT else (src, dst)
+        w = [0] * shb.k
+        w[j - 1], w[i - 1] = 1, -1
+        lines.append(WeightLine(class_label("phi", *slots), tuple(w), rho=blk.hodge_length))
     ambient = RepVector(tuple(lines), {ln.label: 1.0 for ln in lines})
     restricted = ambient.restrict(torus.subtorus)
     verdict = classify(restricted)

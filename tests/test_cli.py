@@ -402,6 +402,37 @@ def test_run_shb_with_conformal_table():
     assert degs["1.1|2.1"] == -degs["2.1|1.1"] != 0
 
 
+def test_run_shb_with_repeated_blocks_gives_the_conformal_table():
+    # the table reads only the index classes and x, a cocharacter of the
+    # block-scalar torus that every system has
+    abelian = shb_doc()
+    abelian["payload"]["x"] = [1, -1]
+    abelian["payload"]["sigma"] = 2
+    repeated = json.loads(json.dumps(abelian))
+    for blk in repeated["payload"]["blocks"]:
+        blk["tag"] = "a"
+    report, code = run_document(repeated)
+    assert code == 0
+    body = report["report"]
+    assert not body["abelian"] and "positive_slice" not in body
+    want, _ = run_document(abelian)
+    assert body["conformal_degrees"] == want["report"]["conformal_degrees"]
+    report_validator().validate(report)
+
+
+def test_shb_sigma_without_x_is_refused(tmp_path, capsys):
+    doc = shb_doc()
+    doc["payload"]["sigma"] = 2
+    with pytest.raises(ValidationError) as exc:
+        validate_document(json.dumps(doc))
+    assert exc.value.errors == ["sigma is given without x"]
+    p = tmp_path / "sigma.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--input", str(p)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["report"] == {"validation_errors": ["sigma is given without x"]}
+
+
 def rank4_doc(*weights):
     doc = stability_doc()
     doc["payload"]["rank"] = 4
@@ -601,6 +632,12 @@ def unstable_box_doc():
     return doc
 
 
+def kuranishi_generator_doc():
+    # no input, so the seed draws it
+    return {"schema_version": "1", "kind": "kuranishi",
+            "payload": {"generator": {"seed": 5, "grades": [1, 2, 3], "max_dim": 4}}}
+
+
 @pytest.mark.parametrize(
     "key, flag, option, make_doc",
     [
@@ -608,6 +645,7 @@ def unstable_box_doc():
         ("emit_certificates", True, False, stability_doc),
         ("box_bound", 2, 5, unstable_box_doc),
         ("convention", "flipped", "default", shb_doc),
+        ("seed", 1, 2, kuranishi_generator_doc),
     ],
 )
 def test_document_options_beat_flags(key, flag, option, make_doc):
@@ -1271,8 +1309,8 @@ def rep_payloads(draw, kind):
 
 @st.composite
 def shb_payloads(draw):
-    """Schema-valid shb payloads: chains of any degrees summing to zero,
-    repeated tags, and conformal data."""
+    """Valid shb payloads: chains of any degrees summing to zero, repeated
+    tags, and conformal data (sigma only with x)."""
     blocks = []
     for _ in range(draw(st.integers(1, 4))):
         ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
@@ -1285,8 +1323,8 @@ def shb_payloads(draw):
     payload = {"genus": draw(st.integers(2, 4)), "blocks": blocks}
     if draw(st.booleans()):
         payload["x"] = [draw(st.integers(-3, 3)) for _ in blocks]
-    if draw(st.booleans()):
-        payload["sigma"] = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            payload["sigma"] = draw(st.integers(1, 3))
     return payload
 
 

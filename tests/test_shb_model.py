@@ -20,12 +20,10 @@ from torstab.shb_model import (
     _pattern_poset,
     automorphism_torus,
     class_label,
-    class_weight_data,
     conformal_degree_table,
     cyclic_phi_weights,
     expected_dim_central_locus,
     partition_dim,
-    partition_dim_comparison,
     partitions_with_order,
     positive_slice_lines,
     rr_h1_lower_bound,
@@ -56,6 +54,23 @@ def index_classes(shb):
             for q, bq in enumerate(shb.blocks, start=1)
             for a in range(1, bp.hodge_length + 1)
             for b in range(1, bq.hodge_length + 1)]
+
+
+def class_weight_data(cod, dom, k, convention):
+    """(ambient torus weight, beta circle weight) of an index class: the
+    convention's rule written out class by class, as the reference for the
+    library's class table."""
+    (p, a), (q, b) = cod, dom
+    w = [0] * k
+    if convention == DEFAULT:
+        w[p - 1] += 1
+        w[q - 1] -= 1
+        rho_beta = b - a
+    else:
+        w[q - 1] += 1
+        w[p - 1] -= 1
+        rho_beta = a - b
+    return tuple(w), rho_beta
 
 
 def reference_classes(shb, conv):
@@ -186,16 +201,46 @@ def test_expected_dim_paper_values():
 def test_partition_dim_examples():
     p = PartitionP.of([[0], [1]])
     assert partition_dim(p, (1, 1), 2) == 0
-    dim, strict = partition_dim_comparison(p, (1, 1), 2)
-    assert dim == 0 and strict
 
     triv = PartitionP.of([[0, 1]])
-    dim, strict = partition_dim_comparison(triv, (1, 1), 2)
-    assert dim == 3 and not strict
+    assert partition_dim(triv, (1, 1), 2) == 3 == expected_dim_central_locus(2, 2)
 
     p3 = PartitionP.of([[0, 1], [2]])
     assert partition_dim(p3, (1, 1, 1), 2) == 3
-    assert partition_dim_comparison(p3, (1, 1, 1), 2) == (3, True)
+    assert partition_dim(PartitionP.of([[0, 1, 2]]), (1, 1, 1), 2) == 8
+
+
+@st.composite
+def partition_table_systems(draw):
+    """One rank-1 block, or 2-5 blocks that repeat or are pairwise distinct."""
+    shape = draw(st.sampled_from(["one rank-1 block", "repeated", "distinct"]))
+    if shape == "one rank-1 block":
+        return SHBSpec(draw(st.integers(2, 4)), (line_block("a"),))
+    k = draw(st.integers(2, 5))
+    if shape == "repeated":
+        kinds = draw(st.integers(1, k - 1))
+        picks = draw(st.permutations([i % kinds for i in range(k)]))
+        blocks = tuple(KINDS[p] for p in picks)
+    else:
+        blocks = tuple(draw(st.permutations(KINDS))[:k])
+    return SHBSpec(draw(st.integers(2, 4)), blocks)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(partition_table_systems())
+def test_partition_table_is_strictly_below_central_off_the_one_part_row(shb):
+    payload = {"genus": shb.genus,
+               "blocks": [{"ranks": list(b.ranks), "degrees": list(b.degrees), "tag": b.tag}
+                          for b in shb.blocks]}
+    report, code = run_document({"schema_version": "1", "kind": "shb", "payload": payload})
+    assert code == 0
+    rows = report["report"]["partition_table"]
+    assert [row["parts"] for row in rows] == [
+        [list(part) for part in p.parts] for p in partitions_with_order(shb).partitions]
+    for row in rows:
+        assert row["strictly_below_central"] == (len(row["parts"]) > 1)
+        parts = PartitionP(tuple(map(tuple, row["parts"])))
+        assert row["dim"] == partition_dim(parts, shb.block_ranks(), shb.genus)
 
 
 def test_partitions_counts_and_order():
@@ -502,6 +547,28 @@ def test_cyclic_phi_spec_examples():
     mixed = SHBSpec(2, (line_block("a"), StableBlock((1, 1), (1, -1))))
     _, vm = cyclic_phi_weights(mixed)
     assert vm.stability == STABLE
+
+
+@st.composite
+def abelian_systems(draw):
+    lengths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=6))
+    return SHBSpec(2, tuple(StableBlock((1,) * n, CHAIN_DEGREES[n], tag=f"b{i}")
+                            for i, n in enumerate(lengths)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(abelian_systems(), st.sampled_from(CONVENTIONS))
+def test_cyclic_lines_are_positive_slice_lines(shb, conv):
+    # each cyclic line is the slice's line of its label, restricted to the
+    # automorphism torus
+    torus = automorphism_torus(shb)
+    slice_lines = {ln.label: ln for ln in positive_slice_lines(shb, conv)}
+    cyc, _ = cyclic_phi_weights(shb, conv, torus)
+    assert len(cyc.lines) == shb.k
+    for ln in cyc.lines:
+        want = slice_lines[ln.label]
+        assert ln.rho == want.rho
+        assert ln.weight == torus.subtorus.restrict(want.weight)
 
 
 def test_cyclic_phi_requires_two_blocks():
