@@ -63,13 +63,6 @@ def _problem_accepts():
     return compile_schema(_load_schema("problem.schema.json"))
 
 
-@lru_cache(maxsize=1)
-def report_validator() -> Draft202012Validator:
-    from jsonschema import Draft202012Validator
-
-    return Draft202012Validator(_load_schema("report.schema.json"))
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -421,7 +414,7 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
     }[kind]
     try:
         options["tol"] = _fits(float, options["tol"], "options.tol")
-        _judge_flags(options["tol"], options["box_bound"])
+        _judge_flags(options["tol"], options["box_bound"], options["seed"])
         body = runner(doc["payload"], options)
         status, code = "ok", 0
     except TorstabError as exc:
@@ -439,15 +432,17 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
     }, code
 
 
-def _judge_flags(tol: float, box_bound: int | None):
-    """Refuse tol and box_bound outside the schema's bounds (0 < tol < inf,
-    box_bound >= 1), whether they come from options or from flags, before
-    any kind runs."""
+def _judge_flags(tol: float = 1e-10, box_bound: int | None = None, seed: int = 0):
+    """Refuse tol, box_bound and seed outside the schema's bounds (0 < tol <
+    inf, box_bound >= 1, seed >= 0), whether they come from options or from
+    flags, before any kind runs or `gen` draws."""
     errors = []
     if not 0 < tol < math.inf:
         errors.append("tol must be positive" if tol <= 0 else "tol must be finite")
     if box_bound is not None and box_bound < 1:
         errors.append("box_bound must be >= 1")
+    if seed < 0:
+        errors.append("seed must be >= 0")
     if errors:
         raise ValidationError(errors)
 
@@ -830,6 +825,11 @@ def main(argv=None) -> int:
             return worst
 
         if args.command == "gen":
+            try:
+                _judge_flags(seed=args.seed)
+            except ValidationError as exc:
+                print(f"refused: {exc}", file=sys.stderr)
+                return 2
             text = _dump(generate_instance(args.kind, args.seed))
             if args.out:
                 try:

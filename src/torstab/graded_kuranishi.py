@@ -92,11 +92,6 @@ class GradedComplex:
         return {g: np.zeros(self.n2(g), dtype=complex) for g in self.grades}
 
 
-def gvec_scale_action(t: complex, a: GVec) -> GVec:
-    """The grading circle action: grade-j parts pick up t^j."""
-    return {g: (t ** g) * arr for g, arr in a.items()}
-
-
 def gvec_norm(a: GVec) -> float:
     return float(np.sqrt(sum(float(np.vdot(x, x).real) for x in a.values())))
 
@@ -174,9 +169,8 @@ def greens_operator(cx: GradedComplex) -> GreensOperator:
     return GreensOperator(pinv, harm, status, worst)
 
 
-def kuranishi_forward(cx: GradedComplex, u: GVec, greens: GreensOperator | None = None) -> GVec:
+def kuranishi_forward(cx: GradedComplex, u: GVec, greens: GreensOperator) -> GVec:
     """kappa(u) = u + d1* Gamma(q(u))."""
-    greens = greens or greens_operator(cx)
     out = {g: np.array(arr, dtype=complex) for g, arr in u.items()}
     for g, arr in quadratic_part(cx, u).items():
         if g in cx.d1 and cx.d1[g].size:
@@ -184,9 +178,7 @@ def kuranishi_forward(cx: GradedComplex, u: GVec, greens: GreensOperator | None 
     return out
 
 
-def kuranishi_inverse_graded(
-    cx: GradedComplex, x: GVec, greens: GreensOperator | None = None
-) -> GVec:
+def kuranishi_inverse_graded(cx: GradedComplex, x: GVec, greens: GreensOperator) -> GVec:
     """The unique positively graded u with kappa(u) = x, built grade by
     grade: the lowest grade is copied and grade j is corrected by the
     brackets of strictly lower grades, so the recursion always terminates
@@ -194,7 +186,6 @@ def kuranishi_inverse_graded(
     """
     if any(np.any(np.asarray(arr) != 0) for g, arr in x.items() if g <= 0):
         raise ValidationError(["input must be supported in positive grades"])
-    greens = greens or greens_operator(cx)
     u: GVec = {}
     for g in sorted(gr for gr in cx.grades if gr > 0):
         target = x.get(g, np.zeros(cx.n1(g), dtype=complex)).astype(complex)
@@ -210,9 +201,8 @@ def kuranishi_inverse_graded(
     return u
 
 
-def obstruction(cx: GradedComplex, x: GVec, greens: GreensOperator | None = None) -> GVec:
+def obstruction(cx: GradedComplex, x: GVec, greens: GreensOperator) -> GVec:
     """k(x) = (1/2) P [x, x], the harmonic projection of the bracket square."""
-    greens = greens or greens_operator(cx)
     return greens.project_harmonic(quadratic_part(cx, x))
 
 

@@ -66,12 +66,6 @@ class KNProblem:
             raise ValueError("log squared norms must be finite")
 
     @staticmethod
-    def from_norms(weights, norms2) -> "KNProblem":
-        if not all(0 < n < math.inf for n in norms2):
-            raise ValueError("squared norms must be positive and finite")
-        return KNProblem(weights=tuple(weights), log_norms2=tuple(map(math.log, norms2)))
-
-    @staticmethod
     def from_vector(v: RepVector) -> "KNProblem":
         by_weight = v.log_norm2_by_weight()
         if not by_weight:

@@ -44,13 +44,9 @@ class PolytopeQ:
                 raise DimensionMismatch("generator of wrong dimension")
 
     @staticmethod
-    def from_points(points: Sequence[Sequence], ambient_dim: int | None = None) -> "PolytopeQ":
+    def from_points(points: Sequence[Sequence]) -> "PolytopeQ":
         gens = tuple(qvec(p) for p in points)
-        if ambient_dim is None:
-            if not gens:
-                raise ValueError("ambient_dim required for an empty point list")
-            ambient_dim = len(gens[0])
-        return PolytopeQ(gens, ambient_dim)
+        return PolytopeQ(gens, len(gens[0]) if gens else 0)
 
     def dim(self) -> int:
         g0 = self.generators[0]

@@ -146,12 +146,6 @@ def nullspace(rows: Sequence[Sequence]) -> list[IVec]:
     return _kernel(*_echelon(rows), len(rows[0]))
 
 
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> QVec | None:
-    """One rational solution of A x = b, or None if inconsistent."""
-    sol = solve_affine(rows, rhs, len(rows[0]) if rows else 0)
-    return None if sol is None else sol[0]
-
-
 def smith_normal_form(a: Sequence[Sequence[int]]):
     """Smith normal form of an integer matrix.
 
@@ -257,14 +251,6 @@ class Lattice:
         # saturated iff every Smith invariant of the (independent) basis is 1
         _, d, _ = smith_normal_form(self.basis)
         return all(d[i][i] == 1 for i in range(self.rank))
-
-    def contains(self, x: Sequence[int]) -> bool:
-        """Integer membership: x lies in the Z-span of the basis."""
-        if not self.basis:
-            return all(int(c) == 0 for c in x)
-        cols = [[b[i] for b in self.basis] for i in range(self.ambient_dim)]
-        sol = solve_linear(cols, [int(c) for c in x])
-        return sol is not None and all(c.denominator == 1 for c in sol)
 
 
 def saturated_kernel(weights: Sequence[Sequence[int]], ambient_dim: int | None = None) -> Lattice:

@@ -230,19 +230,9 @@ class PartitionP:
         if sorted(seen) != list(range(len(seen))):
             raise ValueError("parts must partition a full index range")
 
-    @staticmethod
-    def of(parts) -> "PartitionP":
-        norm = tuple(sorted(tuple(sorted(p)) for p in parts))
-        return PartitionP(norm)
-
     @property
     def is_trivial(self) -> bool:
         return len(self.parts) == 1
-
-    def refines(self, coarser: "PartitionP") -> bool:
-        return all(
-            any(set(p) <= set(cp) for cp in coarser.parts) for p in self.parts
-        )
 
 
 def partition_dim(partition: PartitionP, block_ranks: Sequence[int], g: int) -> int:

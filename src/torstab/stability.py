@@ -127,7 +127,7 @@ def classify(v: RepVector) -> StabilityResult:
         raise ZeroVectorError("the zero vector has no stability class")
     weights = tuple(sorted(v.effective_g_weights()))
     k = len(weights[0])
-    hull = PolytopeQ.from_points(weights, ambient_dim=k)
+    hull = PolytopeQ.from_points(weights)
     origin = (0,) * k
     pos, cert, tight = locate(hull, origin)
     if pos == INTERIOR:

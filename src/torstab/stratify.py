@@ -162,7 +162,7 @@ def stratify(
                 point = restricted[lab] + (ln.rho + dot(ln.weight, x_prev),)
                 pts.setdefault(point, []).append(lab)
             gens = sorted(pts)
-            hull = PolytopeQ.from_points(gens, ambient_dim=gn.dim + 1)
+            hull = PolytopeQ.from_points(gens)
             entry = ray_entry(hull, list(range(gn.dim)), gn.dim)
             if entry is None:
                 raise StratifyInternalError(f"RayEmpty: the rho-axis misses C_{n}")
@@ -287,9 +287,6 @@ class CheckReport:
     @property
     def all_ok(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
-
-    def failures(self):
-        return [(n, d) for n, ok, d in self.checks if not ok]
 
 
 def _exponents(labels, exps: dict) -> tuple[list[int], str]:

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ValidationError
 from .qexact import Lattice, clear_denominators, dot, saturated_kernel
@@ -158,23 +158,6 @@ class RepVector:
     def effective_g_weights(self) -> frozenset[tuple[int, ...]]:
         """Distinct torus weights (rho dropped) carrying a nonzero amplitude."""
         return frozenset(ln.weight for ln in self.effective_lines())
-
-    def project_labels(self, labels: Iterable[str]) -> "RepVector":
-        keep = frozenset(labels)
-        amps = {
-            ln.label: (self.amplitude(ln.label) if ln.label in keep else 0.0)
-            for ln in self.lines
-        }
-        return RepVector(self.lines, amps)
-
-    def fixed_part(self, h: Subtorus) -> "RepVector":
-        """Components whose torus weight vanishes on the subtorus; the
-        grading circle is excluded from the fixing condition."""
-        if h.parent_rank != self.rank:
-            raise ValueError("subtorus of wrong rank")
-        return self.project_labels(
-            ln.label for ln in self.lines if not any(h.restrict(ln.weight))
-        )
 
     def restrict(self, h: Subtorus) -> "RepVector":
         """Replace each weight by its pairing vector against the subtorus

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 import torstab.stability as stability
 from torstab.cli import (
+    _load_schema,
     generate_instance,
     main,
     render_text,
-    report_validator,
     run_document,
     validate_document,
 )
@@ -24,6 +25,14 @@ from torstab.graded_kuranishi import MAX_COMPLEX_DIM, MAX_COMPLEX_GRADES
 from torstab.polytope import OUTSIDE
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@lru_cache(maxsize=1)
+def report_validator():
+    """The tests' report oracle, report.schema.json."""
+    from jsonschema import Draft202012Validator
+
+    return Draft202012Validator(_load_schema("report.schema.json"))
 
 
 def stability_doc():
@@ -1215,12 +1224,32 @@ def rank0_stratify_doc():
     (["--tol", "nan"], kempf_ness_three_line_doc, "tol must be finite"),
     (["--box-bound", "0"], stability_doc, "box_bound must be >= 1"),
     (["--tol", "0"], rank0_stratify_doc, "tol must be positive"),
+    # numpy's default_rng takes no negative seed: judged like options.seed
+    (["--seed", "-1"], kuranishi_generator_doc, "seed must be >= 0"),
 ])
 def test_out_of_range_flags_are_refused(argv, make_doc, reason, tmp_path, capsys):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(make_doc()))
     assert main(["run", "--input", str(p), *argv]) == 2
     assert json.loads(capsys.readouterr().out)["report"] == {"reason": reason}
+
+
+def test_negative_gen_seed_is_refused(capsys):
+    assert main(["gen", "--kind", "stability", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: seed must be >= 0\n"
+
+
+def test_document_seed_overrides_a_negative_seed_flag(tmp_path, capsys):
+    # judged after the document's options are laid over the flags, as tol
+    # and box_bound are
+    doc = kuranishi_generator_doc()
+    doc["options"] = {"seed": 2}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--input", str(p), "--seed", "-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["input_seed"] == 2
 
 
 @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")])

@@ -40,7 +40,6 @@ from torstab.qexact import (
     saturated_kernel,
     smith_normal_form,
     solve_affine,
-    solve_linear,
     vsub,
 )
 from torstab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp, solve_lp_mixed
@@ -50,6 +49,12 @@ F = Fraction
 
 # ---------------------------------------------------------------------------
 # oracles (independent of the simplex)
+
+
+def solve_linear(rows, rhs):
+    """One rational solution of A x = b, or None if inconsistent."""
+    sol = solve_affine(rows, rhs, len(rows[0]) if rows else 0)
+    return None if sol is None else sol[0]
 
 
 def oracle_member(gens, q):
@@ -167,6 +172,33 @@ def test_lp_negative_rhs_rows():
     res = solve_lp([[-1]], [-3], [0])
     assert res.status == OPTIMAL
     assert res.x[0] == 3
+
+
+def test_lp_beale_cycling_example_terminates():
+    # Beale (1955): on this degenerate LP the largest-reduced-cost rule,
+    # with ratio ties to the first row, cycles and never returns; Bland's
+    # rule must stop at the optimum
+    a = [[1, 0, 0, F(1, 4), -60, F(-1, 25), 9],
+         [0, 1, 0, F(1, 2), -90, F(-1, 50), 3],
+         [0, 0, 1, 0, 0, 1, 0]]
+    res = solve_lp(a, [0, 0, 1], [0, 0, 0, F(3, 4), -150, F(1, 50), -6])
+    assert res.status == OPTIMAL
+    assert res.value == F(1, 20)
+    assert res.x == (F(3, 100), 0, 0, F(1, 25), 0, 1, 0)
+
+
+def test_lp_klee_minty_cube_terminates():
+    # the 5-dimensional Klee-Minty cube: max sum 2^(n-j) x_j subject to
+    # sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^i, with one slack per row; the
+    # optimum is x_n = 5^n, every other x_j = 0
+    n = 5
+    a = [[2 ** (i - j + 1) if j < i else int(i == j) for j in range(1, n + 1)]
+         + [int(i == k) for k in range(1, n + 1)] for i in range(1, n + 1)]
+    c = [2 ** (n - j) for j in range(1, n + 1)] + [0] * n
+    res = solve_lp(a, [5 ** i for i in range(1, n + 1)], c)
+    assert res.status == OPTIMAL
+    assert res.value == 5 ** n == 3125
+    assert res.x[:n] == (0,) * (n - 1) + (5 ** n,)
 
 
 def test_lp_deterministic():
@@ -386,7 +418,7 @@ def test_lp_farkas_sign_of_negated_row():
 def test_locate_outside_separates(data):
     # an independent check of the separator: <g - q, x> > 0 for every g
     dim, pts, q = data
-    p = PolytopeQ.from_points(pts, ambient_dim=dim)
+    p = PolytopeQ.from_points(pts)
     pos, cert, _ = locate(p, q)
     assert pos == oracle_position(pts, q, dim)
     if pos == OUTSIDE:
@@ -428,8 +460,17 @@ def test_hull_position_point_hull():
 
 
 def test_hull_position_dim_zero_ambient():
-    pt = PolytopeQ.from_points([()], ambient_dim=0)
+    pt = PolytopeQ.from_points([()])
     assert hull_position(pt, ()) == INTERIOR
+
+
+def test_from_points_reads_the_dimension_off_the_points():
+    assert PolytopeQ.from_points([(1, 2, 3), (0, 0, 0)]).ambient_dim == 3
+    assert PolytopeQ.from_points([()]).ambient_dim == 0
+    with pytest.raises(ValueError, match="at least one generator"):
+        PolytopeQ.from_points([])
+    with pytest.raises(ValueError, match="wrong dimension"):
+        PolytopeQ.from_points([(1, 2), (1, 2, 3)])
 
 
 small_coord = st.integers(min_value=-4, max_value=4)
@@ -445,15 +486,15 @@ def _points(dim, min_n=1, max_n=6):
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), _points(d), st.tuples(*([small_coord] * d)))))
 def test_hull_position_matches_oracle(data):
     dim, pts, q = data
-    p = PolytopeQ.from_points(pts, ambient_dim=dim)
+    p = PolytopeQ.from_points(pts)
     assert hull_position(p, q) == oracle_position(pts, q, dim)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), _points(d, min_n=2))))
 def test_minimal_face_matches_oracle(data):
-    dim, pts = data
-    p = PolytopeQ.from_points(pts, ambient_dim=dim)
+    _, pts = data
+    p = PolytopeQ.from_points(pts)
     # query the barycenter, which always lies in the hull
     n = len(pts)
     q = tuple(sum(F(v) for v in col) / n for col in zip(*pts))
@@ -473,7 +514,7 @@ def test_face_combination_is_positive_exactly_on_minimal_face(data):
     total = sum(weights)
     given = tuple(F(w, total) for w in weights)
     q = tuple(sum(a * g[i] for a, g in zip(given, pts)) for i in range(dim))
-    p = PolytopeQ.from_points(pts, ambient_dim=dim)
+    p = PolytopeQ.from_points(pts)
     comb = face_combination(p, q, given, range(len(pts)))
     assert sum(comb) == 1 and all(a >= 0 for a in comb)
     assert all(sum(a * g[i] for a, g in zip(comb, pts)) == q[i] for i in range(dim))
@@ -495,7 +536,7 @@ def test_pruned_candidates_give_the_unpruned_face_combination(data):
     # the tight columns of locate's and ray_entry's LPs against every index
     dim, pts, weights = data
     m = len(pts)
-    p = PolytopeQ.from_points(pts, ambient_dim=dim)
+    p = PolytopeQ.from_points(pts)
     weights = weights[:m]
     if not any(weights):
         weights[-1] = 1
@@ -614,7 +655,7 @@ def test_ray_intersect_certificates():
 @settings(max_examples=60, deadline=None)
 @given(_points(2, min_n=2), st.integers(-8, 8), st.integers(1, 8))
 def test_ray_intersect_vs_membership(pts, num, den):
-    p = PolytopeQ.from_points(pts, ambient_dim=2)
+    p = PolytopeQ.from_points(pts)
     iv = ray_intersect(p, [0], 1)
     rho = F(num, den)
     inside = oracle_member(pts, (0, rho))
@@ -628,7 +669,7 @@ def test_ray_intersect_vs_membership(pts, num, den):
 @given(st.integers(2, 3).flatmap(lambda d: st.tuples(st.just(d), _points(d, min_n=1))))
 def test_ray_entry_is_the_lower_end_of_ray_intersect(data):
     dim, pts = data
-    p = PolytopeQ.from_points(pts, ambient_dim=dim)
+    p = PolytopeQ.from_points(pts)
     axis = list(range(dim - 1))
     entry = ray_entry(p, axis, dim - 1)
     iv = ray_intersect(p, axis, dim - 1)
@@ -962,11 +1003,20 @@ def test_rational_rank_examples():
 # saturated_kernel / lattices
 
 
+def contains(lattice: Lattice, x) -> bool:
+    """Integer membership: x lies in the Z-span of the basis."""
+    if not lattice.basis:
+        return all(int(c) == 0 for c in x)
+    cols = [[b[i] for b in lattice.basis] for i in range(lattice.ambient_dim)]
+    sol = solve_linear(cols, [int(c) for c in x])
+    return sol is not None and all(c.denominator == 1 for c in sol)
+
+
 def lattice_equal(l1: Lattice, l2: Lattice) -> bool:
     return (
         l1.rank == l2.rank
-        and all(l1.contains(b) for b in l2.basis)
-        and all(l2.contains(b) for b in l1.basis)
+        and all(contains(l1, b) for b in l2.basis)
+        and all(contains(l2, b) for b in l1.basis)
     )
 
 
@@ -1029,7 +1079,7 @@ def test_saturated_kernel_properties(weights):
 
     for x in product(range(-2, 3), repeat=k):
         if all(dot(w, x) == 0 for w in weights):
-            assert lat.contains(x)
+            assert contains(lat, x)
 
 
 @st.composite

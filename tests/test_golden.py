@@ -26,11 +26,16 @@ the corpus with:
     done
 """
 
+import contextlib
+import copy
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torstab.cli import main
 
@@ -104,3 +109,49 @@ def test_mismatches_is_exact_except_floats():
     assert mismatches(1.0, 1.0 + 1e-12) == []
     assert mismatches(1.0, 1.0 + 1e-8) != []
     assert mismatches(1e-17, 3e-17) == []
+
+
+# ---------------------------------------------------------------------------
+# single-field mutations: whatever one field of a golden problem becomes,
+# the document is run or refused (exit 0 or 2), never an internal error
+
+DELETE = object()  # the mutation that drops the field
+MUTANTS = [DELETE, None, True, False, 0, 1, -1, 2, 7, 2**31, 2**63, -(2**63),
+           0.5, -2.5, 1e300, "", "a", [], [0], {}]
+
+
+def field_paths(node, path=()):
+    """The path of every key and list entry below node."""
+    if isinstance(node, (dict, list)):
+        for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (k,)
+            yield from field_paths(v, path + (k,))
+
+
+PROBLEMS = [json.loads((GOLDEN / f"{case}.problem.json").read_text()) for case in CASES]
+MUTATIONS = st.sampled_from(PROBLEMS).flatmap(lambda doc: st.tuples(
+    st.just(doc), st.sampled_from(list(field_paths(doc))), st.sampled_from(MUTANTS)))
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "doc.json"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(MUTATIONS)
+def test_single_field_mutations_of_the_goldens_never_exit_1(mutant_path, mutation):
+    doc, path, value = mutation
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    mutant_path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--input", str(mutant_path)])
+    assert code in (0, 2), (path, value, err.getvalue())

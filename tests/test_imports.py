@@ -159,17 +159,11 @@ def test_rejected_document_prints_jsonschema_error_list(tmp_path, capsys):
 # what src/torstab defines although neither the library, scripts/ nor
 # torbench/ names it, and why each stays
 ALLOWED = {
-    "KNProblem.from_norms": "test_acceptance.py builds Kempf-Ness problems from squared norms",
-    "gvec_scale_action": "test_acceptance.py: the grading circle action of its equivariance check",
-    "PartitionP.of": "test_acceptance.py builds its partitions with it",
-    "CheckReport.failures": "test_acceptance.py reads a decomposition's failed checks",
-    "RepVector.fixed_part": "the stratify tests' reference for the part a subtorus fixes",
-    "Lattice.contains": "the saturated-kernel tests' oracle",
-    "PartitionP.refines": "the partition-order tests' oracle",
-    "report_validator": "the tests' report oracle, report.schema.json",
-    "rr_h1_lower_bound": "the Riemann-Roch positivity bound of the Hodge-bundle model",
+    "rr_h1_lower_bound": "the Riemann-Roch positivity bound of the Hodge-bundle model; "
+                         "ROADMAP item 4 gives it a caller",
     # the matrix-conjugation variant of the Kempf-Ness functional, which no
-    # kind runs yet; test_acceptance.py imports the first two
+    # kind runs yet; test_acceptance.py imports the first two, and ROADMAP
+    # item 6's King cross-check gives all four a caller
     "kn_conjugation_eval": "the conjugation functional's value and gradient",
     "moment_map_conjugation": "the conjugation moment map [phi, phi*]",
     "ConjugationProblem": "a conjugation problem with its checked directions",

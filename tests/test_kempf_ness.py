@@ -26,7 +26,7 @@ def problem(weights, norms2=None):
     ws = [tuple(w) for w in weights]
     if norms2 is None:
         norms2 = [1.0] * len(ws)
-    return KNProblem.from_norms(ws, [float(n) for n in norms2])
+    return KNProblem(weights=tuple(ws), log_norms2=tuple(math.log(n) for n in norms2))
 
 
 def classified(p):
@@ -254,9 +254,6 @@ def test_kn_problem_sums_the_norms_of_one_weight_in_log_space():
     p = KNProblem.from_vector(RepVector(lines, {"a": 3.0, "b": 1e-200 + 4j, "c": 1.0}))
     assert p.weights == ((-1,), (1,))
     assert p.log_norms2 == pytest.approx((0.0, math.log(2.0 * 9.0 + 16.0)), rel=1e-15)
-    for n in (0.0, math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            KNProblem.from_norms([(1,)], [n])
     with pytest.raises(ValueError, match="must be finite"):
         KNProblem(weights=((1,),), log_norms2=(math.inf,))
 

@@ -199,15 +199,15 @@ def test_expected_dim_paper_values():
 
 
 def test_partition_dim_examples():
-    p = PartitionP.of([[0], [1]])
+    p = PartitionP(((0,), (1,)))
     assert partition_dim(p, (1, 1), 2) == 0
 
-    triv = PartitionP.of([[0, 1]])
+    triv = PartitionP(((0, 1),))
     assert partition_dim(triv, (1, 1), 2) == 3 == expected_dim_central_locus(2, 2)
 
-    p3 = PartitionP.of([[0, 1], [2]])
+    p3 = PartitionP(((0, 1), (2,)))
     assert partition_dim(p3, (1, 1, 1), 2) == 3
-    assert partition_dim(PartitionP.of([[0, 1, 2]]), (1, 1, 1), 2) == 8
+    assert partition_dim(PartitionP(((0, 1, 2),)), (1, 1, 1), 2) == 8
 
 
 @st.composite
@@ -278,6 +278,12 @@ def test_partitions_distinct_blocks_bell_numbers():
         assert len(partitions_with_order(shb).partitions) == count
 
 
+def refines(finer, coarser):
+    return all(
+        any(set(p) <= set(cp) for cp in coarser.parts) for p in finer.parts
+    )
+
+
 def eager_order(shb, parts):
     """Strict-coarsening pairs between the deduplicated partitions, by a
     double loop over the raw set partitions of each class."""
@@ -288,13 +294,14 @@ def eager_order(shb, parts):
 
     classes = {}
     for raw in set_partitions(list(range(shb.k))):
-        p = PartitionP.of(raw)
+        # set_partitions sorts the items of each part, not the parts
+        p = PartitionP(tuple(sorted(map(tuple, raw))))
         classes.setdefault(signature(p), []).append(p)
     order = set()
     for ia, pa in enumerate(parts):
         for ib, pb in enumerate(parts):
             if ia != ib and any(
-                pb.refines(cand) and pb != cand for cand in classes[signature(pa)]
+                refines(pb, cand) and pb != cand for cand in classes[signature(pa)]
             ):
                 order.add((ia, ib))
     return frozenset(order)
@@ -382,7 +389,7 @@ def bell_first_hits(shb):
     reps = {}
     for parts in rgs_set_partitions(shb.k):
         signature = tuple(sorted(tuple(sorted(keys[i] for i in part)) for part in parts))
-        reps.setdefault(signature, PartitionP.of(parts))
+        reps.setdefault(signature, PartitionP(tuple(map(tuple, parts))))
     return tuple(reps.values())
 
 

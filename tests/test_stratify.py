@@ -18,6 +18,8 @@ from torstab.stability import POLYSTABLE_NOT_STABLE, STABLE, classify
 from torstab.stratify import stage_kn_minimizers, stratify, verify_decomposition
 from torstab.torus_rep import RepVector, Subtorus, WeightLine
 
+from test_torus_rep import fixed_part, project_labels
+
 
 def graded(spec, amps=None):
     """spec: list of (label, weight tuple, rho)."""
@@ -123,7 +125,7 @@ def test_rejects_ungraded():
 def test_verify_decomposition_passes_on_worked_example():
     u = two_line_example()
     rep = verify_decomposition(stratify(u), u)
-    assert rep.all_ok, rep.failures()
+    assert rep.all_ok, _failed(rep)
 
 
 def test_verify_decomposition_catches_tampering():
@@ -135,7 +137,7 @@ def test_verify_decomposition_catches_tampering():
     tampered = res.__class__(**{**res.__dict__, "stages": (bad_stage,)})
     rep = verify_decomposition(tampered, u)
     assert not rep.all_ok
-    assert any("projection-exponent" in name for name, _ in rep.failures())
+    assert any("projection-exponent" in name for name in _failed(rep))
 
 
 def _result_fingerprint(res):
@@ -242,7 +244,7 @@ def test_random_inputs_pass_verification(rank):
         u = random_stable_graded(rng, rank, int(rng.integers(rank + 1, 7)))
         res = stratify(u)
         rep = verify_decomposition(res, u)
-        assert rep.all_ok, (u, rep.failures())
+        assert rep.all_ok, (u, _failed(rep))
         assert res.num_stages <= rank + 1
 
 
@@ -329,7 +331,7 @@ def _with_stage(res, i, **changes):
 
 
 def _failed(rep):
-    return [name for name, _ in rep.failures()]
+    return [name for name, ok, _ in rep.checks if not ok]
 
 
 def test_verify_rejects_certificate_of_other_weights():
@@ -395,7 +397,8 @@ def test_verify_fails_a_label_that_is_not_effective():
     tampered = _with_stage(res, 0, nu_labels=("z0",))
     report = verify_decomposition(tampered, u)
     assert _failed(report) == ["stage0-nu-bound", "exact-sum-decomposition"]
-    assert "not effective in u: ['z0']" in dict(report.failures())["stage0-nu-bound"]
+    details = {name: detail for name, _, detail in report.checks}
+    assert "not effective in u: ['z0']" in details["stage0-nu-bound"]
 
 
 @st.composite
@@ -426,7 +429,7 @@ def test_stage_projection_matches_classify(case):
     u, torus = case
     res = stratify(u, torus=torus)
     for stage in res.stages:
-        proj = u.project_labels(stage.s_labels).restrict(stage.torus)
+        proj = project_labels(u, stage.s_labels).restrict(stage.torus)
         expected = classify(proj)
         got = stage.projection
         assert (got.stability, got.weights, got.flat_lattice) == (
@@ -537,8 +540,7 @@ def test_stage_hull_dimensions_match_polytope_dim(case):
         pts = _stage_points(u, res, i)
         projected = [p[:-1] for p in pts]
         assert stage.dim_hull == polytope.PolytopeQ.from_points(pts).dim()
-        assert stage.dim_projected_hull == polytope.PolytopeQ.from_points(
-            projected, ambient_dim=stage.torus.dim).dim()
+        assert stage.dim_projected_hull == polytope.PolytopeQ.from_points(projected).dim()
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +555,11 @@ def reference_labels(u, res):
     shift = (0,) * u.rank
     out = []
     for stage in res.stages:
-        u_n = u.project_labels(left)
-        nu = tuple(sorted(ln.label for ln in u_n.fixed_part(stage.torus).effective_lines()))
+        u_n = project_labels(u, left)
+        nu = tuple(sorted(ln.label for ln in fixed_part(u_n, stage.torus).effective_lines()))
         shift = tuple(a + b for a, b in zip(shift, stage.x_stage))
         face = tuple(sorted(
-            ln.label for ln in u_n.project_labels(left - set(nu)).effective_lines()
+            ln.label for ln in project_labels(u_n, left - set(nu)).effective_lines()
             if ln.rho + dot(ln.weight, shift) == stage.c
         ))
         out.append((nu, face))
@@ -569,12 +571,12 @@ def reference_stage_checks(res, u):
     """verify_decomposition's per-stage checks as RepVector computes them."""
     out = {}
     for i, stage in enumerate(res.stages):
-        nu_vec = u.project_labels(stage.nu_labels)
+        nu_vec = project_labels(u, stage.nu_labels)
         out[f"stage{i}-nu-fixed"] = (
-            nu_vec.fixed_part(stage.torus).amplitudes == nu_vec.amplitudes)
-        proj = u.project_labels(stage.s_labels)
+            fixed_part(nu_vec, stage.torus).amplitudes == nu_vec.amplitudes)
+        proj = project_labels(u, stage.s_labels)
         out[f"stage{i}-projection-fixed-by-next"] = (
-            proj.fixed_part(res.tori[i + 1]).amplitudes == proj.amplitudes)
+            fixed_part(proj, res.tori[i + 1]).amplitudes == proj.amplitudes)
         weights = tuple(sorted(proj.restrict(stage.torus).effective_g_weights()))
         pcls = stage.projection
         out[f"stage{i}-polystable"] = (
@@ -609,7 +611,7 @@ def test_stage_bookkeeping_matches_repvector_reference(case, tamper):
     res = stratify(u, torus=torus)
     assert [(s.nu_labels, s.s_labels) for s in res.stages] == reference_labels(u, res)
     for (kn, rescaled), stage in zip(stage_kn_minimizers(res), res.stages):
-        proj = u.project_labels(stage.s_labels).restrict(stage.torus)
+        proj = project_labels(u, stage.s_labels).restrict(stage.torus)
         want = {}
         if kn.minimizer is not None:
             want = proj.rescale(kn.minimizer).amplitudes
