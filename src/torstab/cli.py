@@ -12,9 +12,14 @@ JSON output is JSON Lines: ``run`` writes one compact, key-sorted line per
 input document, in input order, and ``gen`` writes its instance as one such
 line.  Pretty-print it with ``python -m json.tool --json-lines``.
 
-numpy is loaded only by the float layers (Kempf-Ness, the Green's operator,
-the brute-force scan) and by ``gen``; jsonschema only to write a rejected
-document's error list.
+A call loads only the layers its documents use: each runner imports its
+own analysis layer when it starts (``stability`` and ``kempf-ness`` the
+classifier with the exact polytope stack under it, ``stratify`` also the
+stratification, ``shb`` the Hodge-bundle model, ``kuranishi`` the graded
+Kuranishi maps), so ``import torstab.cli`` and ``validate`` load none of
+them.  numpy is loaded only by the float layers (Kempf-Ness, the Green's
+operator, the brute-force scan) and by ``gen``; jsonschema only to write a
+rejected document's error list.
 """
 
 from __future__ import annotations
@@ -28,16 +33,14 @@ from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from . import shb_model
 from .errors import NotStableError, TorstabError, ValidationError
-from .stability import classify, destabilizer_bruteforce, witness_bound
-from .stratify import stage_kn_minimizers, stratify, verify_decomposition
-from .torus_rep import RepVector, Subtorus, WeightLine
 
 if TYPE_CHECKING:
     from jsonschema import Draft202012Validator
 
     from .graded_kuranishi import GradedComplex
+    from .shb_model import SHBSpec
+    from .torus_rep import RepVector
 
 SCHEMA_VERSION = "1"
 
@@ -82,8 +85,11 @@ def _dump(doc: dict) -> str:
     json uses only without ``indent``).  Strings escape every control
     character, so a report never spans two lines.  A non-finite float,
     which is not JSON, raises ValueError: an internal error, since the
-    runners refuse such values by field."""
-    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    runners refuse such values by field.  A report is a tree built for its
+    document, so the encoder keeps no record of the containers it is in; a
+    cycle, which would be a bug, ends in RecursionError, also an internal
+    error."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False, check_circular=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +216,8 @@ def _fits(convert, value, field: str):
 
 
 def rep_from_payload(payload: dict) -> RepVector:
+    from .torus_rep import RepVector, WeightLine
+
     # the schema's integers include integral floats such as 1.0; the exact
     # layers take ints
     lines = tuple(
@@ -262,14 +270,16 @@ def _kuranishi_floats(body: dict) -> None:
         raise ValidationError([f"{field}: the Kuranishi maps overflow a float" for field in bad])
 
 
-def shb_from_payload(payload: dict) -> shb_model.SHBSpec:
+def shb_from_payload(payload: dict) -> SHBSpec:
+    from .shb_model import SHBSpec, StableBlock
+
     blocks = tuple(
-        shb_model.StableBlock(
+        StableBlock(
             tuple(map(int, b["ranks"])), tuple(map(int, b["degrees"])), tag=b.get("tag", "")
         )
         for b in payload["blocks"]
     )
-    return shb_model.SHBSpec(int(payload["genus"]), blocks)
+    return SHBSpec(int(payload["genus"]), blocks)
 
 
 def _check_complex_size(grades, dims=()) -> None:
@@ -396,7 +406,7 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
     kind = doc["kind"]
     options = {
         "tol": tol,
-        "convention": convention or shb_model.DEFAULT,
+        "convention": convention,
         "emit_certificates": emit_certificates,
         "box_bound": box_bound,
         "seed": 0 if seed is None else seed,
@@ -461,6 +471,8 @@ def _certificate_doc(res, emit: bool):
 
 
 def _run_stability(payload, options):
+    from .stability import classify, destabilizer_bruteforce, witness_bound
+
     v = rep_from_payload(payload)
     res = classify(v)
     body = {"class": res.stability, "certificate_verified": res.verify()}
@@ -475,6 +487,7 @@ def _run_stability(payload, options):
 
 def _run_kempf_ness(payload, options):
     from .kempf_ness import KNProblem, kn_minimize
+    from .stability import classify
 
     _float_weights(payload)
     v = rep_from_payload(payload)
@@ -496,6 +509,9 @@ def _run_kempf_ness(payload, options):
 
 
 def _run_stratify(payload, options):
+    from .stratify import stage_kn_minimizers, stratify, verify_decomposition
+    from .torus_rep import Subtorus
+
     _float_weights(payload)
     v = rep_from_payload(payload)
     torus = None
@@ -553,7 +569,9 @@ def _run_stratify(payload, options):
 
 
 def _run_shb(payload, options):
-    convention = options["convention"]
+    from . import shb_model
+
+    convention = options["convention"] or shb_model.DEFAULT
     shb = shb_from_payload(payload)
     block_ranks = shb.block_ranks()
     body: dict = {
@@ -727,7 +745,7 @@ def generate_instance(kind: str, seed: int) -> dict:
         }
         payload = {"rank": rank, "lines": lines, "amplitudes": amps}
     elif kind == "stratify":
-        from .stability import STABLE as _STABLE
+        from .stability import STABLE, classify
 
         rank = int(rng.integers(1, 3))
         while True:
@@ -746,7 +764,7 @@ def generate_instance(kind: str, seed: int) -> dict:
             }
             payload = {"rank": rank, "lines": lines, "amplitudes": amps}
             v = rep_from_payload(payload)
-            if classify(v).stability == _STABLE:
+            if classify(v).stability == STABLE:
                 break
     elif kind == "shb":
         k = int(rng.integers(1, 4))

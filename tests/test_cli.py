@@ -598,10 +598,14 @@ def test_options_oversized_box_bound_rejected(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_scipy_linalg():
-    # scipy.linalg serves only the matrix-conjugation Kempf-Ness variant, and
-    # numpy and jsonschema load only with the layers that use them
+    # scipy.linalg serves only the matrix-conjugation Kempf-Ness variant,
+    # numpy and jsonschema load only with the layers that use them, and each
+    # analysis layer only with a document of its kind
+    analysis = [f"torstab.{m}" for m in ("stability", "stratify", "shb_model", "polytope",
+                                         "simplex", "qexact", "torus_rep", "kempf_ness",
+                                         "graded_kuranishi")]
     code = ("import sys, torstab.cli; "
-            "print(any(m in sys.modules for m in ('scipy', 'numpy', 'jsonschema')))")
+            f"print(any(m in sys.modules for m in {['scipy', 'numpy', 'jsonschema', *analysis]}))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -1152,6 +1156,21 @@ def test_a_non_finite_report_float_is_an_internal_error(tmp_path, capsys, monkey
     assert captured.out == ""
     assert "Infinity" not in captured.err and "NaN" not in captured.err
     assert captured.err.startswith("internal error: ")
+
+
+def test_a_cyclic_report_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # _dump skips the encoder's cycle check, so a cycle ends in RecursionError
+    import torstab.cli as cli
+
+    body: dict = {}
+    body["self"] = body
+    monkeypatch.setattr(cli, "_run_stability", lambda *args, **kwargs: body)
+    p = tmp_path / "stability.json"
+    p.write_text(json.dumps(stability_doc()))
+    assert main(["run", "--input", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: maximum recursion depth exceeded")
 
 
 _json_leaf = st.one_of(

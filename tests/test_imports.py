@@ -1,15 +1,19 @@
 """Import cost follows use.
 
-The exact layers and `torstab validate` load neither numpy, scipy nor
-jsonschema: numpy arrives with the float diagnostics (Kempf-Ness, the
-Green's operator, the brute-force scan, `torstab gen`) and jsonschema only
-to write a rejected document's error list.  Each check runs in a fresh
+`torstab.cli` imports each document kind's layer when a document of that
+kind runs, so `import torstab.cli` and `torstab validate` load no analysis
+layer and each kind loads only its own.  The exact layers and `torstab
+validate` load neither numpy, scipy nor jsonschema: numpy arrives with the
+float diagnostics (Kempf-Ness, the Green's operator, the brute-force scan,
+`torstab gen`) and jsonschema only to write a rejected document's error
+list.  Each check runs in a fresh
 interpreter, since this test process has long loaded all three.
 `tests/test_cli.py::test_cli_import_leaves_out_scipy_linalg` checks that
 `import torstab.cli` alone loads none of them."""
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,11 +21,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import torstab
 from torstab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
+COLD_START = ROOT / "scripts" / "cold_start.py"
 HEAVY = ("numpy", "scipy", "jsonschema")
 
 # the package's exports, by defining module
@@ -57,6 +64,43 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m for m in HEAVY if m in sys.modules)]))
 """
+
+
+# `torstab.cli.main(argv)`, when argv is not empty, with its output
+# swallowed; prints the exit code and the torstab submodules loaded
+# afterwards
+LAYERS = """
+import contextlib, io, json, sys
+import torstab.cli
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = torstab.cli.main(argv) if argv else 0
+print(json.dumps([code, sorted(m[len("torstab."):] for m in sys.modules
+                               if m.startswith("torstab."))]))
+"""
+
+# the torstab submodules each call loads: the front end, then its kind's layer
+CLI = ["cli", "errors"]
+VALIDATE = CLI + ["schema_check", "schemas"]
+STABILITY = VALIDATE + ["polytope", "qexact", "simplex", "stability", "torus_rep"]
+KEMPF_NESS = STABILITY + ["kempf_ness"]
+# by the calls scripts/cold_start.py times
+LOADED = {
+    "import": CLI,
+    "validate": VALIDATE,
+    "stability": STABILITY,
+    "kempf-ness": KEMPF_NESS,
+    "stratify": KEMPF_NESS + ["stratify"],
+    "shb": STABILITY + ["shb_model"],
+    "kuranishi": VALIDATE + ["graded_kuranishi", "qexact"],
+}
+
+
+def cold_start_script():
+    spec = importlib.util.spec_from_file_location("cold_start", COLD_START)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fresh(code: str, *args: str) -> str:
@@ -117,6 +161,23 @@ def test_float_kinds_load_numpy_only():
     for kind in ("kempf-ness", "stratify", "kuranishi"):
         path = goldens(kind)[0]
         assert main_in_fresh_interpreter(["run", "--input", path]) == (0, ["numpy"]), kind
+
+
+@pytest.mark.parametrize("case", sorted(LOADED))
+def test_each_call_loads_exactly_its_kinds_layers(case):
+    script = cold_start_script()
+    argv = script.call_argv(script.CASES[case])
+    assert json.loads(fresh(LAYERS, json.dumps(argv))) == [0, sorted(LOADED[case])]
+
+
+def test_cold_start_script_times_these_calls():
+    assert list(cold_start_script().CASES) == list(LOADED)
+    proc = subprocess.run([sys.executable, str(COLD_START), "--count", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == list(LOADED)
+    assert all(len(row.split()) == 5 for row in rows)
 
 
 def test_export_list_is_pinned():
