@@ -16,9 +16,7 @@ _EXPORTS = {
     "graded_kuranishi": ("GradedComplex", "GreensOperator", "greens_operator",
                          "kuranishi_forward", "kuranishi_inverse_graded",
                          "obstruction", "random_graded_complex"),
-    "kempf_ness": ("ConjugationProblem", "KNProblem", "KNResult",
-                   "kn_conjugation_eval", "kn_eval", "kn_minimize",
-                   "moment_map_conjugation"),
+    "kempf_ness": ("KNProblem", "KNResult", "kn_eval", "kn_minimize"),
     "polytope": ("PolytopeQ", "RayInterval", "hull_position", "minimal_face",
                  "ray_intersect", "solve_mixed_system"),
     "qexact": ("Lattice", "saturated_kernel", "smith_normal_form"),
@@ -26,7 +24,7 @@ _EXPORTS = {
                   "automorphism_torus", "conformal_degree_table",
                   "cyclic_phi_weights", "expected_dim_central_locus",
                   "partition_dim", "partitions_with_order",
-                  "positive_slice_lines", "rr_h1_lower_bound", "slice_vector"),
+                  "positive_slice_lines", "slice_vector"),
     "stability": ("StabilityResult", "classify", "destabilizer_bruteforce"),
     "stratify": ("StratifyResult", "stage_kn_minimizers", "stratify",
                  "verify_decomposition"),

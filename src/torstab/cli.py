@@ -115,17 +115,20 @@ def validate_document(text: str) -> dict:
     from it (``schema_check``); jsonschema runs only on a document the
     predicate rejects, to write the sorted list of messages.  NaN, Infinity
     and overflowing literals, which Python's json module turns into floats,
-    are parse errors."""
+    are parse errors, and so is nesting too deep for the parser or for the
+    error messages, which print the rejected value."""
     try:
         doc = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
+        errors = [] if _problem_accepts()(doc) else [
+            f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
+            for err in sorted(problem_validator().iter_errors(doc), key=str)
+        ]
     except json.JSONDecodeError as exc:
         raise ValidationError(
             [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
-    errors = [] if _problem_accepts()(doc) else [
-        f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-        for err in sorted(problem_validator().iter_errors(doc), key=str)
-    ]
+    except RecursionError as exc:
+        raise ValidationError(["parse error: the document nests too deeply"]) from exc
     if errors:
         raise ValidationError(errors)
     semantic = _semantic_errors(doc)

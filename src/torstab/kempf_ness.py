@@ -1,9 +1,8 @@
-"""The Kempf-Ness functional for torus representations and its minimization,
-plus the matrix-conjugation variant.
+"""The Kempf-Ness functional for torus representations and its minimization.
 
-Torus case: l(x) = sum_w |v_w|^2 exp(2<w, x>) over the effective weights, a
-smooth convex sum of exponentials.  Attainment of the infimum matches the
-hull criterion: given the exact classification of the weights, a damped
+l(x) = sum_w |v_w|^2 exp(2<w, x>) over the effective weights, a smooth
+convex sum of exponentials.  Attainment of the infimum matches the hull
+criterion: given the exact classification of the weights, a damped
 Newton method is run only when it says a minimizer exists, from the point
 that the certificate's positive combination balances; non-attainment
 is certified by its exact separating functional, never diagnosed
@@ -11,9 +10,6 @@ numerically.  Flat directions (the saturated kernel of the effective
 weights) are quotiented out before iterating.  Newton runs on log l, with
 the squared norms held as their logarithms, so no norm and no exponential
 overflows, and nothing it does changes when every norm is scaled.
-
-Conjugation case: l(g) = ||exp(g) phi exp(-g)||_F^2 over traceless hermitian
-g; evaluation and first variation only.
 """
 
 from __future__ import annotations
@@ -288,123 +284,3 @@ def _cholesky_solve(lower, rhs):
         xi = x[i] = x[i] / row[i]
         x[:i] = [xm - xi * lm for xm, lm in zip(x[:i], row)]
     return x if all(map(math.isfinite, x)) else None
-
-
-# ---------------------------------------------------------------------------
-# matrix-conjugation representation
-
-
-def _check_phi(phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=complex)
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise ValueError("phi must be square")
-    return phi
-
-
-# The hermitian and traceless tests are relative to the largest entry, so a
-# matrix is judged the same at every scale.
-def _check_hermitian(a: np.ndarray, what: str):
-    if np.abs(a - a.conj().T).max(initial=0.0) > 1e-10 * np.abs(a).max(initial=0.0):
-        raise ValueError(f"{what} must be hermitian")
-
-
-def _check_traceless(a: np.ndarray, what: str):
-    if abs(np.trace(a)) > 1e-10 * np.abs(a).max(initial=0.0):
-        raise ValueError(f"{what} must be traceless")
-
-
-def _check_direction(v, n) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (n, n):
-        raise ValueError("direction of wrong shape")
-    _check_hermitian(v, "direction")
-    _check_traceless(v, "direction")
-    return v
-
-
-def moment_map_conjugation(phi) -> np.ndarray:
-    """[phi, phi*]: traceless hermitian, zero exactly when phi is normal."""
-    phi = _check_phi(phi)
-    return phi @ phi.conj().T - phi.conj().T @ phi
-
-
-def kn_conjugation_eval(phi, g):
-    """Value and gradient of ||e^g phi e^-g||^2 at a traceless hermitian g.
-
-    The gradient is returned as the traceless hermitian matrix M with
-    directional derivative Re tr(M v) along any traceless hermitian v; at
-    g = 0 it reduces to 2 [phi, phi*].  Raises FloatingPointError when the
-    value or the gradient overflows.
-    """
-    # imported here: scipy.linalg is about half of every torstab start-up
-    from scipy.linalg import expm, expm_frechet
-
-    phi = _check_phi(phi)
-    n = phi.shape[0]
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (n, n):
-        raise ValueError("dimension mismatch between phi and g")
-    _check_hermitian(g, "g")
-    with np.errstate(over="ignore", invalid="ignore"):
-        eg = expm(g)
-        eg_inv = expm(-g)
-        conj = eg @ phi @ eg_inv
-        value = float(np.real(np.trace(conj @ conj.conj().T)))
-
-        # first variation: D_g l(v) = Re tr(W v_g) with v_g the derivative of
-        # exp(2(g+tv)); transposing the exponential's Frechet map (self-adjoint
-        # for hermitian 2g) turns the pairing into an explicit gradient matrix
-        e2g = eg @ eg
-        e2g_inv = eg_inv @ eg_inv
-        w = (phi @ e2g_inv @ phi.conj().T @ e2g - e2g_inv @ phi.conj().T @ e2g @ phi) @ e2g_inv
-    _check_finite(value, w)
-    _, lw = expm_frechet(2.0 * g, w.conj().T)
-    m = 2.0 * lw.conj().T
-    m = (m + m.conj().T) / 2.0
-    m = m - np.trace(m) / n * np.eye(n)
-    _check_finite(m)
-    return value, m
-
-
-def _check_finite(*arrays):
-    """Overflow is a numerical failure, not bad input: FloatingPointError
-    (an ArithmeticError) rather than scipy's ValueError on infs."""
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise FloatingPointError("the conjugation functional overflows at this g")
-
-
-def standard_hermitian_directions(n: int) -> tuple[np.ndarray, ...]:
-    """Real basis of the traceless hermitian n x n matrices."""
-    out = []
-    for i in range(n - 1):
-        d = np.zeros((n, n), dtype=complex)
-        d[i, i], d[i + 1, i + 1] = 1.0, -1.0
-        out.append(d)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = np.zeros((n, n), dtype=complex)
-            s[i, j] = s[j, i] = 1.0
-            out.append(s)
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j], a[j, i] = 1j, -1j
-            out.append(a)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class ConjugationProblem:
-    """Matrix-conjugation Kempf-Ness problem: a square traceless phi and a
-    basis of traceless hermitian directions (defaults to the standard one).
-    Scope is evaluation and first variation; no minimization is attempted."""
-
-    phi: np.ndarray
-    directions: tuple
-
-    @staticmethod
-    def make(phi, directions=None) -> "ConjugationProblem":
-        phi = _check_phi(phi)
-        n = phi.shape[0]
-        _check_traceless(phi, "phi")
-        dirs = tuple(directions) if directions is not None else standard_hermitian_directions(n)
-        dirs = tuple(_check_direction(v, n) for v in dirs)
-        return ConjugationProblem(phi, dirs)

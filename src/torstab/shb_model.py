@@ -3,9 +3,9 @@
 A system is a list of stable blocks, each a chain of Hodge summands with
 ranks and degrees.  Everything here is index bookkeeping: automorphism
 tori and their relation character, the graded weight lines of the positive
-deformation slice, partition lattices with dimension counts, Riemann-Roch
-positivity bounds, the cyclic Higgs-direction stability construction, and
-the integer degree table governing metric rescaling exponents.
+deformation slice, partition lattices with dimension counts, the cyclic
+Higgs-direction stability construction, and the integer degree table
+governing metric rescaling exponents.
 
 Grading sign convention.  A Hom-component mapping the Hodge summand at
 index b of block j into the summand at index a of block i carries, in the
@@ -348,15 +348,6 @@ def partitions_with_order(shb: SHBSpec) -> PartitionPoset:
     data_ids: dict = {}
     ids = tuple(data_ids.setdefault(b, len(data_ids)) for b in shb.blocks)
     return _pattern_poset(ids)
-
-
-def rr_h1_lower_bound(r1: int, r2: int, deg: int, g: int):
-    """Riemann-Roch bound h^1(Hom) >= max(0, -deg + r1 r2 (g-1)) together
-    with the positivity verdict; positive whenever deg <= 0."""
-    if r1 < 1 or r2 < 1 or g < 2:
-        raise ValueError("need r1, r2 >= 1 and g >= 2")
-    bound = max(0, -deg + r1 * r2 * (g - 1))
-    return bound, bound > 0
 
 
 # ---------------------------------------------------------------------------

@@ -598,9 +598,9 @@ def test_options_oversized_box_bound_rejected(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_scipy_linalg():
-    # scipy.linalg serves only the matrix-conjugation Kempf-Ness variant,
-    # numpy and jsonschema load only with the layers that use them, and each
-    # analysis layer only with a document of its kind
+    # no library code imports scipy; numpy and jsonschema load only with
+    # the layers that use them, and each analysis layer only with a
+    # document of its kind
     analysis = [f"torstab.{m}" for m in ("stability", "stratify", "shb_model", "polytope",
                                          "simplex", "qexact", "torus_rep", "kempf_ness",
                                          "graded_kuranishi")]
@@ -810,6 +810,29 @@ def test_unreadable_input_is_a_read_error_and_the_batch_goes_on(tmp_path, capsys
     assert [r["status"] for r in reports] == ["ok", "rejected", "ok"]
     [error] = reports[1]["report"]["validation_errors"]
     assert error.startswith("read error: [Errno 2] No such file or directory")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("depth", [500, 100_000])
+def test_deeply_nested_input_is_a_parse_error_and_the_batch_goes_on(depth, tmp_path, capsys):
+    # at 500 levels jsonschema's message, which prints the value, recurses
+    # too deep; at 100 000 the parser itself does
+    doc = stability_doc()
+    doc["payload"]["amplitudes"]["a"] = "nest"
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc).replace('"nest"', "[" * depth + "]" * depth))
+    golden = str(GOLDEN / "stability-0.problem.json")
+    assert main(["validate", "--input", str(deep), golden]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"{deep}: parse error: the document nests too deeply", f"{golden}: valid"]
+    assert captured.err == ""
+    assert main(["run", "--input", str(deep), golden]) == 2
+    captured = capsys.readouterr()
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["status"] for r in reports] == ["rejected", "ok"]
+    assert reports[0]["report"]["validation_errors"] == [
+        "parse error: the document nests too deeply"]
     assert captured.err == ""
 
 

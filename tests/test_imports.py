@@ -38,9 +38,7 @@ EXPORTS = {
     "graded_kuranishi": ("GradedComplex", "GreensOperator", "greens_operator",
                          "kuranishi_forward", "kuranishi_inverse_graded",
                          "obstruction", "random_graded_complex"),
-    "kempf_ness": ("ConjugationProblem", "KNProblem", "KNResult",
-                   "kn_conjugation_eval", "kn_eval", "kn_minimize",
-                   "moment_map_conjugation"),
+    "kempf_ness": ("KNProblem", "KNResult", "kn_eval", "kn_minimize"),
     "polytope": ("PolytopeQ", "RayInterval", "hull_position", "minimal_face",
                  "ray_intersect", "solve_mixed_system"),
     "qexact": ("Lattice", "saturated_kernel", "smith_normal_form"),
@@ -48,7 +46,7 @@ EXPORTS = {
                   "automorphism_torus", "conformal_degree_table",
                   "cyclic_phi_weights", "expected_dim_central_locus",
                   "partition_dim", "partitions_with_order",
-                  "positive_slice_lines", "rr_h1_lower_bound", "slice_vector"),
+                  "positive_slice_lines", "slice_vector"),
     "stability": ("StabilityResult", "classify", "destabilizer_bruteforce"),
     "stratify": ("StratifyResult", "stage_kn_minimizers", "stratify",
                  "verify_decomposition"),
@@ -217,20 +215,6 @@ def test_rejected_document_prints_jsonschema_error_list(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # no test-only API in the library
 
-# what src/torstab defines although neither the library, scripts/ nor
-# torbench/ names it, and why each stays
-ALLOWED = {
-    "rr_h1_lower_bound": "the Riemann-Roch positivity bound of the Hodge-bundle model; "
-                         "ROADMAP item 4 gives it a caller",
-    # the matrix-conjugation variant of the Kempf-Ness functional, which no
-    # kind runs yet; test_acceptance.py imports the first two, and ROADMAP
-    # item 6's King cross-check gives all four a caller
-    "kn_conjugation_eval": "the conjugation functional's value and gradient",
-    "moment_map_conjugation": "the conjugation moment map [phi, phi*]",
-    "ConjugationProblem": "a conjugation problem with its checked directions",
-    "ConjugationProblem.make": "builds and checks a ConjugationProblem",
-}
-
 
 def references(tree: ast.AST, strings: bool = False) -> tuple[Counter, Counter]:
     """(names, attributes) referenced in tree: bare and imported names, and
@@ -287,7 +271,7 @@ def only_tests_call(lib: list[ast.Module], outside: list[ast.Module]) -> list[st
         for qualname, node, method in definitions(tree):
             own_names, own_attrs = references(node)
             seen, own = (attrs, own_attrs) if method else (either, own_names + own_attrs)
-            if seen[node.name] <= own[node.name] and qualname not in ALLOWED:
+            if seen[node.name] <= own[node.name]:
                 unused.append(qualname)
     return unused
 
@@ -297,8 +281,6 @@ def test_library_defines_nothing_that_only_tests_call():
     outside = [ast.parse(p.read_text()) for d in ("scripts", "torbench")
                for p in sorted((ROOT / d).rglob("*.py"))]
     assert only_tests_call(lib, outside) == []
-    defined = {qualname for tree in lib for qualname, _, _ in definitions(tree)}
-    assert set(ALLOWED) <= defined
 
 
 def test_a_module_attribute_does_not_call_a_method_of_its_name():
@@ -308,3 +290,28 @@ def test_a_module_attribute_does_not_call_a_method_of_its_name():
     assert only_tests_call([poset, scan], [script]) == ["PartitionPoset.maximum"]
     method = ast.parse("def top(p):\n    return p.maximum()\n")
     assert only_tests_call([poset, scan], [script, method]) == []
+
+
+# ---------------------------------------------------------------------------
+# the runtime dependencies pyproject.toml declares
+
+RUNTIME = {"numpy", "jsonschema"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level modules tree imports by absolute name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
+def test_library_imports_only_the_standard_library_and_its_declared_dependencies():
+    imported = set()
+    for p in sorted((ROOT / "src" / "torstab").rglob("*.py")):
+        imported |= imported_modules(ast.parse(p.read_text()))
+    assert RUNTIME <= imported
+    assert sorted(imported - sys.stdlib_module_names - RUNTIME - {"torstab"}) == []

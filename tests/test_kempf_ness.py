@@ -13,10 +13,8 @@ from torstab.kempf_ness import (
     FLAT_DIRECTIONS,
     KNProblem,
     _newton,
-    kn_conjugation_eval,
     kn_eval,
     kn_minimize,
-    moment_map_conjugation,
 )
 from torstab.stability import classify
 from torstab.torus_rep import RepVector, WeightLine
@@ -60,24 +58,9 @@ def fd_hessian(p, x, h=1e-5):
     return hess
 
 
-def fd_conjugation_pairing(phi, g, v, h=1e-6):
-    from torstab.kempf_ness import kn_conjugation_eval as ev
-
-    plus = ev(phi, g + h * v)[0]
-    minus = ev(phi, g - h * v)[0]
-    return (plus - minus) / (2 * h)
-
-
 def moment_map(p, x):
     """Torus moment map sum |v_w|^2 e^{2<w,x>} w; half the gradient."""
     return kn_eval(p, x)[1] / 2
-
-
-def conjugation_pairing(phi, g, v):
-    """Directional derivative of the conjugation functional at g along v,
-    read off the gradient matrix M as Re tr(M v)."""
-    _, m = kn_conjugation_eval(phi, g)
-    return float(np.real(np.trace(m @ v)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,119 +392,3 @@ def test_kn_minimize_does_not_report_converged_where_live_terms_leave_a_directio
     p = problem([(1, -1), (-1, 1), (3, 3), (-1, -1)], norms2=[1.0, 2.0, 1e-30, n_d])
     res = kn_minimize(p, classified(p))
     assert res.status != CONVERGED
-
-
-# ---------------------------------------------------------------------------
-# conjugation case
-
-
-def hermitian_traceless(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = (a + a.conj().T) / 2
-    return h - np.trace(h) / n * np.eye(n)
-
-
-def test_moment_map_conjugation_examples():
-    assert np.allclose(moment_map_conjugation(np.diag([1.0, -1.0])), 0.0)
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(moment_map_conjugation(nil), np.diag([1.0, -1.0]))
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        phi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert abs(np.trace(moment_map_conjugation(phi))) < 1e-12
-
-
-def test_conjugation_gradient_zero_for_normal():
-    phi = np.diag([1.0 + 2j, -1.0 - 2j])
-    _, grad = kn_conjugation_eval(phi, np.zeros((2, 2)))
-    assert np.allclose(grad, 0.0, atol=1e-12)
-
-
-def test_conjugation_nilpotent_pairing():
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    v = np.diag([1.0, -1.0])
-    pairing = conjugation_pairing(nil, np.zeros((2, 2)), v)
-    assert pairing == pytest.approx(4.0)
-
-
-def test_conjugation_gradient_at_zero_is_commutator():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        phi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        phi -= np.trace(phi) / 3 * np.eye(3)
-        _, grad = kn_conjugation_eval(phi, np.zeros((3, 3)))
-        assert np.allclose(grad, 2.0 * moment_map_conjugation(phi), atol=1e-10)
-
-
-def test_conjugation_problem_coefficients():
-    from torstab.kempf_ness import ConjugationProblem
-
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    prob = ConjugationProblem.make(nil)
-    coeffs = [conjugation_pairing(nil, np.zeros((2, 2)), v) for v in prob.directions]
-    # the diagonal direction diag(1,-1) pairs to 4; off-diagonal ones vanish
-    assert coeffs[0] == pytest.approx(4.0)
-    assert np.allclose(coeffs[1:], 0.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        ConjugationProblem.make(np.eye(2))  # not traceless
-
-
-def test_conjugation_gradient_matches_finite_differences():
-    rng = np.random.default_rng(4)
-    for _ in range(25):
-        n = rng.integers(2, 4)
-        phi = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        phi -= np.trace(phi) / n * np.eye(n)
-        g = 0.4 * hermitian_traceless(rng, n)
-        v = hermitian_traceless(rng, n)
-        ref = fd_conjugation_pairing(phi, g, v)
-        got = conjugation_pairing(phi, g, v)
-        assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
-
-
-SCALES = [10.0**e for e in range(-12, 13, 3)]
-
-
-def test_conjugation_checks_reject_bad_tiny_matrices():
-    from torstab.kempf_ness import ConjugationProblem
-
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="hermitian"):
-        ConjugationProblem.make(nil, [1e-14 * nil])
-    with pytest.raises(ValueError, match="traceless"):
-        ConjugationProblem.make(nil, [1e-13 * np.diag([1.0, 2.0])])
-    with pytest.raises(ValueError, match="traceless"):
-        ConjugationProblem.make(1e-13 * np.diag([1.0, 2.0]))
-    with pytest.raises(ValueError, match="hermitian"):
-        kn_conjugation_eval(nil, 1e-14 * nil)
-
-
-@pytest.mark.parametrize("scale", SCALES)
-def test_conjugation_checks_accept_valid_matrices_at_every_scale(scale):
-    from torstab.kempf_ness import ConjugationProblem, standard_hermitian_directions
-
-    rng = np.random.default_rng(5)
-    phi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    phi -= np.trace(phi) / 3 * np.eye(3)
-    dirs = [scale * v for v in standard_hermitian_directions(3)]
-    dirs.append(scale * hermitian_traceless(rng, 3))
-    assert len(ConjugationProblem.make(scale * phi, dirs).directions) == 9
-    if scale <= 1.0:
-        value, _ = kn_conjugation_eval(phi, scale * hermitian_traceless(rng, 3))
-        assert math.isfinite(value)
-
-
-@pytest.mark.parametrize("s", [150, 300, 1000])
-def test_conjugation_overflow_is_a_numerical_failure(s):
-    # not a ValueError, which would read as an input-check failure
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(FloatingPointError, match="overflows"):
-        kn_conjugation_eval(nil, s * np.diag([1.0, -1.0]))
-
-
-def test_conjugation_large_finite_value_still_returned():
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    value, grad = kn_conjugation_eval(nil, 100 * np.diag([1.0, -1.0]))
-    # ||e^g phi e^-g||^2 = e^(4 s) for this g
-    assert value == pytest.approx(math.exp(400), rel=1e-9)
-    assert np.all(np.isfinite(grad))

@@ -26,7 +26,6 @@ from torstab.shb_model import (
     partition_dim,
     partitions_with_order,
     positive_slice_lines,
-    rr_h1_lower_bound,
     slice_vector,
 )
 from torstab.stability import STABLE
@@ -526,12 +525,6 @@ def test_slice_and_degree_table_match_the_class_by_class_weights(system, conv):
     table = conformal_degree_table(shb, x, sigma, conv)
     assert list(table.entries.items()) == [
         ((cod, dom), 2 * sigma * rho_beta + 2 * dot(w, x)) for cod, dom, w, rho_beta in ref]
-
-
-def test_rr_bound_examples():
-    assert rr_h1_lower_bound(1, 1, 0, 2) == (1, True)
-    assert rr_h1_lower_bound(2, 1, -1, 2) == (3, True)
-    assert rr_h1_lower_bound(1, 1, 1, 2) == (0, False)
 
 
 # ---------------------------------------------------------------------------
