@@ -18,8 +18,9 @@ classifier with the exact polytope stack under it, ``stratify`` also the
 stratification, ``shb`` the Hodge-bundle model, ``kuranishi`` the graded
 Kuranishi maps), so ``import torstab.cli`` and ``validate`` load none of
 them.  numpy is loaded only by the float layers (Kempf-Ness, the Green's
-operator, the brute-force scan) and by ``gen``; jsonschema only to write a
-rejected document's error list.
+operator, the brute-force scan) and by ``gen``.  The problem schema is
+judged, and a rejected document's error list written, by ``schema_check``,
+so no call loads jsonschema.
 """
 
 from __future__ import annotations
@@ -33,12 +34,9 @@ from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .errors import NotStableError, TorstabError, ValidationError
+from .errors import InternalError, NotStableError, TorstabError, ValidationError
 
 if TYPE_CHECKING:
-    from jsonschema import Draft202012Validator
-
-    from .graded_kuranishi import GradedComplex
     from .shb_model import SHBSpec
     from .torus_rep import RepVector
 
@@ -51,19 +49,26 @@ def _load_schema(name: str) -> dict:
 
 
 @lru_cache(maxsize=1)
-def problem_validator() -> Draft202012Validator:
-    """Writes a rejected document's error list.  _problem_accepts judges
-    acceptance, so a valid document never loads jsonschema."""
-    from jsonschema import Draft202012Validator
+def _problem_schema() -> dict:
+    return _load_schema("problem.schema.json")
 
-    return Draft202012Validator(_load_schema("problem.schema.json"))
+
+@lru_cache(maxsize=1)
+def problem_validator():
+    """The writer of a rejected document's error list, compiled from the
+    problem schema (``schema_check.compile_errors``): jsonschema's errors as
+    sorted ``path: message`` lines.  _problem_accepts judges acceptance, so
+    a valid document never reaches it."""
+    from .schema_check import compile_errors
+
+    return compile_errors(_problem_schema())
 
 
 @lru_cache(maxsize=1)
 def _problem_accepts():
     from .schema_check import compile_schema
 
-    return compile_schema(_load_schema("problem.schema.json"))
+    return compile_schema(_problem_schema())
 
 
 # ---------------------------------------------------------------------------
@@ -107,29 +112,47 @@ def _finite_float(token: str) -> float:
     return x
 
 
+# the deepest a rejected document may nest, in containers, for its error
+# messages, which print the rejected values, to be written
+MAX_NESTING = 256
+
+
+def _nests_deeper(doc, limit: int) -> bool:
+    """Whether doc nests more than limit containers deep, read level by
+    level without recursion."""
+    level = [doc]
+    for _ in range(limit):  # after round i, level holds the values i containers deep
+        level = [v for node in level if isinstance(node, (dict, list))
+                 for v in (node.values() if isinstance(node, dict) else node)]
+    return any(isinstance(node, (dict, list)) for node in level)
+
+
 def validate_document(text: str) -> dict:
     """Parse and fully validate a problem document, collecting every schema
     and semantic violation instead of stopping at the first.
 
     Validity against the problem schema is judged by one predicate compiled
-    from it (``schema_check``); jsonschema runs only on a document the
-    predicate rejects, to write the sorted list of messages.  NaN, Infinity
-    and overflowing literals, which Python's json module turns into floats,
-    are parse errors, and so is nesting too deep for the parser or for the
-    error messages, which print the rejected value."""
+    from it (``schema_check``); the error writer compiled with it runs only
+    on a document the predicate rejects, to write the sorted list of
+    messages.  NaN, Infinity and overflowing literals, which Python's json
+    module turns into floats, are parse errors, and so are nesting too deep
+    for the parser and a rejected document nested more than MAX_NESTING
+    deep."""
     try:
         doc = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
-        errors = [] if _problem_accepts()(doc) else [
-            f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-            for err in sorted(problem_validator().iter_errors(doc), key=str)
-        ]
+        accepted = _problem_accepts()(doc)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
     except RecursionError as exc:
         raise ValidationError(["parse error: the document nests too deeply"]) from exc
-    if errors:
+    if not accepted:
+        if _nests_deeper(doc, MAX_NESTING):
+            raise ValidationError(["parse error: the document nests too deeply"])
+        errors = problem_validator()(doc)
+        if not errors:
+            raise InternalError("the schema predicate rejects a document the error writer passes")
         raise ValidationError(errors)
     semantic = _semantic_errors(doc)
     if semantic:
@@ -258,21 +281,6 @@ def _kn_floats(values) -> None:
         raise ValidationError(["amplitudes and norm2: the Kempf-Ness functional overflows a float"])
 
 
-def _kuranishi_floats(body: dict) -> None:
-    """Refuse, by field, a Kuranishi report whose numbers a float cannot
-    hold: the entries of the complex or the input are so large, or d1 so
-    small, that the maps overflow."""
-    numbers = {
-        "greens_condition": [body["greens_condition"]],
-        "inverse": [c for vec in body["inverse"].values() for z in vec for c in z],
-        "round_trip_residual": [body["round_trip_residual"]],
-        "obstruction_norm": [body["obstruction_norm"]],
-    }
-    bad = [field for field, values in numbers.items() if not all(map(math.isfinite, values))]
-    if bad:
-        raise ValidationError([f"{field}: the Kuranishi maps overflow a float" for field in bad])
-
-
 def shb_from_payload(payload: dict) -> SHBSpec:
     from .shb_model import SHBSpec, StableBlock
 
@@ -283,118 +291,6 @@ def shb_from_payload(payload: dict) -> SHBSpec:
         for b in payload["blocks"]
     )
     return SHBSpec(int(payload["genus"]), blocks)
-
-
-def _check_complex_size(grades, dims=()) -> None:
-    from .graded_kuranishi import MAX_COMPLEX_DIM, MAX_COMPLEX_GRADES
-
-    if len(grades) > MAX_COMPLEX_GRADES:
-        raise TorstabError(
-            f"complex of {len(grades)} grades exceeds the limit of {MAX_COMPLEX_GRADES}"
-        )
-    largest = max(dims, default=0)
-    if largest > MAX_COMPLEX_DIM:
-        raise TorstabError(
-            f"complex dimension {largest} exceeds the limit of {MAX_COMPLEX_DIM}"
-        )
-
-
-def _distinct_grades(grades) -> tuple[int, ...]:
-    grades = tuple(sorted(grades))
-    repeated = sorted({g for g, h in zip(grades, grades[1:]) if g == h})
-    if repeated:
-        raise ValidationError(
-            [f"grades must be distinct, but {g} is given more than once" for g in repeated]
-        )
-    return grades
-
-
-# the types json gives a number as (a bool is neither)
-_JSON_NUMBER = (int, float)
-
-
-def _complex_array(field: str, value, shape: tuple[int, ...]):
-    """value as a complex array of the given shape, naming the field when
-    its lengths are not shape or an entry is neither a number nor a
-    [re, im] pair of numbers (a bool is not a number), or is an integer
-    too large for a float.  A block with no entries may also be given as
-    []."""
-    import numpy as np
-
-    if value == [] and 0 in shape:
-        return np.zeros(shape, dtype=complex)
-    level = [value]
-    for n in shape:
-        if any(not isinstance(v, list) or len(v) != n for v in level):
-            dims = " x ".join(map(str, shape))
-            raise ValidationError([f"{field} must have shape {dims} to match dims"])
-        level = [x for v in level for x in v]
-    entries = []
-    for pos, v in enumerate(level):
-        re, im = v if type(v) is list and len(v) == 2 else (v, 0)
-        if type(re) in _JSON_NUMBER and type(im) in _JSON_NUMBER:
-            try:
-                entries.append(complex(re, im))
-                continue
-            except OverflowError:
-                problem = "is too large for a float"
-        else:
-            problem = "must be a number or a [re, im] pair of numbers"
-        at = "".join(f"[{i}]" for i in np.unravel_index(pos, shape))
-        raise ValidationError([f"{field}{at} {problem}"])
-    return np.array(entries, dtype=complex).reshape(shape)
-
-
-def complex_from_payload(payload: dict) -> GradedComplex:
-    """The complex a kuranishi payload describes; oversized ones are refused
-    before any array is built, and every array is checked against dims
-    before numpy reads it."""
-    import numpy as np
-
-    from .graded_kuranishi import GradedComplex, random_graded_complex
-
-    if "generator" in payload:
-        gen = payload["generator"]
-        grades = tuple(map(int, gen.get("grades", (1, 2, 3, 4))))
-        max_dim = int(gen.get("max_dim", 5))
-        _check_complex_size(grades, [max_dim])
-        grades = _distinct_grades(grades)
-        rng = np.random.default_rng(int(gen["seed"]))
-        return random_graded_complex(rng, grades=grades, max_dim=max_dim)
-    grades = tuple(map(int, payload["grades"]))
-    _check_complex_size(grades)
-    grades = _distinct_grades(grades)
-    missing = [g for g in grades if str(g) not in payload["dims"]]
-    if missing:
-        raise ValidationError([f"dims has no entry for grade {g}" for g in missing])
-    keys = {str(g) for g in grades}
-    stray = [f"{name} grade {key} is not a grade of the complex {list(grades)}"
-             for name in ("dims", "d0", "d1") for key in payload[name] if key not in keys]
-    if stray:
-        raise ValidationError(stray)
-    dims = {g: tuple(map(int, payload["dims"][str(g)])) for g in grades}
-    _check_complex_size(grades, [n for dim in dims.values() for n in dim])
-
-    def matrix(name, g, shape):
-        rows = payload[name].get(str(g))
-        if rows is None:
-            return np.zeros(shape, dtype=complex)
-        return _complex_array(f"{name}[{g}]", rows, shape)
-
-    d0 = {g: matrix("d0", g, (dims[g][1], dims[g][0])) for g in grades}
-    d1 = {g: matrix("d1", g, (dims[g][2], dims[g][1])) for g in grades}
-    bracket = {}
-    for ent in payload.get("bracket", []):
-        g1, g2 = int(ent["g1"]), int(ent["g2"])
-        if g1 not in dims or g2 not in dims or g1 + g2 not in dims:
-            raise ValidationError([f"bracket grades ({g1}, {g2}) leave the range"])
-        if (g1, g2) in bracket:  # either order of the pair
-            raise ValidationError([f"bracket grades ({g1}, {g2}) are given more than once"])
-        shape = (dims[g1 + g2][2], dims[g1][1], dims[g2][1])
-        t = _complex_array(f"bracket ({g1}, {g2}) tensor", ent["tensor"], shape)
-        bracket[(g1, g2)] = t
-        bracket.setdefault((g2, g1), np.transpose(t, (0, 2, 1)))
-    return GradedComplex(grades, dims, d0, d1, bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -634,28 +530,15 @@ def _run_shb(payload, options):
     return body
 
 
-def _input_from_payload(vectors: dict, cx: GradedComplex) -> dict:
-    """The kuranishi input by grade; a grade outside the complex, or a vector
-    whose length is not n1 at its grade or whose entries are not numbers,
-    is refused."""
-    grade_of = {str(g): g for g in cx.grades}
-    x = {}
-    for key, vec in vectors.items():
-        g = grade_of.get(key)
-        if g is None:
-            raise ValidationError(
-                [f"input grade {key} is not a grade of the complex {list(cx.grades)}"]
-            )
-        x[g] = _complex_array(f"input[{key}]", vec, (cx.n1(g),))
-    return x
-
-
 def _run_kuranishi(payload, options):
     import numpy as np
 
     from .graded_kuranishi import (
+        check_report_floats,
+        complex_from_payload,
         greens_operator,
         gvec_norm,
+        input_from_payload,
         kuranishi_forward,
         kuranishi_inverse_graded,
         obstruction,
@@ -672,7 +555,7 @@ def _run_kuranishi(payload, options):
             "greens_condition": greens.condition,
         }
         if "input" in payload:
-            x = _input_from_payload(payload["input"], cx)
+            x = input_from_payload(payload["input"], cx)
         else:
             seed = int(options["seed"])
             rng = np.random.default_rng(seed)
@@ -691,7 +574,7 @@ def _run_kuranishi(payload, options):
     body["inverse"] = {
         str(g): [_cplx(z) for z in arr] for g, arr in sorted(u.items())
     }
-    _kuranishi_floats(body)
+    check_report_floats(body)
     return body
 
 

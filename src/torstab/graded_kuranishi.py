@@ -17,15 +17,20 @@ the already-known lower ones.
 
 Vectors at level one or two are plain dicts mapping a grade to a complex
 array; missing grades mean zero.
+
+The last section reads a ``kuranishi`` problem document's complex and input
+and refuses, by field, what the maps cannot take; only that kind's runner
+calls it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import TorstabError, ValidationError
 from .qexact import nullspace
 
 GVec = dict  # grade -> complex ndarray
@@ -260,3 +265,142 @@ def random_graded_complex(rng, grades=(1, 2, 3, 4), max_dim=5):
                 bracket[(a, b)] = t
                 bracket[(b, a)] = np.transpose(t, (0, 2, 1))
     return GradedComplex(grades, dims, d0, d1, bracket)
+
+
+# ---------------------------------------------------------------------------
+# kuranishi problem documents
+
+
+def _check_complex_size(grades, dims=()) -> None:
+    if len(grades) > MAX_COMPLEX_GRADES:
+        raise TorstabError(
+            f"complex of {len(grades)} grades exceeds the limit of {MAX_COMPLEX_GRADES}"
+        )
+    largest = max(dims, default=0)
+    if largest > MAX_COMPLEX_DIM:
+        raise TorstabError(
+            f"complex dimension {largest} exceeds the limit of {MAX_COMPLEX_DIM}"
+        )
+
+
+def _distinct_grades(grades) -> tuple[int, ...]:
+    grades = tuple(sorted(grades))
+    repeated = sorted({g for g, h in zip(grades, grades[1:]) if g == h})
+    if repeated:
+        raise ValidationError(
+            [f"grades must be distinct, but {g} is given more than once" for g in repeated]
+        )
+    return grades
+
+
+# the types json gives a number as (a bool is neither)
+_JSON_NUMBER = (int, float)
+
+
+def _complex_array(field: str, value, shape: tuple[int, ...]):
+    """value as a complex array of the given shape, naming the field when
+    its lengths are not shape or an entry is neither a number nor a
+    [re, im] pair of numbers (a bool is not a number), or is an integer
+    too large for a float.  A block with no entries may also be given as
+    []."""
+    if value == [] and 0 in shape:
+        return np.zeros(shape, dtype=complex)
+    level = [value]
+    for n in shape:
+        if any(not isinstance(v, list) or len(v) != n for v in level):
+            dims = " x ".join(map(str, shape))
+            raise ValidationError([f"{field} must have shape {dims} to match dims"])
+        level = [x for v in level for x in v]
+    entries = []
+    for pos, v in enumerate(level):
+        re, im = v if type(v) is list and len(v) == 2 else (v, 0)
+        if type(re) in _JSON_NUMBER and type(im) in _JSON_NUMBER:
+            try:
+                entries.append(complex(re, im))
+                continue
+            except OverflowError:
+                problem = "is too large for a float"
+        else:
+            problem = "must be a number or a [re, im] pair of numbers"
+        at = "".join(f"[{i}]" for i in np.unravel_index(pos, shape))
+        raise ValidationError([f"{field}{at} {problem}"])
+    return np.array(entries, dtype=complex).reshape(shape)
+
+
+def complex_from_payload(payload: dict) -> GradedComplex:
+    """The complex a kuranishi payload describes; oversized ones are refused
+    before any array is built, and every array is checked against dims
+    before numpy reads it."""
+    if "generator" in payload:
+        gen = payload["generator"]
+        grades = tuple(map(int, gen.get("grades", (1, 2, 3, 4))))
+        max_dim = int(gen.get("max_dim", 5))
+        _check_complex_size(grades, [max_dim])
+        grades = _distinct_grades(grades)
+        rng = np.random.default_rng(int(gen["seed"]))
+        return random_graded_complex(rng, grades=grades, max_dim=max_dim)
+    grades = tuple(map(int, payload["grades"]))
+    _check_complex_size(grades)
+    grades = _distinct_grades(grades)
+    missing = [g for g in grades if str(g) not in payload["dims"]]
+    if missing:
+        raise ValidationError([f"dims has no entry for grade {g}" for g in missing])
+    keys = {str(g) for g in grades}
+    stray = [f"{name} grade {key} is not a grade of the complex {list(grades)}"
+             for name in ("dims", "d0", "d1") for key in payload[name] if key not in keys]
+    if stray:
+        raise ValidationError(stray)
+    dims = {g: tuple(map(int, payload["dims"][str(g)])) for g in grades}
+    _check_complex_size(grades, [n for dim in dims.values() for n in dim])
+
+    def matrix(name, g, shape):
+        rows = payload[name].get(str(g))
+        if rows is None:
+            return np.zeros(shape, dtype=complex)
+        return _complex_array(f"{name}[{g}]", rows, shape)
+
+    d0 = {g: matrix("d0", g, (dims[g][1], dims[g][0])) for g in grades}
+    d1 = {g: matrix("d1", g, (dims[g][2], dims[g][1])) for g in grades}
+    bracket = {}
+    for ent in payload.get("bracket", []):
+        g1, g2 = int(ent["g1"]), int(ent["g2"])
+        if g1 not in dims or g2 not in dims or g1 + g2 not in dims:
+            raise ValidationError([f"bracket grades ({g1}, {g2}) leave the range"])
+        if (g1, g2) in bracket:  # either order of the pair
+            raise ValidationError([f"bracket grades ({g1}, {g2}) are given more than once"])
+        shape = (dims[g1 + g2][2], dims[g1][1], dims[g2][1])
+        t = _complex_array(f"bracket ({g1}, {g2}) tensor", ent["tensor"], shape)
+        bracket[(g1, g2)] = t
+        bracket.setdefault((g2, g1), np.transpose(t, (0, 2, 1)))
+    return GradedComplex(grades, dims, d0, d1, bracket)
+
+
+def input_from_payload(vectors: dict, cx: GradedComplex) -> dict:
+    """The kuranishi input by grade; a grade outside the complex, or a vector
+    whose length is not n1 at its grade or whose entries are not numbers,
+    is refused."""
+    grade_of = {str(g): g for g in cx.grades}
+    x = {}
+    for key, vec in vectors.items():
+        g = grade_of.get(key)
+        if g is None:
+            raise ValidationError(
+                [f"input grade {key} is not a grade of the complex {list(cx.grades)}"]
+            )
+        x[g] = _complex_array(f"input[{key}]", vec, (cx.n1(g),))
+    return x
+
+
+def check_report_floats(body: dict) -> None:
+    """Refuse, by field, a Kuranishi report whose numbers a float cannot
+    hold: the entries of the complex or the input are so large, or d1 so
+    small, that the maps overflow."""
+    numbers = {
+        "greens_condition": [body["greens_condition"]],
+        "inverse": [c for vec in body["inverse"].values() for z in vec for c in z],
+        "round_trip_residual": [body["round_trip_residual"]],
+        "obstruction_norm": [body["obstruction_norm"]],
+    }
+    bad = [field for field, values in numbers.items() if not all(map(math.isfinite, values))]
+    if bad:
+        raise ValidationError([f"{field}: the Kuranishi maps overflow a float" for field in bad])

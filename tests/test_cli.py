@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import torstab.stability as stability
 from torstab.cli import (
+    MAX_NESTING,
     _load_schema,
     generate_instance,
     main,
@@ -598,9 +599,9 @@ def test_options_oversized_box_bound_rejected(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_scipy_linalg():
-    # no library code imports scipy; numpy and jsonschema load only with
-    # the layers that use them, and each analysis layer only with a
-    # document of its kind
+    # no library code imports scipy or jsonschema; numpy loads only with
+    # the layers that use it, and each analysis layer only with a document
+    # of its kind
     analysis = [f"torstab.{m}" for m in ("stability", "stratify", "shb_model", "polytope",
                                          "simplex", "qexact", "torus_rep", "kempf_ness",
                                          "graded_kuranishi")]
@@ -815,8 +816,8 @@ def test_unreadable_input_is_a_read_error_and_the_batch_goes_on(tmp_path, capsys
 
 @pytest.mark.parametrize("depth", [500, 100_000])
 def test_deeply_nested_input_is_a_parse_error_and_the_batch_goes_on(depth, tmp_path, capsys):
-    # at 500 levels jsonschema's message, which prints the value, recurses
-    # too deep; at 100 000 the parser itself does
+    # at 500 levels the rejected document nests deeper than MAX_NESTING; at
+    # 100 000 the parser itself recurses too deep
     doc = stability_doc()
     doc["payload"]["amplitudes"]["a"] = "nest"
     deep = tmp_path / "deep.json"
@@ -834,6 +835,34 @@ def test_deeply_nested_input_is_a_parse_error_and_the_batch_goes_on(depth, tmp_p
     assert reports[0]["report"]["validation_errors"] == [
         "parse error: the document nests too deeply"]
     assert captured.err == ""
+
+
+def under_frames(frames: int, f, *args):
+    """f(*args), called under frames more stack frames."""
+    return f(*args) if frames == 0 else under_frames(frames - 1, f, *args)
+
+
+@pytest.mark.parametrize("depth", [250, 280])
+def test_a_rejected_document_gets_one_answer_under_any_caller(depth):
+    # the amplitude nests depth lists under the document, its payload and
+    # its amplitudes; only past MAX_NESTING is the answer a parse error,
+    # however deep the stack of the caller
+    doc = stability_doc()
+    doc["payload"]["amplitudes"]["a"] = "nest"
+    text = json.dumps(doc).replace('"nest"', "[" * depth + "]" * depth)
+
+    def answer(frames):
+        with pytest.raises(ValidationError) as exc:
+            under_frames(frames, validate_document, text)
+        return exc.value.errors
+
+    assert answer(0) == answer(200)
+    too_deep = answer(0) == ["parse error: the document nests too deeply"]
+    assert too_deep == (depth + 3 > MAX_NESTING)
+    if not too_deep:
+        value = "[" * depth + "]" * depth
+        assert answer(0) == [
+            f"payload/amplitudes/a: {value} is not valid under any of the given schemas"]
 
 
 def test_dump_is_one_compact_sorted_line():

@@ -3,11 +3,12 @@
 `torstab.cli` imports each document kind's layer when a document of that
 kind runs, so `import torstab.cli` and `torstab validate` load no analysis
 layer and each kind loads only its own.  The exact layers and `torstab
-validate` load neither numpy, scipy nor jsonschema: numpy arrives with the
-float diagnostics (Kempf-Ness, the Green's operator, the brute-force scan,
-`torstab gen`) and jsonschema only to write a rejected document's error
-list.  Each check runs in a fresh
-interpreter, since this test process has long loaded all three.
+validate`, on valid and on rejected documents, load neither numpy, scipy
+nor jsonschema: numpy arrives with the float diagnostics (Kempf-Ness, the
+Green's operator, the brute-force scan, `torstab gen`), and the library
+imports neither scipy nor jsonschema, which only the tests and the
+benchmark use.  Each check runs in a fresh interpreter, since this test
+process has long loaded all three.
 `tests/test_cli.py::test_cli_import_leaves_out_scipy_linalg` checks that
 `import torstab.cli` alone loads none of them."""
 
@@ -86,6 +87,7 @@ KEMPF_NESS = STABILITY + ["kempf_ness"]
 LOADED = {
     "import": CLI,
     "validate": VALIDATE,
+    "rejected": VALIDATE,
     "stability": STABILITY,
     "kempf-ness": KEMPF_NESS,
     "stratify": KEMPF_NESS + ["stratify"],
@@ -164,8 +166,9 @@ def test_float_kinds_load_numpy_only():
 @pytest.mark.parametrize("case", sorted(LOADED))
 def test_each_call_loads_exactly_its_kinds_layers(case):
     script = cold_start_script()
-    argv = script.call_argv(script.CASES[case])
-    assert json.loads(fresh(LAYERS, json.dumps(argv))) == [0, sorted(LOADED[case])]
+    call = script.CASES[case]
+    code = json.loads(fresh(LAYERS, json.dumps(script.call_argv(call))))
+    assert code == [script.exit_code(call), sorted(LOADED[case])]
 
 
 def test_cold_start_script_times_these_calls():
@@ -208,8 +211,8 @@ def test_rejected_document_prints_jsonschema_error_list(tmp_path, capsys):
         "payload/lines/0/weight/0: 1.5 is not of type 'integer'",
         "<root>: Additional properties are not allowed ('extra' was unexpected)",
     )]
-    # and in a fresh interpreter, where only this rejection loads jsonschema
-    assert main_in_fresh_interpreter(["validate", "--input", str(p)]) == (2, ["jsonschema"])
+    # and in a fresh interpreter, where the rejection loads none of HEAVY
+    assert main_in_fresh_interpreter(["validate", "--input", str(p)]) == (2, [])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +298,7 @@ def test_a_module_attribute_does_not_call_a_method_of_its_name():
 # ---------------------------------------------------------------------------
 # the runtime dependencies pyproject.toml declares
 
-RUNTIME = {"numpy", "jsonschema"}
+RUNTIME = {"numpy"}
 
 
 def imported_modules(tree: ast.Module) -> set[str]:

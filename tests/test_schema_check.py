@@ -1,10 +1,14 @@
-"""The compiled schema predicate agrees with jsonschema exactly.
+"""The compiled schema predicate and error writer agree with jsonschema
+exactly.
 
 `schema_check.compile_schema` must return True exactly when
-`Draft202012Validator.iter_errors` yields nothing: on the golden problems,
-on single-field mutations of them, and on every keyword the compiler knows,
-over values that sit on the edges jsonschema draws (1.0 is an integer, a
-bool is no number, NaN passes `minimum`).
+`Draft202012Validator.iter_errors` yields nothing, and
+`schema_check.compile_errors` must write the list `torstab validate` wrote
+from jsonschema: its errors sorted by `str`, each as `path: message`.  Both
+are checked on the golden problems, on one- and two-field mutations of
+them, and on every keyword the compilers know, over values that sit on the
+edges jsonschema draws (1.0 is an integer, a bool is no number, NaN passes
+`minimum`).
 """
 
 import copy
@@ -19,9 +23,11 @@ from jsonschema import Draft202012Validator
 
 import torstab.cli as cli
 from torstab.errors import InternalError, ValidationError
-from torstab.schema_check import compile_schema
+from torstab.schema_check import compile_errors, compile_schema
 
 GOLDEN = Path(__file__).parent / "golden"
+SCHEMA = cli._load_schema("problem.schema.json")
+VALIDATOR = Draft202012Validator(SCHEMA)
 DOCS = [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.problem.json"))]
 VALUES = [math.nan, math.inf, -math.inf, 1.0, 0.5, 0.0, -1.0, 2, 1, 0, -1,
           True, False, None, "", "x", "stability", "1", [], {}, [1.0, 2.0],
@@ -42,19 +48,19 @@ def node_paths(node, path=()):
             yield from node_paths(value, (*path, i))
 
 
-@st.composite
-def mutated_documents(draw):
-    """A golden problem with one field set to an edge value, deleted, or
-    given an extra key, or with one option set."""
-    doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
+def mutate(draw, doc):
+    """doc with one field set to an edge value, deleted, or given an extra
+    key, or with one option set."""
     op = draw(st.sampled_from(["set", "delete", "add key", "option"]))
     value = copy.deepcopy(draw(st.sampled_from(VALUES)))
-    if op == "option":
+    if op == "option" and isinstance(doc, dict):
         doc["options"] = {draw(st.sampled_from(OPTIONS)): value}
         return doc
     path = draw(st.sampled_from(list(node_paths(doc))))
     if not path:
-        return value if op == "set" else {**doc, draw(st.sampled_from(KEYS)): value}
+        if op == "set" or not isinstance(doc, dict):
+            return value
+        return {**doc, draw(st.sampled_from(KEYS)): value}
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -67,15 +73,60 @@ def mutated_documents(draw):
     return doc
 
 
+@st.composite
+def mutated_documents(draw):
+    """A golden problem with one mutation."""
+    return mutate(draw, copy.deepcopy(draw(st.sampled_from(DOCS))))
+
+
+@st.composite
+def twice_mutated_documents(draw):
+    """A golden problem with two mutations, and half the time without its
+    kind, so that every allOf branch judges its payload and the same
+    message comes from several branches."""
+    doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
+    if draw(st.booleans()):
+        del doc["kind"]
+    return mutate(draw, mutate(draw, doc))
+
+
+def jsonschema_list(validator, instance) -> list[str]:
+    """The error list as torstab validate wrote it from jsonschema."""
+    return [f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
+            for err in sorted(validator.iter_errors(instance), key=str)]
+
+
 def test_goldens_are_accepted():
-    assert all(cli.problem_validator().is_valid(d) for d in DOCS)
+    assert all(VALIDATOR.is_valid(d) for d in DOCS)
     assert all(cli._problem_accepts()(d) for d in DOCS)
+    assert all(cli.problem_validator()(d) == [] for d in DOCS)
 
 
 @settings(derandomize=True, max_examples=1500, deadline=None)
 @given(mutated_documents())
 def test_predicate_matches_jsonschema_on_mutations(doc):
-    assert cli._problem_accepts()(doc) == cli.problem_validator().is_valid(doc)
+    assert cli._problem_accepts()(doc) == VALIDATOR.is_valid(doc)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.one_of(mutated_documents(), twice_mutated_documents()))
+def test_error_list_matches_jsonschema_on_mutations(doc):
+    assert cli.problem_validator()(doc) == jsonschema_list(VALIDATOR, doc)
+
+
+def test_error_list_orders_equal_messages_as_jsonschema():
+    # without a kind the stability, kempf-ness and stratify branches all
+    # judge the amplitudes, so each wrong one gives an equal message per
+    # branch; str orders them by branch (the schema path) before amplitude
+    # (the instance path), not in the order the document lists them
+    doc = {"schema_version": "1",
+           "payload": {"rank": 1, "lines": [{"label": "a", "weight": [1]}],
+                       "amplitudes": {"b": "x", "a": "x"}}}
+    errors = cli.problem_validator()(doc)
+    assert errors == jsonschema_list(VALIDATOR, doc)
+    message = "'x' is not valid under any of the given schemas"
+    assert [e for e in errors if message in e] == 3 * [
+        f"payload/amplitudes/a: {message}", f"payload/amplitudes/b: {message}"]
 
 
 KEYWORD_SCHEMAS = [
@@ -98,14 +149,37 @@ KEYWORD_SCHEMAS = [
     {"then": False},
     {"$ref": "#/$defs/n", "$defs": {"n": {"type": "number", "minimum": 0}}},
     {"items": True, "additionalProperties": True},
+    {"items": False},
+    {"minItems": 3, "maxItems": 0, "minLength": 2},
+    {"properties": {"zz": False}, "allOf": [False, True], "required": ["a", "zz"]},
+    {"oneOf": [{"minimum": 0}, {"type": "integer"}, {"type": "number"}]},
+    {"additionalProperties": False, "properties": {"a": True}},
+    # equal messages ordered by the schema path, "then" being a step of it
+    {"properties": {"b": {"type": "integer"}}, "if": True,
+     "then": {"properties": {"a": {"type": "integer"}}}},
+    # and by the pretty-printed subschema, "$ref" being no step of the path
+    {"items": {"type": "integer"}, "$ref": "#/$defs/t",
+     "$defs": {"t": {"items": {"type": "integer", "minimum": 0}}}},
 ]
+# with the same wrong value in several places, which gives equal messages;
+# index 10 sorts before index 2
+KEYWORD_VALUES = [*VALUES, [1, "x"], {"zz": 1}, {"zz": 1.5, "a": []}, {"a": 1},
+                  {"b": 1, "a": 2, "c": 3}, [0.5, 1, True, 2.0],
+                  {"a": "x", "b": "x"}, ["x"] * 11]
 
 
 @pytest.mark.parametrize("schema", KEYWORD_SCHEMAS, ids=json.dumps)
 def test_each_keyword_matches_jsonschema(schema):
     ours, theirs = compile_schema(schema), Draft202012Validator(schema)
-    for value in [*VALUES, [1, "x"], {"zz": 1}, {"zz": 1.5, "a": []}, {"a": 1}]:
+    for value in KEYWORD_VALUES:
         assert ours(value) == theirs.is_valid(value), value
+
+
+@pytest.mark.parametrize("schema", KEYWORD_SCHEMAS, ids=json.dumps)
+def test_each_keyword_writes_jsonschema_messages(schema):
+    ours, theirs = compile_errors(schema), Draft202012Validator(schema)
+    for value in KEYWORD_VALUES:
+        assert ours(value) == jsonschema_list(theirs, value), value
 
 
 @pytest.mark.parametrize("schema", [
@@ -119,18 +193,19 @@ def test_each_keyword_matches_jsonschema(schema):
 def test_unsupported_schema_raises(schema):
     with pytest.raises(InternalError):
         compile_schema(schema)
+    with pytest.raises(InternalError):
+        compile_errors(schema)
 
 
-def test_valid_document_never_reaches_jsonschema(monkeypatch):
+def test_valid_document_never_reaches_the_error_writer(monkeypatch):
     calls = []
-    validator = type(cli.problem_validator())
-    iter_errors = validator.iter_errors
+    errors = cli.problem_validator()
 
-    def counted(self, instance):
+    def counted(instance):
         calls.append(instance)
-        return iter_errors(self, instance)
+        return errors(instance)
 
-    monkeypatch.setattr(validator, "iter_errors", counted)
+    monkeypatch.setattr(cli, "problem_validator", lambda: counted)
     for doc in DOCS:
         cli.validate_document(json.dumps(doc))
     assert calls == []
