@@ -12,6 +12,11 @@ JSON output is JSON Lines: ``run`` writes one compact, key-sorted line per
 input document, in input order, and ``gen`` writes its instance as one such
 line.  Pretty-print it with ``python -m json.tool --json-lines``.
 
+The fixed cost of a document is kept small: an argv that names a command
+first is read by that command's parser directly, not through argparse's
+subparser action; a file is read as bytes and decoded in one step; and one
+JSON decoder and one encoder serve every document.
+
 A call loads only the layers its documents use: each runner imports its
 own analysis layer when it starts (``stability`` and ``kempf-ness`` the
 classifier with the exact polytope stack under it, ``stratify`` also the
@@ -85,6 +90,11 @@ def _cplx(z: complex):
     return [z.real, z.imag]
 
 
+# json.dumps builds an encoder on every call that passes it settings; _dump
+# reuses this one
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False)
+
+
 def _dump(doc: dict) -> str:
     """One compact line with sorted keys, written by json's C encoder (which
     json uses only without ``indent``).  Strings escape every control
@@ -94,7 +104,7 @@ def _dump(doc: dict) -> str:
     document, so the encoder keeps no record of the containers it is in; a
     cycle, which would be a bug, ends in RecursionError, also an internal
     error."""
-    return json.dumps(doc, sort_keys=True, allow_nan=False, check_circular=False) + "\n"
+    return _ENCODER.encode(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +120,19 @@ def _finite_float(token: str) -> float:
     if not math.isfinite(x):  # a literal such as 1e400 overflows to inf
         _non_finite(token)
     return x
+
+
+_DECODER = json.JSONDecoder(parse_constant=_non_finite, parse_float=_finite_float)
+
+
+def _loads(text: str):
+    """json.loads(text) with the two hooks above, through one reused decoder
+    (json.loads builds one per call that passes it hooks).  JSONDecoder.decode
+    leaves out json.loads' refusal of a leading byte order mark, so it is
+    made here, with json.loads' message."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
 
 
 # the deepest a rejected document may nest, in containers, for its error
@@ -139,7 +162,7 @@ def validate_document(text: str) -> dict:
     for the parser and a rejected document nested more than MAX_NESTING
     deep."""
     try:
-        doc = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
+        doc = _loads(text)
         accepted = _problem_accepts()(doc)
     except json.JSONDecodeError as exc:
         raise ValidationError(
@@ -163,14 +186,18 @@ def validate_document(text: str) -> dict:
 def _read_document(path: str) -> dict:
     """Read one problem file as UTF-8 and validate it.  A file that cannot
     be read is a read error and bytes that do not decode are a parse error,
-    like any other bad input."""
+    like any other bad input.  The bytes are read and decoded in one step,
+    which is cheaper than a text-mode file, and the newlines are then
+    translated as text mode translates them: CR LF and a lone CR become LF."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError([f"parse error: {exc}"]) from exc
     except OSError as exc:
         raise ValidationError([f"read error: {exc}"]) from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return validate_document(text)
 
 
@@ -682,7 +709,8 @@ def generate_instance(kind: str, seed: int) -> dict:
 
 
 @lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each command, built once."""
     ap = argparse.ArgumentParser(
         prog="torstab",
         description="stability, Kempf-Ness, stratification, Hodge-bundle "
@@ -710,11 +738,31 @@ def _parser() -> argparse.ArgumentParser:
                       choices=["stability", "kempf-ness", "stratify", "shb", "kuranishi"])
     genp.add_argument("--seed", type=int, default=0)
     genp.add_argument("--out", default=None, help="write the instance here")
-    return ap
+    return ap, {"run": runp, "validate": valp, "gen": genp}
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The top-level parser's parse_args(argv): the same result, messages
+    and exits.
+    When argv names a command first, that command's parser reads the rest
+    directly: argparse's way, through the subparser action, passes over the
+    arguments twice.  Arguments the command does not know are refused by
+    the top-level parser, as argparse refuses them; any other argv (none,
+    -h, an unknown command) takes the full parse."""
+    if argv is None:
+        argv = sys.argv[1:]
+    ap, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return ap.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        ap.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command == "validate":
             worst = 0

@@ -74,6 +74,9 @@ def _strings(values, keyword: str) -> frozenset:
 def _conjunction(checks):
     if len(checks) == 1:
         return checks[0]
+    if len(checks) == 2:
+        first, second = checks
+        return lambda x: first(x) and second(x)
 
     def accepts(x):
         for check in checks:
@@ -122,8 +125,14 @@ def _predicates(root: dict):
             return lambda x: schema
         _known(schema)
         checks = []
+        has_object = any(k in schema for k in _OBJECT)
+        has_array = any(k in schema for k in _ARRAY)
+        name = schema.get("type")
         if "type" in schema:
-            checks.append(_type_test(schema["type"]))
+            is_type = _type_test(name)
+            # the object or array check below tests its own type
+            if not (name == "object" and has_object or name == "array" and has_array):
+                checks.append(is_type)
         if "const" in schema:
             (const,) = _strings([schema["const"]], "const")
             checks.append(lambda x: isinstance(x, str) and x == const)
@@ -139,10 +148,10 @@ def _predicates(root: dict):
         if "minLength" in schema:
             min_len = schema["minLength"]
             checks.append(lambda x: not (isinstance(x, str) and len(x) < min_len))
-        if any(k in schema for k in _OBJECT):
-            checks.append(_object(schema, build))
-        if any(k in schema for k in _ARRAY):
-            checks.append(_array(schema, build))
+        if has_object:
+            checks.append(_object(schema, build, name == "object"))
+        if has_array:
+            checks.append(_array(schema, build, name == "array"))
         if "oneOf" in schema:
             checks.append(_one_of([build(s) for s in schema["oneOf"]]))
         if "allOf" in schema:
@@ -163,14 +172,16 @@ def compile_schema(root: dict):
     return _predicates(root)(root)
 
 
-def _object(schema: dict, build):
+def _object(schema: dict, build, typed: bool):
+    """The check of the object keywords of schema; a value that is no object
+    fails it when typed (the schema's type is object), and passes otherwise."""
     required = tuple(schema.get("required", ()))
     props = {k: build(s) for k, s in schema.get("properties", {}).items()}
     extra = build(schema["additionalProperties"]) if "additionalProperties" in schema else None
 
     def accepts(x):
         if not isinstance(x, dict):
-            return True
+            return not typed
         for key in required:
             if key not in x:
                 return False
@@ -183,17 +194,18 @@ def _object(schema: dict, build):
     return accepts
 
 
-def _array(schema: dict, build):
+def _array(schema: dict, build, typed: bool):
+    """The check of the array keywords of schema, typed as in _object."""
     item = build(schema["items"]) if "items" in schema else None
     low = schema.get("minItems", 0)
     high = schema.get("maxItems")
 
     def accepts(x):
         if not isinstance(x, list):
-            return True
+            return not typed
         if len(x) < low or (high is not None and len(x) > high):
             return False
-        return item is None or all(item(v) for v in x)
+        return item is None or all(map(item, x))
 
     return accepts
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torstab.cli as cli
 import torstab.stability as stability
 from torstab.cli import (
     MAX_NESTING,
@@ -891,6 +892,134 @@ def test_unwritable_gen_out_is_a_write_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"write error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
+# the command parse reads argv as the top-level parser's parse_args does,
+# in this interpreter, whose argparse words its messages in its own way
+
+VALID_ARGV = [
+    ["run", "--input", "a.json", "b.json", "--format", "text", "--tol", "1e-8", "--seed", "3",
+     "--convention", "flipped", "--emit-certificates", "false", "--box-bound", "5"],
+    ["validate", "--input", "a.json", "b.json"],
+    ["gen", "--kind", "kuranishi", "--seed", "4", "--out", "x.json"],
+    ["run", "--inp", "a.json"],
+    ["run", "--input", "a.json", "--box-bound", "2", "--box-bound", "7"],
+]
+INVALID_ARGV = [
+    [],
+    ["-h"],
+    ["run", "-h"],
+    ["check", "--input", "a.json"],
+    ["run", "--input", "a.json", "--bogus"],
+    ["validate", "extra", "--input", "a.json"],
+    ["run", "--input", "a.json", "--format", "xml"],
+    ["run", "--input", "a.json", "--tol", "abc"],
+    ["run"],
+    ["--input", "a.json", "run"],
+]
+# "--" ends the options; argparse's versions read what follows differently
+DASHES_ARGV = [
+    ["run", "--input", "a.json", "--", "b.json"],
+    ["run", "--", "--input", "a.json"],
+    ["validate", "--input", "a.json", "--"],
+    ["--", "run", "--input", "a.json"],
+]
+
+
+def parsed(parse, argv, capsys):
+    """vars() of parse(argv), or the code it exits with, and what it printed."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def argv_id(argv):
+    return " ".join(argv) or "<none>"
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV + INVALID_ARGV + DASHES_ARGV, ids=argv_id)
+def test_command_parse_matches_argparse(argv, capsys):
+    ours = parsed(cli._parse_args, argv, capsys)
+    assert ours == parsed(cli._parsers()[0].parse_args, argv, capsys)
+    if argv in VALID_ARGV:
+        assert isinstance(ours[0], dict)
+    elif argv in INVALID_ARGV:
+        assert ours[0] == (0 if "-h" in argv else 2)
+
+
+@pytest.mark.parametrize("argv", [VALID_ARGV[0], ["run", "--input", "a.json", "--bogus"]],
+                         ids=argv_id)
+def test_command_parse_reads_sys_argv(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["torstab", *argv])
+    reference = cli._parsers()[0].parse_args
+    assert parsed(cli._parse_args, None, capsys) == parsed(reference, None, capsys)
+
+
+# a problem file is read as bytes and parsed by a reused decoder; the
+# reference is the text-mode read and json.loads it replaced
+
+
+def reference_read_document(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError([f"parse error: {exc}"]) from exc
+    except OSError as exc:
+        raise ValidationError([f"read error: {exc}"]) from exc
+    return validate_document(text)
+
+
+def reference_loads(text):
+    return json.loads(text, parse_constant=cli._non_finite, parse_float=cli._finite_float)
+
+
+def crlf_parse_error(newline: bytes) -> bytes:
+    # the indented golden, its newlines replaced and a comma dropped on line 6
+    lines = (GOLDEN / "stability-0.problem.json").read_bytes().split(b"\n")
+    assert lines[5].endswith(b",")
+    lines[5] = lines[5][:-1]
+    return newline.join(lines)
+
+
+def read_cases():
+    golden = (GOLDEN / "stability-0.problem.json").read_bytes()
+    label = json.dumps(stability_doc()).encode().replace(b'"a"', b'"a\r\nb"', 1)
+    return {
+        "bom": b"\xef\xbb\xbf" + golden,
+        "bad-first-byte": b"\xff" + golden,
+        "bad-byte-past-8k": b" " * 9000 + b"\xff" + golden,
+        "truncated-at-eof": golden + b"\xe2\x82",
+        "crlf": golden.replace(b"\n", b"\r\n"),
+        "crlf-parse-error": crlf_parse_error(b"\r\n"),
+        "cr-parse-error": crlf_parse_error(b"\r"),
+        "crlf-in-string": label,
+    }
+
+
+@pytest.mark.parametrize("name", list(read_cases()))
+def test_read_and_parse_match_text_mode_and_json_loads(name, tmp_path, capsys, monkeypatch):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(read_cases()[name])
+    golden = str(GOLDEN / "stability-0.problem.json")
+
+    def outputs():
+        answers = []
+        for argv in (["validate", "--input", str(path)],
+                     ["run", "--input", golden, str(path), golden]):
+            code = main(argv)
+            answers.append((code, *capsys.readouterr()))
+        return answers
+
+    ours = outputs()
+    monkeypatch.setattr(cli, "_read_document", reference_read_document)
+    monkeypatch.setattr(cli, "_loads", reference_loads)
+    assert ours == outputs()
+    statuses = [json.loads(line)["status"] for line in ours[1][1].splitlines()]
+    assert statuses == ["ok", "ok" if name == "crlf" else "rejected", "ok"]
 
 
 # oversized kuranishi complexes are refused before any array is built

@@ -160,12 +160,23 @@ KEYWORD_SCHEMAS = [
     # and by the pretty-printed subschema, "$ref" being no step of the path
     {"items": {"type": "integer"}, "$ref": "#/$defs/t",
      "$defs": {"t": {"items": {"type": "integer", "minimum": 0}}}},
+    # typed nodes of the problem schema, whose object or array check tests
+    # the type itself
+    {"properties": {
+        "payload": {"type": "object", "required": ["rank"], "additionalProperties": False,
+                    "properties": {"rank": {"type": "integer"}}},
+        "lines": {"type": "array", "minItems": 1, "items": {"type": "object"}},
+        "weight": {"type": "array", "items": {"type": "integer"}},
+        "amplitudes": {"type": "object", "additionalProperties": {"type": "number"}},
+    }},
 ]
 # with the same wrong value in several places, which gives equal messages;
-# index 10 sorts before index 2
+# index 10 sorts before index 2; and values of the wrong type at the typed
+# nodes above
 KEYWORD_VALUES = [*VALUES, [1, "x"], {"zz": 1}, {"zz": 1.5, "a": []}, {"a": 1},
                   {"b": 1, "a": 2, "c": 3}, [0.5, 1, True, 2.0],
-                  {"a": "x", "b": "x"}, ["x"] * 11]
+                  {"a": "x", "b": "x"}, ["x"] * 11,
+                  {"payload": []}, {"lines": {}}, {"weight": "1"}, {"amplitudes": [1, 2]}]
 
 
 @pytest.mark.parametrize("schema", KEYWORD_SCHEMAS, ids=json.dumps)
@@ -180,6 +191,25 @@ def test_each_keyword_writes_jsonschema_messages(schema):
     ours, theirs = compile_errors(schema), Draft202012Validator(schema)
     for value in KEYWORD_VALUES:
         assert ours(value) == jsonschema_list(theirs, value), value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("payload",), []),
+    (("payload", "lines"), {}),
+    (("payload", "lines", 0, "weight"), "1"),
+    (("payload", "amplitudes"), [1, 2]),
+])
+def test_wrong_types_at_typed_nodes_match_jsonschema(path, value):
+    for doc in DOCS:
+        if doc["kind"] != "stability":
+            continue
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        assert not cli._problem_accepts()(doc) and not VALIDATOR.is_valid(doc)
+        assert cli.problem_validator()(doc) == jsonschema_list(VALIDATOR, doc)
 
 
 @pytest.mark.parametrize("schema", [
