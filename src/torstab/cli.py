@@ -54,26 +54,15 @@ def _load_schema(name: str) -> dict:
 
 
 @lru_cache(maxsize=1)
-def _problem_schema() -> dict:
-    return _load_schema("problem.schema.json")
-
-
-@lru_cache(maxsize=1)
 def problem_validator():
-    """The writer of a rejected document's error list, compiled from the
-    problem schema (``schema_check.compile_errors``): jsonschema's errors as
-    sorted ``path: message`` lines.  _problem_accepts judges acceptance, so
-    a valid document never reaches it."""
-    from .schema_check import compile_errors
-
-    return compile_errors(_problem_schema())
-
-
-@lru_cache(maxsize=1)
-def _problem_accepts():
+    """The pair (accepts, errors) compiled from the problem schema in one
+    walk (``schema_check.compile_schema``): accepts(doc) is True exactly
+    when jsonschema finds no error, and errors(doc) writes jsonschema's
+    errors as sorted ``path: message`` lines.  validate_document calls
+    errors only on a document accepts rejects."""
     from .schema_check import compile_schema
 
-    return compile_schema(_problem_schema())
+    return compile_schema(_load_schema("problem.schema.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +143,16 @@ def validate_document(text: str) -> dict:
     """Parse and fully validate a problem document, collecting every schema
     and semantic violation instead of stopping at the first.
 
-    Validity against the problem schema is judged by one predicate compiled
-    from it (``schema_check``); the error writer compiled with it runs only
-    on a document the predicate rejects, to write the sorted list of
-    messages.  NaN, Infinity and overflowing literals, which Python's json
-    module turns into floats, are parse errors, and so are nesting too deep
-    for the parser and a rejected document nested more than MAX_NESTING
-    deep."""
+    Validity against the problem schema is judged by the predicate of
+    problem_validator()'s pair; the pair's error writer runs only on a
+    document the predicate rejects, to write the sorted list of messages.
+    NaN, Infinity and overflowing literals, which Python's json module
+    turns into floats, are parse errors, and so are nesting too deep for
+    the parser and a rejected document nested more than MAX_NESTING deep."""
     try:
         doc = _loads(text)
-        accepted = _problem_accepts()(doc)
+        accepts, write_errors = problem_validator()
+        accepted = accepts(doc)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
@@ -173,7 +162,7 @@ def validate_document(text: str) -> dict:
     if not accepted:
         if _nests_deeper(doc, MAX_NESTING):
             raise ValidationError(["parse error: the document nests too deeply"])
-        errors = problem_validator()(doc)
+        errors = write_errors(doc)
         if not errors:
             raise InternalError("the schema predicate rejects a document the error writer passes")
         raise ValidationError(errors)

@@ -1,32 +1,41 @@
-"""An exact validity predicate and an error writer, compiled from a JSON
-Schema (draft 2020-12).
+"""An exact validity predicate and an error writer, compiled together from
+a JSON Schema (draft 2020-12).
 
-``compile_schema(schema)`` returns ``accepts(instance) -> bool``, which is
-True exactly when ``Draft202012Validator(schema).iter_errors(instance)``
-yields nothing.  It has to be exact, not merely sound, because ``oneOf``
-and ``if`` turn a wrong "invalid" into a wrong "valid" one level up.  So
-it mirrors jsonschema: an integer is an int that is not a bool, or a float
-with ``is_integer()``; a number is an int or a float and never a bool; a
+``compile_schema(schema)`` returns the pair ``(accepts, errors)``.  It walks
+the schema once, compiling each subschema into its own pair (a ``$defs``
+entry once, however many ``$ref`` name it).  A leaf keyword such as
+``minimum`` states its pass test once: the predicate runs it, and the
+writer appends jsonschema's message only where it fails.  A structural
+keyword joins the pairs of its subschemas; the object and array keywords
+are one check each, which tests the node's type when the schema gives it,
+and ``minItems``/``maxItems`` inside it, and one writer that mirrors it.
+
+``accepts(instance) -> bool`` is True exactly when
+``Draft202012Validator(schema).iter_errors(instance)`` yields nothing.  It
+has to be exact, not merely sound, because ``oneOf`` and ``if`` turn a
+wrong "invalid" into a wrong "valid" one level up.  So it mirrors
+jsonschema: an integer is an int that is not a bool, or a float with
+``is_integer()``; a number is an int or a float and never a bool; a
 keyword that does not apply to the instance's type is skipped; ``minimum``
 fails only on ``x < m`` and ``exclusiveMinimum`` only on ``x <= m``.
 
-``compile_errors(schema)`` returns ``errors(instance) -> list[str]``, the
-list ``iter_errors`` yields, each error written as ``path: message`` (its
-instance path joined by ``/``, or ``<root>``) in the order of
-``sorted(..., key=str)``, with jsonschema 4.26's messages.  ``str`` of an
-error is its message, the failed keyword, the schema path and the
-pretty-printed subschema, then the instance path and the pretty-printed
-instance.  The writer sorts on the message and, among equal messages only
-(so only then loading ``pprint``), on the rest up to the instance: two
-errors that agree that far are about the same value.  It keeps two of
-jsonschema's ways: the error of a ``false`` subschema loses the path steps
-that led to it, and ``items: false`` is one message about the extra items.
-The writer only runs on a document the predicate rejects.
+``errors(instance) -> list[str]`` is the list ``iter_errors`` yields, each
+error written as ``path: message`` (its instance path joined by ``/``, or
+``<root>``) in the order of ``sorted(..., key=str)``, with jsonschema
+4.26's messages.  ``str`` of an error is its message, the failed keyword,
+the schema path and the pretty-printed subschema, then the instance path
+and the pretty-printed instance.  The writer sorts on the message and,
+among equal messages only (so only then loading ``pprint``), on the rest
+up to the instance: two errors that agree that far are about the same
+value.  It keeps two of jsonschema's ways: the error of a ``false``
+subschema loses the path steps that led to it, and ``items: false`` is one
+message about the extra items.  The writer only runs on a document the
+predicate rejects.
 
 Only the keywords ``problem.schema.json`` uses are known.  Any other
 keyword, a ``$ref`` outside ``#/$defs/``, or a ``const``/``enum`` value
-that is not a string raises ``InternalError`` at compile time, in either
-compiler, so a schema edit fails loudly instead of being judged wrongly.
+that is not a string raises ``InternalError`` at compile time, so a schema
+edit fails loudly instead of being judged wrongly.
 """
 
 from __future__ import annotations
@@ -100,13 +109,18 @@ def _type_test(name):
     return is_type
 
 
-def _resolver(root: dict, build):
-    """ref(target): build of the ``$defs`` entry of root that target names,
-    built once."""
+def _short(limit: int) -> str:
+    return "should be non-empty" if limit == 1 else "is too short"
+
+
+def compile_schema(root: dict):
+    """The pair (accepts, errors) of ``root``; see the module docstring."""
     defs = root.get("$defs", {})
-    built: dict[str, object] = {}
+    built: dict[str, tuple] = {}
 
     def ref(target: str):
+        """The pair of the ``$defs`` entry of root that target names, built
+        once."""
         name = target.removeprefix("#/$defs/")
         if name == target or name not in defs:
             raise InternalError(f"schema: unsupported $ref {target!r}")
@@ -114,280 +128,203 @@ def _resolver(root: dict, build):
             built[name] = build(defs[name])
         return built[name]
 
-    return ref
-
-
-def _predicates(root: dict):
-    """build(schema): the predicate of a subschema of root."""
+    def descend(schema, steps=()):
+        """The pair of a subschema that the keyword at schema path sp reaches
+        for the value at instance path at + key, with its writer taking
+        (x, at, sp, out, key): its errors lie at schema path sp + steps.
+        jsonschema drops both steps for a false subschema, whose one error
+        lies at at and sp."""
+        accepts, write = build(schema)
+        if schema is False:
+            return accepts, lambda x, at, sp, out, key=(): write(x, at, sp, out)
+        return accepts, lambda x, at, sp, out, key=(): write(x, at + key, sp + steps, out)
 
     def build(schema):
-        if isinstance(schema, bool):
-            return lambda x: schema
+        """(accepts, write) of a subschema: accepts(x) is its predicate, and
+        write(x, at, sp, out) appends to out an error record (message,
+        keyword, schema path, schema, instance path) for each error of x,
+        which sits at instance path at and meets schema at schema path sp."""
+        if schema is True:
+            return (lambda x: True), (lambda x, at, sp, out: None)
+        if schema is False:
+            return (lambda x: False), (lambda x, at, sp, out: out.append(
+                (f"False schema does not allow {x!r}", None, sp, False, at)))
         _known(schema)
-        checks = []
+        checks, writes = [], []
+
+        def add(accepts, write) -> None:
+            checks.append(accepts)
+            writes.append(write)
+
+        def leaf(keyword: str, test, message):
+            """Register keyword's writer, which appends message(x) where
+            test(x), the keyword's pass test, fails; return test."""
+            def write(x, at, sp, out):
+                if not test(x):
+                    out.append((message(x), keyword, (*sp, keyword), schema, at))
+
+            writes.append(write)
+            return test
+
         has_object = any(k in schema for k in _OBJECT)
         has_array = any(k in schema for k in _ARRAY)
         name = schema.get("type")
         if "type" in schema:
-            is_type = _type_test(name)
+            is_type = leaf("type", _type_test(name), lambda x: f"{x!r} is not of type {name!r}")
             # the object or array check below tests its own type
             if not (name == "object" and has_object or name == "array" and has_array):
                 checks.append(is_type)
         if "const" in schema:
             (const,) = _strings([schema["const"]], "const")
-            checks.append(lambda x: isinstance(x, str) and x == const)
-        if "enum" in schema:
-            enum = _strings(schema["enum"], "enum")
-            checks.append(lambda x: isinstance(x, str) and x in enum)
-        if "minimum" in schema:
-            low = schema["minimum"]
-            checks.append(lambda x: not (_is_number(x) and x < low))
-        if "exclusiveMinimum" in schema:
-            low_ex = schema["exclusiveMinimum"]
-            checks.append(lambda x: not (_is_number(x) and x <= low_ex))
-        if "minLength" in schema:
-            min_len = schema["minLength"]
-            checks.append(lambda x: not (isinstance(x, str) and len(x) < min_len))
-        if has_object:
-            checks.append(_object(schema, build, name == "object"))
-        if has_array:
-            checks.append(_array(schema, build, name == "array"))
-        if "oneOf" in schema:
-            checks.append(_one_of([build(s) for s in schema["oneOf"]]))
-        if "allOf" in schema:
-            checks.append(_conjunction([build(s) for s in schema["allOf"]]))
-        if "if" in schema:  # a "then" without "if" is ignored, as jsonschema does
-            cond, then = build(schema["if"]), build(schema.get("then", True))
-            checks.append(lambda x: not cond(x) or then(x))
-        if "$ref" in schema:
-            checks.append(ref(schema["$ref"]))
-        return _conjunction(checks) if checks else (lambda x: True)
-
-    ref = _resolver(root, build)
-    return build
-
-
-def compile_schema(root: dict):
-    """The predicate of ``root``; see the module docstring."""
-    return _predicates(root)(root)
-
-
-def _object(schema: dict, build, typed: bool):
-    """The check of the object keywords of schema; a value that is no object
-    fails it when typed (the schema's type is object), and passes otherwise."""
-    required = tuple(schema.get("required", ()))
-    props = {k: build(s) for k, s in schema.get("properties", {}).items()}
-    extra = build(schema["additionalProperties"]) if "additionalProperties" in schema else None
-
-    def accepts(x):
-        if not isinstance(x, dict):
-            return not typed
-        for key in required:
-            if key not in x:
-                return False
-        for key, value in x.items():
-            check = props.get(key, extra)
-            if check is not None and not check(value):
-                return False
-        return True
-
-    return accepts
-
-
-def _array(schema: dict, build, typed: bool):
-    """The check of the array keywords of schema, typed as in _object."""
-    item = build(schema["items"]) if "items" in schema else None
-    low = schema.get("minItems", 0)
-    high = schema.get("maxItems")
-
-    def accepts(x):
-        if not isinstance(x, list):
-            return not typed
-        if len(x) < low or (high is not None and len(x) > high):
-            return False
-        return item is None or all(map(item, x))
-
-    return accepts
-
-
-def _one_of(subs):
-    def accepts(x):
-        hits = 0
-        for sub in subs:
-            if sub(x):
-                hits += 1
-                if hits > 1:
-                    return False
-        return hits == 1
-
-    return accepts
-
-
-def _short(limit: int) -> str:
-    return "should be non-empty" if limit == 1 else "is too short"
-
-
-def compile_errors(root: dict):
-    """The error writer of ``root``; see the module docstring."""
-    accepts = _predicates(root)
-
-    def descend(schema, steps=()):
-        """write(x, at, sp, out, key) of a subschema that the keyword at
-        schema path sp reaches for the value at instance path at + key: its
-        errors lie at schema path sp + steps.  jsonschema drops both steps
-        for a false subschema, whose one error lies at at and sp."""
-        write = build(schema)
-        if schema is False:
-            return lambda x, at, sp, out, key=(): write(x, at, sp, out)
-        return lambda x, at, sp, out, key=(): write(x, at + key, sp + steps, out)
-
-    def build(schema):
-        """write(x, at, sp, out): append to out an error record (message,
-        keyword, schema path, schema, instance path) for each error of x,
-        which sits at instance path at and meets schema at schema path sp."""
-        if schema is True:
-            return lambda x, at, sp, out: None
-        if schema is False:
-            return lambda x, at, sp, out: out.append(
-                (f"False schema does not allow {x!r}", None, sp, False, at))
-        _known(schema)
-        checks = []
-
-        def single(keyword: str, message) -> None:
-            """A check of keyword whose one error is message(x), if that is
-            not None."""
-            def check(x, at, sp, out):
-                text = message(x)
-                if text is not None:
-                    out.append((text, keyword, (*sp, keyword), schema, at))
-
-            checks.append(check)
-
-        if "type" in schema:
-            name, is_type = schema["type"], _type_test(schema["type"])
-            single("type", lambda x: None if is_type(x) else f"{x!r} is not of type {name!r}")
-        if "const" in schema:
-            (const,) = _strings([schema["const"]], "const")
-            single("const", lambda x: None if isinstance(x, str) and x == const
-                   else f"{const!r} was expected")
+            checks.append(leaf("const", lambda x: isinstance(x, str) and x == const,
+                               lambda x: f"{const!r} was expected"))
         if "enum" in schema:
             values = schema["enum"]
             enum = _strings(values, "enum")
-            single("enum", lambda x: None if isinstance(x, str) and x in enum
-                   else f"{x!r} is not one of {values!r}")
+            checks.append(leaf("enum", lambda x: isinstance(x, str) and x in enum,
+                               lambda x: f"{x!r} is not one of {values!r}"))
         if "minimum" in schema:
             low = schema["minimum"]
-            single("minimum", lambda x: f"{x!r} is less than the minimum of {low!r}"
-                   if _is_number(x) and x < low else None)
+            checks.append(leaf("minimum", lambda x: not (_is_number(x) and x < low),
+                               lambda x: f"{x!r} is less than the minimum of {low!r}"))
         if "exclusiveMinimum" in schema:
             low_ex = schema["exclusiveMinimum"]
-            single("exclusiveMinimum",
-                   lambda x: f"{x!r} is less than or equal to the minimum of {low_ex!r}"
-                   if _is_number(x) and x <= low_ex else None)
+            checks.append(leaf(
+                "exclusiveMinimum", lambda x: not (_is_number(x) and x <= low_ex),
+                lambda x: f"{x!r} is less than or equal to the minimum of {low_ex!r}"))
         if "minLength" in schema:
             min_len = schema["minLength"]
-            single("minLength", lambda x: f"{x!r} {_short(min_len)}"
-                   if isinstance(x, str) and len(x) < min_len else None)
-        if "minItems" in schema:
-            min_items = schema["minItems"]
-            single("minItems", lambda x: f"{x!r} {_short(min_items)}"
-                   if isinstance(x, list) and len(x) < min_items else None)
-        if "maxItems" in schema:
-            max_items = schema["maxItems"]
-            long = "is expected to be empty" if max_items == 0 else "is too long"
-            single("maxItems", lambda x: f"{x!r} {long}"
-                   if isinstance(x, list) and len(x) > max_items else None)
-        if "required" in schema:
-            required = tuple(schema["required"])
-
-            def missing(x, at, sp, out):
-                if isinstance(x, dict):
-                    for key in required:
-                        if key not in x:
-                            out.append((f"{key!r} is a required property", "required",
-                                        (*sp, "required"), schema, at))
-
-            checks.append(missing)
-        props = schema.get("properties", {})
-        if props:
-            writes = {key: descend(sub, (key,)) for key, sub in props.items()}
-
-            def properties(x, at, sp, out):
-                if isinstance(x, dict):
-                    for key, write in writes.items():
-                        if key in x:
-                            write(x[key], at, (*sp, "properties"), out, (key,))
-
-            checks.append(properties)
-        extra = schema.get("additionalProperties", True)
-        if extra is False:
-            def additional(x):
-                extras = sorted(k for k in x if k not in props) if isinstance(x, dict) else ()
-                if extras:
-                    verb = "was" if len(extras) == 1 else "were"
-                    return (f"Additional properties are not allowed "
-                            f"({', '.join(map(repr, extras))} {verb} unexpected)")
-                return None
-
-            single("additionalProperties", additional)
-        elif extra is not True:
-            write_extra = descend(extra)
-
-            def each_extra(x, at, sp, out):
-                if isinstance(x, dict):
-                    for key, value in x.items():
-                        if key not in props:
-                            write_extra(value, at, (*sp, "additionalProperties"), out, (key,))
-
-            checks.append(each_extra)
-        items = schema.get("items", True)
-        if items is False:
-            single("items", lambda x: f"Expected at most 0 items but found {len(x)} extra: "
-                   f"{x[0] if len(x) == 1 else x!r}" if isinstance(x, list) and x else None)
-        elif items is not True:
-            write_item = descend(items)
-
-            def each_item(x, at, sp, out):
-                if isinstance(x, list):
-                    for i, value in enumerate(x):
-                        write_item(value, at, (*sp, "items"), out, (i,))
-
-            checks.append(each_item)
+            checks.append(leaf("minLength",
+                               lambda x: not (isinstance(x, str) and len(x) < min_len),
+                               lambda x: f"{x!r} {_short(min_len)}"))
+        if has_object:
+            add(*object_pair(schema, name))
+        if has_array:
+            add(*array_pair(schema, name))
         if "oneOf" in schema:
-            branches = [(sub, accepts(sub)) for sub in schema["oneOf"]]
+            branches = [(sub, build(sub)[0]) for sub in schema["oneOf"]]
 
             def one_of(x):
+                hits = 0
+                for _, sub_accepts in branches:
+                    if sub_accepts(x):
+                        hits += 1
+                        if hits > 1:
+                            return False
+                return hits == 1
+
+            def one_of_message(x):
                 valid = [sub for sub, sub_accepts in branches if sub_accepts(x)]
                 if not valid:
                     return f"{x!r} is not valid under any of the given schemas"
-                if len(valid) > 1:  # the first valid branch is named last
-                    named = ", ".join(map(repr, [*valid[1:], valid[0]]))
-                    return f"{x!r} is valid under each of {named}"
-                return None
+                named = ", ".join(map(repr, [*valid[1:], valid[0]]))  # the first named last
+                return f"{x!r} is valid under each of {named}"
 
-            single("oneOf", one_of)
+            checks.append(leaf("oneOf", one_of, one_of_message))
         if "allOf" in schema:
             parts = [descend(sub, (i,)) for i, sub in enumerate(schema["allOf"])]
 
             def all_of(x, at, sp, out):
-                for write in parts:
-                    write(x, at, (*sp, "allOf"), out)
+                for _, write_part in parts:
+                    write_part(x, at, (*sp, "allOf"), out)
 
-            checks.append(all_of)
-        if "if" in schema:  # "if" is no step of the schema path, "then" is
-            cond, then = accepts(schema["if"]), descend(schema.get("then", True), ("then",))
-            checks.append(lambda x, at, sp, out: cond(x) and then(x, at, sp, out))
+            add(_conjunction([sub_accepts for sub_accepts, _ in parts]), all_of)
+        if "if" in schema:  # a "then" without "if" is ignored, as jsonschema does
+            cond = build(schema["if"])[0]
+            # "if" is no step of the schema path, "then" is
+            then, write_then = descend(schema.get("then", True), ("then",))
+            add(lambda x: not cond(x) or then(x),
+                lambda x, at, sp, out: cond(x) and write_then(x, at, sp, out))
         if "$ref" in schema:  # nor is "$ref"
-            checks.append(ref(schema["$ref"]))
+            add(*ref(schema["$ref"]))
 
         def write(x, at, sp, out):
-            for check in checks:
-                check(x, at, sp, out)
+            for each in writes:
+                each(x, at, sp, out)
 
-        return write
+        return (_conjunction(checks) if checks else (lambda x: True)), write
 
-    ref = _resolver(root, build)
-    write_root = build(root)
+    def object_pair(schema: dict, name):
+        """The pair of the object keywords of schema.  A value that is no
+        object fails them when the schema's type is object, and passes
+        otherwise."""
+        typed = name == "object"
+        required = tuple(schema.get("required", ()))
+        props = {key: descend(sub, (key,)) for key, sub in schema.get("properties", {}).items()}
+        extra = schema.get("additionalProperties", True)
+        other, write_other = descend(extra) if "additionalProperties" in schema else (None, None)
+        checks = {key: sub_accepts for key, (sub_accepts, _) in props.items()}
+
+        def accepts(x):
+            if not isinstance(x, dict):
+                return not typed
+            for key in required:
+                if key not in x:
+                    return False
+            for key, value in x.items():
+                check = checks.get(key, other)
+                if check is not None and not check(value):
+                    return False
+            return True
+
+        def write(x, at, sp, out):
+            if not isinstance(x, dict):
+                return
+            for key in required:
+                if key not in x:
+                    out.append((f"{key!r} is a required property", "required",
+                                (*sp, "required"), schema, at))
+            extras = []
+            for key, value in x.items():
+                if key in props:
+                    props[key][1](value, at, (*sp, "properties"), out, (key,))
+                elif extra is False:
+                    extras.append(key)
+                elif write_other is not None:
+                    write_other(value, at, (*sp, "additionalProperties"), out, (key,))
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                out.append((f"Additional properties are not allowed "
+                            f"({', '.join(map(repr, sorted(extras)))} {verb} unexpected)",
+                            "additionalProperties", (*sp, "additionalProperties"), schema, at))
+
+        return accepts, write
+
+    def array_pair(schema: dict, name):
+        """The pair of the array keywords of schema, typed as in
+        object_pair."""
+        typed = name == "array"
+        low = schema.get("minItems", 0)
+        high = schema.get("maxItems")
+        items = schema.get("items", True)
+        item, write_item = descend(items) if "items" in schema else (None, None)
+
+        def accepts(x):
+            if not isinstance(x, list):
+                return not typed
+            if len(x) < low or (high is not None and len(x) > high):
+                return False
+            return item is None or all(map(item, x))
+
+        def write(x, at, sp, out):
+            if not isinstance(x, list):
+                return
+            if len(x) < low:
+                out.append((f"{x!r} {_short(low)}", "minItems", (*sp, "minItems"), schema, at))
+            if high is not None and len(x) > high:
+                long = "is expected to be empty" if high == 0 else "is too long"
+                out.append((f"{x!r} {long}", "maxItems", (*sp, "maxItems"), schema, at))
+            if items is False and x:  # one error about the extra items
+                extra = x[0] if len(x) == 1 else x
+                out.append((f"Expected at most 0 items but found {len(x)} extra: {extra!r}",
+                            "items", (*sp, "items"), schema, at))
+            elif write_item is not None:
+                for i, value in enumerate(x):
+                    write_item(value, at, (*sp, "items"), out, (i,))
+
+        return accepts, write
+
+    accepts_root, write_root = build(root)
 
     def errors(instance) -> list[str]:
         out: list = []
@@ -396,7 +333,7 @@ def compile_errors(root: dict):
         out.sort(key=lambda error: (error[0], _str_tail(error) if tied[error[0]] > 1 else ""))
         return [f"{'/'.join(map(str, at)) or '<root>'}: {message}" for message, *_, at in out]
 
-    return errors
+    return accepts_root, errors
 
 
 def _str_tail(error) -> str:

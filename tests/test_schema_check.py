@@ -1,19 +1,21 @@
-"""The compiled schema predicate and error writer agree with jsonschema
-exactly.
+"""The schema predicate and error writer, compiled together, agree with
+jsonschema exactly.
 
-`schema_check.compile_schema` must return True exactly when
-`Draft202012Validator.iter_errors` yields nothing, and
-`schema_check.compile_errors` must write the list `torstab validate` wrote
-from jsonschema: its errors sorted by `str`, each as `path: message`.  Both
-are checked on the golden problems, on one- and two-field mutations of
-them, and on every keyword the compilers know, over values that sit on the
-edges jsonschema draws (1.0 is an integer, a bool is no number, NaN passes
-`minimum`).
+`schema_check.compile_schema` returns the pair (accepts, errors).  accepts
+must return True exactly when `Draft202012Validator.iter_errors` yields
+nothing, and errors must write the list `torstab validate` wrote from
+jsonschema: its errors sorted by `str`, each as `path: message`.  Both are
+checked on the golden problems, on one- and two-field mutations of them,
+and on every keyword the compiler knows, over values that sit on the edges
+jsonschema draws (1.0 is an integer, a bool is no number, NaN passes
+`minimum`).  The problem schema is compiled in one walk, each subschema
+once.
 """
 
 import copy
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,8 +24,9 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import torstab.cli as cli
+import torstab.schema_check as schema_check
 from torstab.errors import InternalError, ValidationError
-from torstab.schema_check import compile_errors, compile_schema
+from torstab.schema_check import compile_schema
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = cli._load_schema("problem.schema.json")
@@ -98,20 +101,20 @@ def jsonschema_list(validator, instance) -> list[str]:
 
 def test_goldens_are_accepted():
     assert all(VALIDATOR.is_valid(d) for d in DOCS)
-    assert all(cli._problem_accepts()(d) for d in DOCS)
-    assert all(cli.problem_validator()(d) == [] for d in DOCS)
+    assert all(cli.problem_validator()[0](d) for d in DOCS)
+    assert all(cli.problem_validator()[1](d) == [] for d in DOCS)
 
 
 @settings(derandomize=True, max_examples=1500, deadline=None)
 @given(mutated_documents())
 def test_predicate_matches_jsonschema_on_mutations(doc):
-    assert cli._problem_accepts()(doc) == VALIDATOR.is_valid(doc)
+    assert cli.problem_validator()[0](doc) == VALIDATOR.is_valid(doc)
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(st.one_of(mutated_documents(), twice_mutated_documents()))
 def test_error_list_matches_jsonschema_on_mutations(doc):
-    assert cli.problem_validator()(doc) == jsonschema_list(VALIDATOR, doc)
+    assert cli.problem_validator()[1](doc) == jsonschema_list(VALIDATOR, doc)
 
 
 def test_error_list_orders_equal_messages_as_jsonschema():
@@ -122,7 +125,7 @@ def test_error_list_orders_equal_messages_as_jsonschema():
     doc = {"schema_version": "1",
            "payload": {"rank": 1, "lines": [{"label": "a", "weight": [1]}],
                        "amplitudes": {"b": "x", "a": "x"}}}
-    errors = cli.problem_validator()(doc)
+    errors = cli.problem_validator()[1](doc)
     assert errors == jsonschema_list(VALIDATOR, doc)
     message = "'x' is not valid under any of the given schemas"
     assert [e for e in errors if message in e] == 3 * [
@@ -181,14 +184,14 @@ KEYWORD_VALUES = [*VALUES, [1, "x"], {"zz": 1}, {"zz": 1.5, "a": []}, {"a": 1},
 
 @pytest.mark.parametrize("schema", KEYWORD_SCHEMAS, ids=json.dumps)
 def test_each_keyword_matches_jsonschema(schema):
-    ours, theirs = compile_schema(schema), Draft202012Validator(schema)
+    ours, theirs = compile_schema(schema)[0], Draft202012Validator(schema)
     for value in KEYWORD_VALUES:
         assert ours(value) == theirs.is_valid(value), value
 
 
 @pytest.mark.parametrize("schema", KEYWORD_SCHEMAS, ids=json.dumps)
 def test_each_keyword_writes_jsonschema_messages(schema):
-    ours, theirs = compile_errors(schema), Draft202012Validator(schema)
+    ours, theirs = compile_schema(schema)[1], Draft202012Validator(schema)
     for value in KEYWORD_VALUES:
         assert ours(value) == jsonschema_list(theirs, value), value
 
@@ -208,8 +211,8 @@ def test_wrong_types_at_typed_nodes_match_jsonschema(path, value):
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = value
-        assert not cli._problem_accepts()(doc) and not VALIDATOR.is_valid(doc)
-        assert cli.problem_validator()(doc) == jsonschema_list(VALIDATOR, doc)
+        assert not cli.problem_validator()[0](doc) and not VALIDATOR.is_valid(doc)
+        assert cli.problem_validator()[1](doc) == jsonschema_list(VALIDATOR, doc)
 
 
 @pytest.mark.parametrize("schema", [
@@ -223,22 +226,69 @@ def test_wrong_types_at_typed_nodes_match_jsonschema(path, value):
 def test_unsupported_schema_raises(schema):
     with pytest.raises(InternalError):
         compile_schema(schema)
-    with pytest.raises(InternalError):
-        compile_errors(schema)
 
 
 def test_valid_document_never_reaches_the_error_writer(monkeypatch):
     calls = []
-    errors = cli.problem_validator()
+    accepts, errors = cli.problem_validator()
 
     def counted(instance):
         calls.append(instance)
         return errors(instance)
 
-    monkeypatch.setattr(cli, "problem_validator", lambda: counted)
+    monkeypatch.setattr(cli, "problem_validator", lambda: (accepts, counted))
     for doc in DOCS:
         cli.validate_document(json.dumps(doc))
     assert calls == []
     with pytest.raises(ValidationError):
         cli.validate_document(json.dumps({"schema_version": "1"}))
     assert calls
+
+
+def subschemas(schema):
+    """schema and every subschema under it, by the keywords that hold
+    subschemas."""
+    yield schema
+    if not isinstance(schema, dict):
+        return
+    for keyword in ("properties", "$defs"):
+        for sub in schema.get(keyword, {}).values():
+            yield from subschemas(sub)
+    for keyword in ("oneOf", "allOf"):
+        for sub in schema.get(keyword, ()):
+            yield from subschemas(sub)
+    for keyword in ("items", "additionalProperties", "if", "then"):
+        if keyword in schema:
+            yield from subschemas(schema[keyword])
+
+
+def test_problem_schema_is_compiled_in_one_walk(monkeypatch):
+    # every dict subschema of the problem schema is compiled once, whether
+    # the document is accepted or its error list written.  Each of cli's
+    # caches (problem_validator's among them) is cleared first, so that
+    # nothing compiled before this test goes uncounted; the schema objects
+    # are kept in seen, so their ids stay theirs
+    seen = []
+    known = schema_check._known
+
+    def counted(schema):
+        seen.append(schema)
+        known(schema)
+
+    caches = [f for f in vars(cli).values() if hasattr(f, "cache_clear")]
+    assert cli.problem_validator in caches
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(schema_check, "_known", counted)
+    try:
+        cli.validate_document(json.dumps(DOCS[0]))
+        with pytest.raises(ValidationError):
+            cli.validate_document(json.dumps({"schema_version": "1"}))
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    root = seen[0]
+    assert root == SCHEMA
+    want = Counter(id(s) for s in subschemas(root) if isinstance(s, dict))
+    assert len(want) > 1 and all(n == 1 for n in want.values())
+    assert Counter(id(s) for s in seen) == want
