@@ -17,9 +17,11 @@ first is read by that command's parser directly, not through argparse's
 subparser action; a file is read as bytes and decoded in one step; and one
 JSON decoder and one encoder serve every document.
 
-A call loads only the layers its documents use: each runner imports its
-own analysis layer when it starts (``stability`` and ``kempf-ness`` the
-classifier with the exact polytope stack under it, ``stratify`` also the
+Each kind's analysis layer holds its runner, report(payload, options),
+and KINDS maps the kind to that layer.  A call loads only the layers its
+documents use: a layer is imported when the first document of its kind
+runs (``stability`` the classifier with the exact polytope stack under
+it, ``kempf-ness`` also the Kempf-Ness layer, ``stratify`` also the
 stratification, ``shb`` the Hodge-bundle model, ``kuranishi`` the graded
 Kuranishi maps), so ``import torstab.cli`` and ``validate`` load none of
 them.  numpy is loaded only by the float layers (Kempf-Ness, the Green's
@@ -34,16 +36,10 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
-from typing import TYPE_CHECKING
+from importlib import import_module, resources
 
-from .errors import InternalError, NotStableError, TorstabError, ValidationError
-
-if TYPE_CHECKING:
-    from .shb_model import SHBSpec
-    from .torus_rep import RepVector
+from .errors import InternalError, NotStableError, TorstabError, ValidationError, fits
 
 SCHEMA_VERSION = "1"
 
@@ -69,16 +65,6 @@ def problem_validator():
 # serialization helpers
 
 
-def _frac(x: Fraction):
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _cplx(z: complex):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 # json.dumps builds an encoder on every call that passes it settings; _dump
 # reuses this one
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False)
@@ -88,11 +74,11 @@ def _dump(doc: dict) -> str:
     """One compact line with sorted keys, written by json's C encoder (which
     json uses only without ``indent``).  Strings escape every control
     character, so a report never spans two lines.  A non-finite float,
-    which is not JSON, raises ValueError: an internal error, since the
-    runners refuse such values by field.  A report is a tree built for its
-    document, so the encoder keeps no record of the containers it is in; a
-    cycle, which would be a bug, ends in RecursionError, also an internal
-    error."""
+    which is not JSON, raises ValueError: an internal error, since each
+    kind's report refuses such values by field.  A report is a tree built
+    for its document, so the encoder keeps no record of the containers it
+    is in; a cycle, which would be a bug, ends in RecursionError, also an
+    internal error."""
     return _ENCODER.encode(doc) + "\n"
 
 
@@ -240,84 +226,26 @@ def _semantic_errors(doc: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# payload -> domain objects
+# dispatch
 
-
-def _amp(value) -> complex:
-    if isinstance(value, list):
-        return complex(value[0], value[1])
-    return complex(value)
-
-
-def _fits(convert, value, field: str):
-    """convert(value), refusing an integer too large for a float by field."""
-    try:
-        return convert(value)
-    except OverflowError:
-        raise ValidationError([f"{field} is too large for a float"]) from None
-
-
-def rep_from_payload(payload: dict) -> RepVector:
-    from .torus_rep import RepVector, WeightLine
-
-    # the schema's integers include integral floats such as 1.0; the exact
-    # layers take ints
-    lines = tuple(
-        WeightLine(
-            ln["label"],
-            tuple(map(int, ln["weight"])),
-            rho=None if ln.get("rho") is None else int(ln["rho"]),
-            norm2=_fits(float, ln.get("norm2", 1.0), f"line {ln['label']!r}: norm2"),
-        )
-        for ln in payload["lines"]
-    )
-    amps = {lab: _fits(_amp, v, f"amplitude of line {lab!r}")
-            for lab, v in payload["amplitudes"].items()}
-    return RepVector(lines, amps)
-
-
-# every integer of absolute value at most 2**53 is exactly a float
-_FLOAT_EXACT = 2**53
-
-
-def _float_weights(payload: dict) -> None:
-    """Refuse, by line, a weight that the Kempf-Ness layer cannot read as a
-    float exactly; the exact layers read weights as ints and need no such
-    check."""
-    for ln in payload["lines"]:
-        if any(abs(c) > _FLOAT_EXACT for c in ln["weight"]):
-            raise ValidationError([f"line {ln['label']!r}: weight is too large for a float"])
-
-
-def _kn_floats(values) -> None:
-    """Refuse a Kempf-Ness report whose numbers a float cannot hold: the
-    amplitudes and norms are so large that the functional's value, or its
-    gradient, overflows."""
-    if not all(math.isfinite(v) for v in values):
-        raise ValidationError(["amplitudes and norm2: the Kempf-Ness functional overflows a float"])
-
-
-def shb_from_payload(payload: dict) -> SHBSpec:
-    from .shb_model import SHBSpec, StableBlock
-
-    blocks = tuple(
-        StableBlock(
-            tuple(map(int, b["ranks"])), tuple(map(int, b["degrees"])), tag=b.get("tag", "")
-        )
-        for b in payload["blocks"]
-    )
-    return SHBSpec(int(payload["genus"]), blocks)
-
-
-# ---------------------------------------------------------------------------
-# runners
+# the kinds, in the schema's order, and the module whose
+# report(payload, options) writes each kind's report body; the module is
+# imported when the first document of its kind runs
+KINDS = {
+    "stability": "stability",
+    "kempf-ness": "kempf_ness",
+    "stratify": "stratify",
+    "shb": "shb_model",
+    "kuranishi": "graded_kuranishi",
+}
 
 
 def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
                  emit_certificates: bool = True, box_bound: int | None = None,
                  seed: int | None = None):
-    """Dispatch a validated document; returns (report_dict, exit_code).  The
-    runners read one settings mapping: the flags, under the document's options."""
+    """Run a validated document through its kind's report (KINDS); returns
+    (report_dict, exit_code).  report reads one settings mapping: the flags,
+    under the document's options."""
     kind = doc["kind"]
     options = {
         "tol": tol,
@@ -330,17 +258,10 @@ def run_document(doc: dict, tol: float = 1e-10, convention: str | None = None,
     }
     if options["box_bound"] is not None:
         options["box_bound"] = int(options["box_bound"])
-    runner = {
-        "stability": _run_stability,
-        "kempf-ness": _run_kempf_ness,
-        "stratify": _run_stratify,
-        "shb": _run_shb,
-        "kuranishi": _run_kuranishi,
-    }[kind]
     try:
-        options["tol"] = _fits(float, options["tol"], "options.tol")
+        options["tol"] = fits(float, options["tol"], "options.tol")
         _judge_flags(options["tol"], options["box_bound"], options["seed"])
-        body = runner(doc["payload"], options)
+        body = import_module(f".{KINDS[kind]}", __package__).report(doc["payload"], options)
         status, code = "ok", 0
     except TorstabError as exc:
         body = {"reason": str(exc)}
@@ -370,228 +291,6 @@ def _judge_flags(tol: float = 1e-10, box_bound: int | None = None, seed: int = 0
         errors.append("seed must be >= 0")
     if errors:
         raise ValidationError(errors)
-
-
-def _certificate_doc(res, emit: bool):
-    if not emit:
-        return {}
-    cert: dict = {"weights": [list(w) for w in res.weights]}
-    if res.combination is not None:
-        cert["combination"] = [_frac(a) for a in res.combination]
-    if res.flat_lattice is not None:
-        cert["flat_lattice"] = [list(b) for b in res.flat_lattice.basis]
-    if res.cocharacter is not None:
-        cert["cocharacter"] = list(res.cocharacter)
-    return {"certificate": cert}
-
-
-def _run_stability(payload, options):
-    from .stability import classify, destabilizer_bruteforce, witness_bound
-
-    v = rep_from_payload(payload)
-    res = classify(v)
-    body = {"class": res.stability, "certificate_verified": res.verify()}
-    body.update(_certificate_doc(res, options["emit_certificates"]))
-    box_bound = options["box_bound"]
-    if box_bound is not None:
-        witness = destabilizer_bruteforce(v, box_bound)
-        body["bruteforce_witness"] = None if witness is None else list(witness)
-        body["box_sound"] = witness_bound(res.weights) <= box_bound
-    return body
-
-
-def _run_kempf_ness(payload, options):
-    from .kempf_ness import KNProblem, kn_minimize
-    from .stability import classify
-
-    _float_weights(payload)
-    v = rep_from_payload(payload)
-    cls = classify(v)  # refuses the zero vector as a stability document does
-    res = kn_minimize(KNProblem.from_vector(v), cls, tol=options["tol"])
-    body = {"status": res.status}
-    if res.minimizer is not None:
-        body["minimizer"] = [float(c) for c in res.minimizer]
-        body["gradient_norm"] = res.gradient_norm
-    if res.value is not None:
-        body["value"] = res.value
-    _kn_floats([*body.get("minimizer", ()), body.get("gradient_norm", 0.0), res.value])
-    if res.flat_space is not None:
-        body["flat_space"] = [list(b) for b in res.flat_space.basis]
-    if res.descent_ray is not None:
-        body["descent_ray"] = list(res.descent_ray)
-    body.update(_certificate_doc(cls, options["emit_certificates"]))
-    return body
-
-
-def _run_stratify(payload, options):
-    from .stratify import stage_kn_minimizers, stratify, verify_decomposition
-    from .torus_rep import Subtorus
-
-    _float_weights(payload)
-    v = rep_from_payload(payload)
-    torus = None
-    if "subtorus" in payload:
-        from .qexact import Lattice
-
-        rank = int(payload["rank"])
-        torus = Subtorus(
-            rank, Lattice(rank, tuple(tuple(map(int, r)) for r in payload["subtorus"]))
-        )
-    res = stratify(v, torus=torus, sigma_multiple=int(options["sigma_multiple"]))
-    verification = verify_decomposition(res, v)
-    stages = []
-    for st in res.stages:
-        stages.append(
-            {
-                "index": st.index,
-                "torus_basis": [list(b) for b in st.torus.basis],
-                "nu_labels": list(st.nu_labels),
-                "s_labels": list(st.s_labels),
-                "c": _frac(st.c),
-                "x_stage": [_frac(c) for c in st.x_stage],
-                "d": st.d,
-            }
-        )
-    body = {
-        "x": list(res.x),
-        "sigma": res.sigma,
-        "num_stages": res.num_stages,
-        "d_ladder": list(res.d_ladder),
-        "stages": stages,
-        "residual_labels": list(res.residual_labels),
-        "exponents": dict(sorted(res.exponents.items())),
-        "tori_dims": [t.dim for t in res.tori],
-        "verification": {
-            "all_ok": verification.all_ok,
-            "checks": [
-                {"name": n, "ok": ok, "detail": d} for n, ok, d in verification.checks
-            ],
-        },
-    }
-    minimizers = []
-    for kn, rescaled in stage_kn_minimizers(res, tol=options["tol"]):
-        entry = {"status": kn.status}
-        if kn.minimizer is not None:
-            entry["minimizer"] = [float(c) for c in kn.minimizer]
-        if kn.value is not None:
-            entry["value"] = kn.value
-        entry["rescaled_amplitudes"] = {k: _cplx(z) for k, z in sorted(rescaled.items())}
-        _kn_floats([*entry.get("minimizer", ()), kn.value or 0.0,
-                    *(c for z in entry["rescaled_amplitudes"].values() for c in z)])
-        minimizers.append(entry)
-    body["stage_minimizers"] = minimizers
-    return body
-
-
-def _run_shb(payload, options):
-    from . import shb_model
-
-    convention = options["convention"] or shb_model.DEFAULT
-    shb = shb_from_payload(payload)
-    block_ranks = shb.block_ranks()
-    body: dict = {
-        "total_rank": shb.total_rank,
-        "genus": shb.genus,
-        "abelian": shb.abelian,
-        "block_ranks": list(block_ranks),
-    }
-    if shb.total_rank >= 2:
-        body["expected_dim_central_locus"] = shb_model.expected_dim_central_locus(
-            shb.total_rank, shb.genus
-        )
-    # the full central-locus dimension, read once: the one-part partition's
-    full = shb_model.partition_dim(shb_model.PartitionP((tuple(range(shb.k)),)),
-                                   block_ranks, shb.genus)
-    table = []
-    for p in shb_model.partitions_with_order(shb).partitions:
-        dim = shb_model.partition_dim(p, block_ranks, shb.genus)
-        table.append(
-            {
-                "parts": [list(part) for part in p.parts],
-                "dim": dim,
-                "proper": not p.is_trivial,
-                "strictly_below_central": dim < full,
-            }
-        )
-    body["partition_table"] = table
-    if shb.abelian:
-        torus = shb_model.automorphism_torus(shb)
-        body["automorphism_torus"] = {
-            "rank": torus.rank,
-            "relation_character": list(torus.relation_character),
-            "cocharacter_basis": [list(b) for b in torus.subtorus.basis],
-        }
-        body["positive_slice"] = [
-            {"label": ln.label, "weight": list(ln.weight), "rho": ln.rho}
-            for ln in shb_model.positive_slice_lines(shb, convention)
-        ]
-        if shb.k >= 2:
-            cyc, verdict = shb_model.cyclic_phi_weights(shb, convention, torus)
-            body["cyclic_phi"] = {
-                "stability": verdict.stability,
-                "restricted_weights": sorted(
-                    [list(w) for w in cyc.effective_g_weights()]
-                ),
-            }
-    if "x" in payload:
-        # the table reads only the index classes and x, a cocharacter of the
-        # block-scalar torus that every system has
-        table_obj = shb_model.conformal_degree_table(
-            shb, [int(c) for c in payload["x"]], int(payload.get("sigma", 1)), convention
-        )
-        body["conformal_degrees"] = {
-            f"{cod[0]}.{cod[1]}|{dom[0]}.{dom[1]}": deg
-            for (cod, dom), deg in sorted(table_obj.entries.items())
-        }
-    return body
-
-
-def _run_kuranishi(payload, options):
-    import numpy as np
-
-    from .graded_kuranishi import (
-        check_report_floats,
-        complex_from_payload,
-        greens_operator,
-        gvec_norm,
-        input_from_payload,
-        kuranishi_forward,
-        kuranishi_inverse_graded,
-        obstruction,
-    )
-
-    # an overflow is refused by field below, so numpy must not warn about it
-    with np.errstate(all="ignore"):
-        cx = complex_from_payload(payload)
-        greens = greens_operator(cx)
-        body: dict = {
-            "grades": list(cx.grades),
-            "dims": {str(g): list(cx.dims[g]) for g in cx.grades},
-            "greens_status": greens.status,
-            "greens_condition": greens.condition,
-        }
-        if "input" in payload:
-            x = input_from_payload(payload["input"], cx)
-        else:
-            seed = int(options["seed"])
-            rng = np.random.default_rng(seed)
-            x = {
-                g: rng.normal(size=cx.n1(g)) + 1j * rng.normal(size=cx.n1(g))
-                for g in cx.grades
-                if g > 0
-            }
-            body["input_seed"] = seed
-        u = kuranishi_inverse_graded(cx, x, greens)
-        back = kuranishi_forward(cx, u, greens)
-        diff = {g: back.get(g, 0) - x.get(g, 0) for g in set(back) | set(x)}
-        denom = max(gvec_norm(x), 1e-30)
-        body["round_trip_residual"] = gvec_norm(diff) / denom
-        body["obstruction_norm"] = gvec_norm(obstruction(cx, x, greens))
-    body["inverse"] = {
-        str(g): [_cplx(z) for z in arr] for g, arr in sorted(u.items())
-    }
-    check_report_floats(body)
-    return body
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +347,7 @@ def generate_instance(kind: str, seed: int) -> dict:
         payload = {"rank": rank, "lines": lines, "amplitudes": amps}
     elif kind == "stratify":
         from .stability import STABLE, classify
+        from .torus_rep import rep_from_payload
 
         rank = int(rng.integers(1, 3))
         while True:
@@ -724,7 +424,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     genp = sub.add_parser("gen", help="emit one seeded random problem instance")
     genp.add_argument("--kind", required=True,
-                      choices=["stability", "kempf-ness", "stratify", "shb", "kuranishi"])
+                      choices=list(KINDS))
     genp.add_argument("--seed", type=int, default=0)
     genp.add_argument("--out", default=None, help="write the instance here")
     return ap, {"run": runp, "validate": valp, "gen": genp}

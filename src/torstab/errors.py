@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and fits, the refusal of a float out of range."""
 
 from __future__ import annotations
 
@@ -44,3 +44,11 @@ class InternalError(Exception):
     report it as a rejection (exit 2); the CLI's catch-all reports it, like
     any other exception, as an internal error (exit 1).  Raised explicitly
     rather than by ``assert`` so that ``python -O`` keeps the check."""
+
+
+def fits(convert, value, field: str):
+    """convert(value), refusing an integer too large for a float by field."""
+    try:
+        return convert(value)
+    except OverflowError:
+        raise ValidationError([f"{field} is too large for a float"]) from None

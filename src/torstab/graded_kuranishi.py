@@ -18,9 +18,8 @@ the already-known lower ones.
 Vectors at level one or two are plain dicts mapping a grade to a complex
 array; missing grades mean zero.
 
-The last section reads a ``kuranishi`` problem document's complex and input
-and refuses, by field, what the maps cannot take; only that kind's runner
-calls it.
+The last section runs a ``kuranishi`` document: it reads the complex and
+input, refuses by field what the maps cannot take, and writes the report.
 """
 
 from __future__ import annotations
@@ -404,3 +403,39 @@ def check_report_floats(body: dict) -> None:
     bad = [field for field, values in numbers.items() if not all(map(math.isfinite, values))]
     if bad:
         raise ValidationError([f"{field}: the Kuranishi maps overflow a float" for field in bad])
+
+
+def report(payload: dict, options: dict) -> dict:
+    """The body of a ``kuranishi`` report."""
+    # an overflow is refused by field below, so numpy must not warn about it
+    with np.errstate(all="ignore"):
+        cx = complex_from_payload(payload)
+        greens = greens_operator(cx)
+        body: dict = {
+            "grades": list(cx.grades),
+            "dims": {str(g): list(cx.dims[g]) for g in cx.grades},
+            "greens_status": greens.status,
+            "greens_condition": greens.condition,
+        }
+        if "input" in payload:
+            x = input_from_payload(payload["input"], cx)
+        else:
+            seed = int(options["seed"])
+            rng = np.random.default_rng(seed)
+            x = {
+                g: rng.normal(size=cx.n1(g)) + 1j * rng.normal(size=cx.n1(g))
+                for g in cx.grades
+                if g > 0
+            }
+            body["input_seed"] = seed
+        u = kuranishi_inverse_graded(cx, x, greens)
+        back = kuranishi_forward(cx, u, greens)
+        diff = {g: back.get(g, 0) - x.get(g, 0) for g in set(back) | set(x)}
+        denom = max(gvec_norm(x), 1e-30)
+        body["round_trip_residual"] = gvec_norm(diff) / denom
+        body["obstruction_norm"] = gvec_norm(obstruction(cx, x, greens))
+    body["inverse"] = {
+        str(g): [[z.real, z.imag] for z in arr.tolist()] for g, arr in sorted(u.items())
+    }
+    check_report_floats(body)
+    return body

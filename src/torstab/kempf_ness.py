@@ -10,6 +10,9 @@ numerically.  Flat directions (the saturated kernel of the effective
 weights) are quotiented out before iterating.  Newton runs on log l, with
 the squared norms held as their logarithms, so no norm and no exponential
 overflows, and nothing it does changes when every norm is scaled.
+
+The last section writes a ``kempf-ness`` document's report (report) and
+the entry of a minimization that each ``stratify`` stage shares.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .qexact import Lattice, dot, rational_rank
-from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult
-from .torus_rep import RepVector, _exp, log_sum_exp
+from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult, certificate_body, classify
+from .torus_rep import RepVector, _exp, log_sum_exp, rep_from_payload
 
 CONVERGED = "Converged"
 DIVERGING = "Diverging"
@@ -284,3 +287,56 @@ def _cholesky_solve(lower, rhs):
         xi = x[i] = x[i] / row[i]
         x[:i] = [xm - xi * lm for xm, lm in zip(x[:i], row)]
     return x if all(map(math.isfinite, x)) else None
+
+
+# ---------------------------------------------------------------------------
+# kempf-ness problem documents
+
+# every integer of absolute value at most 2**53 is exactly a float
+_FLOAT_EXACT = 2**53
+
+
+def _float_weights(payload: dict) -> None:
+    """Refuse, by line, a weight that the Kempf-Ness layer cannot read as a
+    float exactly; the exact layers read weights as ints and need no such
+    check."""
+    for ln in payload["lines"]:
+        if any(abs(c) > _FLOAT_EXACT for c in ln["weight"]):
+            raise ValidationError([f"line {ln['label']!r}: weight is too large for a float"])
+
+
+def _kn_floats(values) -> None:
+    """Refuse a Kempf-Ness report whose numbers a float cannot hold: the
+    amplitudes and norms are so large that the functional's value, or its
+    gradient, overflows."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(["amplitudes and norm2: the Kempf-Ness functional overflows a float"])
+
+
+def report_entry(res: KNResult) -> dict:
+    """res's status, minimizer and value as a report writes them."""
+    entry = {"status": res.status}
+    if res.minimizer is not None:
+        entry["minimizer"] = [float(c) for c in res.minimizer]
+    if res.value is not None:
+        entry["value"] = res.value
+    _kn_floats([*entry.get("minimizer", ()), entry.get("value", 0.0)])
+    return entry
+
+
+def report(payload: dict, options: dict) -> dict:
+    """The body of a ``kempf-ness`` report."""
+    _float_weights(payload)
+    v = rep_from_payload(payload)
+    cls = classify(v)  # refuses the zero vector as a stability document does
+    res = kn_minimize(KNProblem.from_vector(v), cls, tol=options["tol"])
+    body = report_entry(res)
+    if res.minimizer is not None:
+        body["gradient_norm"] = res.gradient_norm
+        _kn_floats([res.gradient_norm])
+    if res.flat_space is not None:
+        body["flat_space"] = [list(b) for b in res.flat_space.basis]
+    if res.descent_ray is not None:
+        body["descent_ray"] = list(res.descent_ray)
+    body.update(certificate_body(cls, options["emit_certificates"]))
+    return body

@@ -46,6 +46,12 @@ def vsub(a: Sequence, b: Sequence) -> QVec:
     return tuple(x - y for x, y in zip(a, b))
 
 
+def json_rational(x) -> int | str:
+    """x as a report writes an exact rational: an int, or the string "p/q"."""
+    x = Fraction(x)
+    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
 def clear_denominators(v: Iterable) -> tuple[int, IVec]:
     """(m, m * v) for the least positive integer m making every entry of v
     an integer (the lcm of the denominators).  No gcd is divided out, so

@@ -32,6 +32,9 @@ or ranks) is cached: that would make a repeated document cheaper than a
 new one without making new input any faster.  An shb run reads the full
 central-locus dimension once, as partition_dim of the one-part partition,
 and compares each class's partition_dim against it.
+
+The last section reads an ``shb`` document (shb_from_payload) and writes
+its report (report).
 """
 
 from __future__ import annotations
@@ -430,3 +433,78 @@ def conformal_degree_table(
         p, q = cod[0] - 1, dom[0] - 1
         entries[(cod, dom)] = 2 * sigma * rho_beta + 2 * (w[p] * xs[p] + w[q] * xs[q])
     return ConformalDegreeTable(xs, sigma, convention, entries)
+
+
+# ---------------------------------------------------------------------------
+# shb problem documents
+
+
+def shb_from_payload(payload: dict) -> SHBSpec:
+    blocks = tuple(
+        StableBlock(
+            tuple(map(int, b["ranks"])), tuple(map(int, b["degrees"])), tag=b.get("tag", "")
+        )
+        for b in payload["blocks"]
+    )
+    return SHBSpec(int(payload["genus"]), blocks)
+
+
+def report(payload: dict, options: dict) -> dict:
+    """The body of an ``shb`` report."""
+    convention = options["convention"] or DEFAULT
+    shb = shb_from_payload(payload)
+    block_ranks = shb.block_ranks()
+    body: dict = {
+        "total_rank": shb.total_rank,
+        "genus": shb.genus,
+        "abelian": shb.abelian,
+        "block_ranks": list(block_ranks),
+    }
+    if shb.total_rank >= 2:
+        body["expected_dim_central_locus"] = expected_dim_central_locus(
+            shb.total_rank, shb.genus
+        )
+    # the full central-locus dimension, read once: the one-part partition's
+    full = partition_dim(PartitionP((tuple(range(shb.k)),)), block_ranks, shb.genus)
+    table = []
+    for p in partitions_with_order(shb).partitions:
+        dim = partition_dim(p, block_ranks, shb.genus)
+        table.append(
+            {
+                "parts": [list(part) for part in p.parts],
+                "dim": dim,
+                "proper": not p.is_trivial,
+                "strictly_below_central": dim < full,
+            }
+        )
+    body["partition_table"] = table
+    if shb.abelian:
+        torus = automorphism_torus(shb)
+        body["automorphism_torus"] = {
+            "rank": torus.rank,
+            "relation_character": list(torus.relation_character),
+            "cocharacter_basis": [list(b) for b in torus.subtorus.basis],
+        }
+        body["positive_slice"] = [
+            {"label": ln.label, "weight": list(ln.weight), "rho": ln.rho}
+            for ln in positive_slice_lines(shb, convention)
+        ]
+        if shb.k >= 2:
+            cyc, verdict = cyclic_phi_weights(shb, convention, torus)
+            body["cyclic_phi"] = {
+                "stability": verdict.stability,
+                "restricted_weights": sorted(
+                    [list(w) for w in cyc.effective_g_weights()]
+                ),
+            }
+    if "x" in payload:
+        # the table reads only the index classes and x, a cocharacter of the
+        # block-scalar torus that every system has
+        table_obj = conformal_degree_table(
+            shb, [int(c) for c in payload["x"]], int(payload.get("sigma", 1)), convention
+        )
+        body["conformal_degrees"] = {
+            f"{cod[0]}.{cod[1]}|{dom[0]}.{dom[1]}": deg
+            for (cod, dom), deg in sorted(table_obj.entries.items())
+        }
+    return body

@@ -11,6 +11,9 @@ infeasible, its Farkas functional made primitive is the unstable certificate.
 
 Graded lines take part through their torus weight only; the grading circle
 never enters a stability decision here.
+
+The last section writes a ``stability`` document's report (report) and
+the certificate that the ``kempf-ness`` report shares.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .polytope import (
     locate,
     solve_mixed_system,
 )
-from .qexact import Lattice, clear_denominators, dot, saturated_kernel
-from .torus_rep import RepVector
+from .qexact import Lattice, clear_denominators, dot, json_rational, saturated_kernel
+from .torus_rep import RepVector, rep_from_payload
 
 if TYPE_CHECKING:
     import numpy as np
@@ -296,3 +299,35 @@ def destabilizer_bruteforce(v: RepVector, box_bound: int = 50):
     # |c| <= |r_1| for each r, so it is the hull of the points c r / r_1,
     # all within M.
     return _first_hit(weights, bound)
+
+
+# ---------------------------------------------------------------------------
+# stability problem documents
+
+
+def certificate_body(res: StabilityResult, emit: bool) -> dict:
+    """res's certificate as a report writes it; {} when emit is off."""
+    if not emit:
+        return {}
+    cert: dict = {"weights": [list(w) for w in res.weights]}
+    if res.combination is not None:
+        cert["combination"] = [json_rational(a) for a in res.combination]
+    if res.flat_lattice is not None:
+        cert["flat_lattice"] = [list(b) for b in res.flat_lattice.basis]
+    if res.cocharacter is not None:
+        cert["cocharacter"] = list(res.cocharacter)
+    return {"certificate": cert}
+
+
+def report(payload: dict, options: dict) -> dict:
+    """The body of a ``stability`` report."""
+    v = rep_from_payload(payload)
+    res = classify(v)
+    body = {"class": res.stability, "certificate_verified": res.verify()}
+    body.update(certificate_body(res, options["emit_certificates"]))
+    box_bound = options["box_bound"]
+    if box_bound is not None:
+        witness = destabilizer_bruteforce(v, box_bound)
+        body["bruteforce_witness"] = None if witness is None else list(witness)
+        body["box_sound"] = witness_bound(res.weights) <= box_bound
+    return body

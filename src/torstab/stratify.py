@@ -43,6 +43,9 @@ only each stage's lines S_n.
 The combinatorial output depends only on which amplitudes are nonzero;
 per-stage Kempf-Ness minimizers (the metric updates) are computed
 separately by stage_kn_minimizers and never feed back into the iteration.
+
+The last section writes a ``stratify`` document's report (report), which
+like stage_kn_minimizers loads the Kempf-Ness layer only when it runs.
 """
 
 from __future__ import annotations
@@ -54,10 +57,10 @@ from typing import TYPE_CHECKING
 from .errors import InternalError, NotStableError, StratifyInternalError, ZeroVectorError
 from .polytope import PolytopeQ, face_combination, ray_entry, solve_mixed_system
 from .qexact import (
-    Lattice, QVec, _echelon, clear_denominators, dot, saturated_kernel, vsub,
+    Lattice, QVec, _echelon, clear_denominators, dot, json_rational, saturated_kernel, vsub,
 )
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult, classify
-from .torus_rep import RepVector, Subtorus
+from .torus_rep import RepVector, Subtorus, rep_from_payload
 
 if TYPE_CHECKING:
     from .kempf_ness import KNResult
@@ -415,3 +418,60 @@ def stage_kn_minimizers(result: StratifyResult,
             rescaled.update(proj.rescale(res.minimizer).amplitudes)
         out.append((res, rescaled))
     return out
+
+
+# ---------------------------------------------------------------------------
+# stratify problem documents
+
+
+def report(payload: dict, options: dict) -> dict:
+    """The body of a ``stratify`` report."""
+    from .kempf_ness import _float_weights, _kn_floats, report_entry
+
+    _float_weights(payload)
+    v = rep_from_payload(payload)
+    torus = None
+    if "subtorus" in payload:
+        rank = int(payload["rank"])
+        torus = Subtorus(
+            rank, Lattice(rank, tuple(tuple(map(int, r)) for r in payload["subtorus"]))
+        )
+    res = stratify(v, torus=torus, sigma_multiple=int(options["sigma_multiple"]))
+    verification = verify_decomposition(res, v)
+    stages = []
+    for st in res.stages:
+        stages.append(
+            {
+                "index": st.index,
+                "torus_basis": [list(b) for b in st.torus.basis],
+                "nu_labels": list(st.nu_labels),
+                "s_labels": list(st.s_labels),
+                "c": json_rational(st.c),
+                "x_stage": [json_rational(c) for c in st.x_stage],
+                "d": st.d,
+            }
+        )
+    body = {
+        "x": list(res.x),
+        "sigma": res.sigma,
+        "num_stages": res.num_stages,
+        "d_ladder": list(res.d_ladder),
+        "stages": stages,
+        "residual_labels": list(res.residual_labels),
+        "exponents": dict(sorted(res.exponents.items())),
+        "tori_dims": [t.dim for t in res.tori],
+        "verification": {
+            "all_ok": verification.all_ok,
+            "checks": [
+                {"name": n, "ok": ok, "detail": d} for n, ok, d in verification.checks
+            ],
+        },
+    }
+    minimizers = []
+    for kn, rescaled in stage_kn_minimizers(res, tol=options["tol"]):
+        entry = report_entry(kn)
+        entry["rescaled_amplitudes"] = {k: [z.real, z.imag] for k, z in sorted(rescaled.items())}
+        _kn_floats(c for z in entry["rescaled_amplitudes"].values() for c in z)
+        minimizers.append(entry)
+    body["stage_minimizers"] = minimizers
+    return body

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, fits
 from .qexact import Lattice, clear_denominators, dot, saturated_kernel
 
 
@@ -209,3 +209,28 @@ class RepVector:
                     a = cmath.rect(_exp(_log_abs(a) + s), cmath.phase(a))
             amps[ln.label] = a
         return RepVector(self.lines, amps)
+
+
+def _amp(value) -> complex:
+    if isinstance(value, list):
+        return complex(value[0], value[1])
+    return complex(value)
+
+
+def rep_from_payload(payload: dict) -> RepVector:
+    """The vector a payload describes; a squared norm or an amplitude too
+    large for a float is refused by its line."""
+    # the schema's integers include integral floats such as 1.0; the exact
+    # layers take ints
+    lines = tuple(
+        WeightLine(
+            ln["label"],
+            tuple(map(int, ln["weight"])),
+            rho=None if ln.get("rho") is None else int(ln["rho"]),
+            norm2=fits(float, ln.get("norm2", 1.0), f"line {ln['label']!r}: norm2"),
+        )
+        for ln in payload["lines"]
+    )
+    amps = {lab: fits(_amp, v, f"amplitude of line {lab!r}")
+            for lab, v in payload["amplitudes"].items()}
+    return RepVector(lines, amps)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -124,6 +125,14 @@ def test_validate_collects_all_errors():
 
 # ---------------------------------------------------------------------------
 # run
+
+
+def test_kinds_are_listed_once():
+    # the schema's kinds are the dispatch table's, in order, and each names
+    # a layer that writes its report
+    assert _load_schema("problem.schema.json")["properties"]["kind"]["enum"] == list(cli.KINDS)
+    for module in cli.KINDS.values():
+        assert callable(importlib.import_module(f"torstab.{module}").report), module
 
 
 def test_run_stability_report():
@@ -300,7 +309,7 @@ def test_float_twin_gives_the_int_documents_report(name, tmp_path, capsys):
 def test_stratify_rejects_each_class_with_the_classification_of_u(doc, stability):
     # the body is what classify says of u restricted to G_0, however the
     # stratification itself would have failed on it
-    from torstab.cli import rep_from_payload
+    from torstab.torus_rep import rep_from_payload
     from torstab.qexact import Lattice
     from torstab.stability import classify
     from torstab.torus_rep import Subtorus
@@ -1327,9 +1336,9 @@ def test_a_functional_value_beyond_the_float_range_is_refused(kind, tmp_path, ca
 
 def test_a_non_finite_report_float_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # Infinity and NaN are not JSON: _dump refuses to write them
-    import torstab.cli as cli
+    import torstab.stability as stability
 
-    monkeypatch.setattr(cli, "_run_stability", lambda *args, **kwargs: {"value": math.inf})
+    monkeypatch.setattr(stability, "report", lambda *args, **kwargs: {"value": math.inf})
     p = tmp_path / "stability.json"
     p.write_text(json.dumps(stability_doc()))
     assert main(["run", "--input", str(p)]) == 1
@@ -1341,11 +1350,11 @@ def test_a_non_finite_report_float_is_an_internal_error(tmp_path, capsys, monkey
 
 def test_a_cyclic_report_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # _dump skips the encoder's cycle check, so a cycle ends in RecursionError
-    import torstab.cli as cli
+    import torstab.stability as stability
 
     body: dict = {}
     body["self"] = body
-    monkeypatch.setattr(cli, "_run_stability", lambda *args, **kwargs: body)
+    monkeypatch.setattr(stability, "report", lambda *args, **kwargs: body)
     p = tmp_path / "stability.json"
     p.write_text(json.dumps(stability_doc()))
     assert main(["run", "--input", str(p)]) == 1

@@ -31,13 +31,14 @@ import copy
 import io
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torstab.cli import main
+from torstab.cli import main, run_document, validate_document
 
 GOLDEN = Path(__file__).parent / "golden"
 KINDS = ("stability", "kempf-ness", "stratify", "shb", "kuranishi")
@@ -96,6 +97,39 @@ def test_golden_report(case, capsys):
     got = json.loads(capsys.readouterr().out)
     assert code == (0 if want["status"] == "ok" else 2)
     assert mismatches(want, got) == []
+
+
+def non_native(value, path="$"):
+    """Where value holds anything whose exact type is not one that json
+    decodes to, such as a tuple, a numpy scalar or a key that is not a str."""
+    if type(value) is dict:
+        keys = [f"{path}: key {k!r}" for k in value if type(k) is not str]
+        return keys + [m for k, v in value.items() for m in non_native(v, f"{path}.{k}")]
+    if type(value) is list:
+        return [m for i, v in enumerate(value) for m in non_native(v, f"{path}[{i}]")]
+    if type(value) in (str, int, float, bool, type(None)):
+        return []
+    return [f"{path}: {type(value).__name__}"]
+
+
+def test_reports_hold_only_json_types():
+    # the goldens compare parsed JSON, which cannot tell a tuple from a list
+    # or a numpy float from a float; --format text and library callers can
+    found = []
+    for case in CASES:  # every golden problem validates
+        doc = validate_document((GOLDEN / f"{case}.problem.json").read_text())
+        report, _ = run_document(doc)
+        found += [f"{case} {m}" for m in non_native(report)]
+    assert found == []
+
+
+def test_non_native_finds_each_foreign_type():
+    import numpy as np
+
+    report = {"a": [1, 2.5, "x", None, True, {"b": []}]}
+    assert non_native(report) == []
+    report = {"a": (1, 2), 1: "k", "b": [np.float64(1.0)], "c": Fraction(1, 2)}
+    assert non_native(report) == ["$: key 1", "$.a: tuple", "$.b[0]: float64", "$.c: Fraction"]
 
 
 def test_mismatches_is_exact_except_floats():

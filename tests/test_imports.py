@@ -1,8 +1,9 @@
 """Import cost follows use.
 
-`torstab.cli` imports each document kind's layer when a document of that
-kind runs, so `import torstab.cli` and `torstab validate` load no analysis
-layer and each kind loads only its own.  The exact layers and `torstab
+Each document kind's analysis layer holds its runner, `report`, and
+`torstab.cli` imports that layer when the first document of its kind runs,
+so `import torstab.cli` and `torstab validate` load no analysis layer and
+each kind loads only its own.  The exact layers and `torstab
 validate`, on valid and on rejected documents, load neither numpy, scipy
 nor jsonschema: numpy arrives with the float diagnostics (Kempf-Ness, the
 Green's operator, the brute-force scan, `torstab gen`), and the library
@@ -293,6 +294,30 @@ def test_a_module_attribute_does_not_call_a_method_of_its_name():
     assert only_tests_call([poset, scan], [script]) == ["PartitionPoset.maximum"]
     method = ast.parse("def top(p):\n    return p.maximum()\n")
     assert only_tests_call([poset, scan], [script, method]) == []
+
+
+# ---------------------------------------------------------------------------
+# no library invariant relies on assert, which python -O removes
+
+
+def asserts(tree: ast.AST) -> list[int]:
+    """The lines of tree's assert statements and of its __debug__ names."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert) or (isinstance(node, ast.Name)
+                                                and node.id == "__debug__")]
+
+
+def test_library_has_no_assert_statement():
+    found = [f"{p.relative_to(ROOT)}:{line}"
+             for p in sorted((ROOT / "src" / "torstab").rglob("*.py"))
+             for line in asserts(ast.parse(p.read_text()))]
+    assert found == []
+
+
+def test_asserts_finds_assert_and_debug():
+    tree = ast.parse("def f(x):\n    assert x > 0\n    if __debug__:\n        return x\n")
+    assert asserts(tree) == [2, 3]
+    assert asserts(ast.parse("def f(x):\n    return x\n")) == []
 
 
 # ---------------------------------------------------------------------------
