@@ -12,10 +12,13 @@ JSON output is JSON Lines: ``run`` writes one compact, key-sorted line per
 input document, in input order, and ``gen`` writes its instance as one such
 line.  Pretty-print it with ``python -m json.tool --json-lines``.
 
-The fixed cost of a document is kept small: an argv that names a command
-first is read by that command's parser directly, not through argparse's
-subparser action; a file is read as bytes and decoded in one step; and one
-JSON decoder and one encoder serve every document.
+The fixed cost of a document is kept small.  Each command's flags are
+declared once, in COMMANDS.  A well-formed argv (a command, then flags
+spelled out in full with their values) is read against that table
+directly, and argparse, built from the same table, reads every other argv
+and writes the help and the errors, so ``import torstab.cli`` and a
+well-formed call load no argparse.  A file is read as bytes and decoded in
+one step, and one JSON decoder and one encoder serve every document.
 
 Each kind's analysis layer holds its runner, report(payload, options),
 and KINDS maps the kind to that layer.  A call loads only the layers its
@@ -32,12 +35,12 @@ so no call loads jsonschema.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from functools import lru_cache
 from importlib import import_module, resources
+from types import SimpleNamespace
 
 from .errors import InternalError, NotStableError, TorstabError, ValidationError, fits
 
@@ -397,57 +400,104 @@ def generate_instance(kind: str, seed: int) -> dict:
 # entry point
 
 
+# Each command's help and flags, read by both of the command parses below.
+# A flag is (flag, dest, type, choices, default, help); type None keeps the
+# string, a default of REQUIRED makes the flag required, and --input takes
+# one or more values where every other flag takes one.
+REQUIRED = object()
+COMMANDS = {
+    "run": ("validate and analyze problem files", (
+        ("--input", "input", None, None, REQUIRED, "problem JSON files"),
+        ("--format", "format", None, ("json", "text"), "json", None),
+        ("--tol", "tol", float, None, 1e-10, None),
+        ("--seed", "seed", int, None, 0, None),
+        ("--convention", "convention", None, ("default", "flipped"), None, None),
+        ("--emit-certificates", "emit_certificates", None, ("true", "false"), "true", None),
+        ("--box-bound", "box_bound", int, None, None,
+         "also run the brute-force destabilizer scan"),
+    )),
+    "validate": ("validate problem files only", (
+        ("--input", "input", None, None, REQUIRED, None),
+    )),
+    "gen": ("emit one seeded random problem instance", (
+        ("--kind", "kind", None, tuple(KINDS), REQUIRED, None),
+        ("--seed", "seed", int, None, 0, None),
+        ("--out", "out", None, None, None, "write the instance here"),
+    )),
+}
+_FLAGS = {command: {f[0]: f for f in flags} for command, (_, flags) in COMMANDS.items()}
+
+
 @lru_cache(maxsize=1)
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each command, built once."""
+def _parser():
+    """The argparse parser of COMMANDS, built once; it reads every argv
+    that _read_argv declines, and writes the help and the errors."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="torstab",
         description="stability, Kempf-Ness, stratification, Hodge-bundle "
         "combinatorics, and graded Kuranishi analysis on JSON problem files",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    runp = sub.add_parser("run", help="validate and analyze problem files")
-    runp.add_argument("--input", nargs="+", required=True, help="problem JSON files")
-    runp.add_argument("--format", choices=["json", "text"], default="json")
-    runp.add_argument("--tol", type=float, default=1e-10)
-    runp.add_argument("--seed", type=int, default=0)
-    runp.add_argument("--convention", choices=["default", "flipped"], default=None)
-    runp.add_argument(
-        "--emit-certificates", choices=["true", "false"], default="true"
-    )
-    runp.add_argument("--box-bound", type=int, default=None,
-                      help="also run the brute-force destabilizer scan")
-
-    valp = sub.add_parser("validate", help="validate problem files only")
-    valp.add_argument("--input", nargs="+", required=True)
-
-    genp = sub.add_parser("gen", help="emit one seeded random problem instance")
-    genp.add_argument("--kind", required=True,
-                      choices=list(KINDS))
-    genp.add_argument("--seed", type=int, default=0)
-    genp.add_argument("--out", default=None, help="write the instance here")
-    return ap, {"run": runp, "validate": valp, "gen": genp}
+    for command, (about, flags) in COMMANDS.items():
+        parser = sub.add_parser(command, help=about)
+        for flag, dest, type_, choices, default, help_text in flags:
+            required = default is REQUIRED
+            parser.add_argument(flag, dest=dest, type=type_, choices=choices,
+                                nargs="+" if flag == "--input" else None,
+                                required=required, default=None if required else default,
+                                help=help_text)
+    return ap
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """The top-level parser's parse_args(argv): the same result, messages
-    and exits.
-    When argv names a command first, that command's parser reads the rest
-    directly: argparse's way, through the subparser action, passes over the
-    arguments twice.  Arguments the command does not know are refused by
-    the top-level parser, as argparse refuses them; any other argv (none,
-    -h, an unknown command) takes the full parse."""
+def _read_argv(argv):
+    """argv read against COMMANDS as argparse reads it, when it is well
+    formed: a command, then flags spelled out in full, each followed by its
+    values, none of which starts with "-".  Returns None for any argv it
+    does not read completely: an abbreviated flag, --flag=value, -h, --, a
+    value starting with "-", a value its type refuses or outside its
+    choices, a missing required flag, or an unknown command or token."""
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    values = {}
+    i, n = 1, len(argv)
+    while i < n:
+        flag = flags.get(argv[i])
+        if flag is None:
+            return None
+        name, dest, type_, choices, _, _ = flag
+        many = name == "--input"
+        j = i + 1
+        while j < n and argv[j][:1] != "-" and (many or j == i + 1):
+            j += 1
+        if j == i + 1:
+            return None
+        try:
+            read = [v if type_ is None else type_(v) for v in argv[i + 1:j]]
+        except ValueError:
+            return None
+        if choices is not None and read[0] not in choices:
+            return None
+        values[dest] = read if many else read[0]
+        i = j
+    args = {"command": argv[0]}
+    for _, dest, _, _, default, _ in flags.values():
+        args[dest] = values.get(dest, default)
+        if args[dest] is REQUIRED:
+            return None
+    return SimpleNamespace(**args)
+
+
+def _parse_args(argv):
+    """What the top-level argparse parser's parse_args(argv) returns, or
+    the help or error it writes and the exit it takes.  A well-formed argv
+    is read by _read_argv, without argparse; any other goes to argparse."""
     if argv is None:
         argv = sys.argv[1:]
-    ap, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return ap.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        ap.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = _read_argv(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

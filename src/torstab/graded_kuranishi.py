@@ -83,7 +83,9 @@ class GradedComplex:
             n2 = self.dims[g1 + g2][2]
             if t.shape != (n2, self.dims[g1][1], self.dims[g2][1]):
                 raise ValueError(f"bracket tensor shape mismatch at ({g1}, {g2})")
-            if not np.array_equal(t, np.transpose(partner, (0, 2, 1))):
+            # an empty tensor equals its partner's transpose when the shapes do
+            if partner.shape != (n2, self.dims[g2][1], self.dims[g1][1]) or (
+                    t.size and not np.array_equal(t, np.transpose(partner, (0, 2, 1)))):
                 raise ValidationError([f"bracket not symmetric at ({g1}, {g2})"])
 
     def n1(self, g) -> int:
@@ -149,8 +151,11 @@ def greens_operator(cx: GradedComplex) -> GreensOperator:
     ambiguous = False
     for g in cx.grades:
         n2 = cx.n2(g)
-        half = 0.5 * cx.d1[g]
-        scale = np.abs(half).max(initial=0.0)
+        d1 = cx.d1[g]
+        scale = 0.0
+        if d1.size:
+            half = 0.5 * d1
+            scale = np.abs(half).max()
         if scale == 0:
             pinv[g] = np.zeros((cx.n1(g), n2), dtype=complex)
             harm[g] = np.eye(n2, dtype=complex)
@@ -215,6 +220,10 @@ def obstruction(cx: GradedComplex, x: GVec, greens: GreensOperator) -> GVec:
 
 
 def _int_matrix(rng, rows, cols, lo=-2, hi=3):
+    """A rows x cols int64 matrix of entries drawn from [lo, hi); an empty
+    one draws nothing, which leaves rng's stream as a zero-size draw does."""
+    if not rows or not cols:
+        return np.zeros((rows, cols), dtype=np.int64)
     return rng.integers(lo, hi, size=(rows, cols))
 
 
@@ -240,9 +249,7 @@ def random_graded_complex(rng, grades=(1, 2, 3, 4), max_dim=5):
         m = _int_matrix(rng, n2, n1)
         ker = _integer_kernel_matrix(m)
         n0 = int(rng.integers(0, ker.shape[1] + 1))
-        mix = _int_matrix(rng, ker.shape[1], n0, lo=-1, hi=2) if n0 else np.zeros(
-            (ker.shape[1], 0), dtype=np.int64
-        )
+        mix = _int_matrix(rng, ker.shape[1], n0, lo=-1, hi=2)
         dims[g] = (n0, n1, n2)
         d1[g] = m.astype(complex)
         d0[g] = (ker @ mix).astype(complex)
@@ -252,16 +259,17 @@ def random_graded_complex(rng, grades=(1, 2, 3, 4), max_dim=5):
             if a > b or (a + b) not in dims:
                 continue
             n2 = dims[a + b][2]
-            t = _int_matrix(rng, n2 * dims[a][1], dims[b][1]).reshape(
-                n2, dims[a][1], dims[b][1]
-            )
-            t = np.where(rng.random(t.shape) < 0.6, t, 0)  # sparse brackets
-            if a == b:
-                t = t + np.transpose(t, (0, 2, 1))
-                bracket[(a, a)] = t.astype(complex)
-            else:
+            shape = (n2, dims[a][1], dims[b][1])
+            if n2:
+                t = _int_matrix(rng, n2 * shape[1], shape[2]).reshape(shape)
+                t = np.where(rng.random(shape) < 0.6, t, 0)  # sparse brackets
+                if a == b:
+                    t = t + np.transpose(t, (0, 2, 1))
                 t = t.astype(complex)
-                bracket[(a, b)] = t
+            else:  # an empty tensor draws nothing, as its zero-size draws would
+                t = np.zeros(shape, dtype=complex)
+            bracket[(a, b)] = t
+            if a != b:
                 bracket[(b, a)] = np.transpose(t, (0, 2, 1))
     return GradedComplex(grades, dims, d0, d1, bracket)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ValidationError
 from .qexact import Lattice, dot, rational_rank
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult, certificate_body, classify
-from .torus_rep import RepVector, _exp, log_sum_exp, rep_from_payload
+from .torus_rep import RepVector, _exp, _float_weights, log_sum_exp, rep_from_payload
 
 CONVERGED = "Converged"
 DIVERGING = "Diverging"
@@ -291,19 +291,6 @@ def _cholesky_solve(lower, rhs):
 
 # ---------------------------------------------------------------------------
 # kempf-ness problem documents
-
-# every integer of absolute value at most 2**53 is exactly a float
-_FLOAT_EXACT = 2**53
-
-
-def _float_weights(payload: dict) -> None:
-    """Refuse, by line, a weight that the Kempf-Ness layer cannot read as a
-    float exactly; the exact layers read weights as ints and need no such
-    check."""
-    for ln in payload["lines"]:
-        if any(abs(c) > _FLOAT_EXACT for c in ln["weight"]):
-            raise ValidationError([f"line {ln['label']!r}: weight is too large for a float"])
-
 
 def _kn_floats(values) -> None:
     """Refuse a Kempf-Ness report whose numbers a float cannot hold: the

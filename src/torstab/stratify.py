@@ -60,7 +60,7 @@ from .qexact import (
     Lattice, QVec, _echelon, clear_denominators, dot, json_rational, saturated_kernel, vsub,
 )
 from .stability import POLYSTABLE_NOT_STABLE, STABLE, StabilityResult, classify
-from .torus_rep import RepVector, Subtorus, rep_from_payload
+from .torus_rep import RepVector, Subtorus, _float_weights, rep_from_payload
 
 if TYPE_CHECKING:
     from .kempf_ness import KNResult
@@ -425,9 +425,9 @@ def stage_kn_minimizers(result: StratifyResult,
 
 
 def report(payload: dict, options: dict) -> dict:
-    """The body of a ``stratify`` report."""
-    from .kempf_ness import _float_weights, _kn_floats, report_entry
-
+    """The body of a ``stratify`` report.  The Kempf-Ness layer, and with it
+    numpy, is loaded for the stage minimizers only, so a document that
+    stratify refuses loads neither."""
     _float_weights(payload)
     v = rep_from_payload(payload)
     torus = None
@@ -467,6 +467,8 @@ def report(payload: dict, options: dict) -> dict:
             ],
         },
     }
+    from .kempf_ness import _kn_floats, report_entry
+
     minimizers = []
     for kn, rescaled in stage_kn_minimizers(res, tol=options["tol"]):
         entry = report_entry(kn)

@@ -217,6 +217,20 @@ def _amp(value) -> complex:
     return complex(value)
 
 
+# every integer of absolute value at most 2**53 is exactly a float
+_FLOAT_EXACT = 2**53
+
+
+def _float_weights(payload: dict) -> None:
+    """Refuse, by line, a weight that the Kempf-Ness layer cannot read as a
+    float exactly; the exact layers read weights as ints and need no such
+    check.  A kempf-ness or stratify report makes it first, before the
+    vector is built."""
+    for ln in payload["lines"]:
+        if any(abs(c) > _FLOAT_EXACT for c in ln["weight"]):
+            raise ValidationError([f"line {ln['label']!r}: weight is too large for a float"])
+
+
 def rep_from_payload(payload: dict) -> RepVector:
     """The vector a payload describes; a squared norm or an amplitude too
     large for a float is refused by its line."""

@@ -1,4 +1,7 @@
+import contextlib
 import importlib
+import importlib.util
+import io
 import json
 import math
 import os
@@ -27,7 +30,8 @@ from torstab.errors import InternalError, TorstabError, ValidationError
 from torstab.graded_kuranishi import MAX_COMPLEX_DIM, MAX_COMPLEX_GRADES
 from torstab.polytope import OUTSIDE
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 @lru_cache(maxsize=1)
@@ -904,7 +908,8 @@ def test_unwritable_gen_out_is_a_write_error(tmp_path, capsys):
 
 
 # the command parse reads argv as the top-level parser's parse_args does,
-# in this interpreter, whose argparse words its messages in its own way
+# in this interpreter, whose argparse words its messages in its own way: a
+# well-formed argv through cli._read_argv, any other through argparse
 
 VALID_ARGV = [
     ["run", "--input", "a.json", "b.json", "--format", "text", "--tol", "1e-8", "--seed", "3",
@@ -935,14 +940,17 @@ DASHES_ARGV = [
 ]
 
 
-def parsed(parse, argv, capsys):
-    """vars() of parse(argv), or the code it exits with, and what it printed."""
-    try:
-        result = vars(parse(argv))
-    except SystemExit as exc:
-        result = exc.code
-    captured = capsys.readouterr()
-    return result, captured.out, captured.err
+def parsed(parse, argv):
+    """The sorted vars() of parse(argv), each value by its repr (a nan
+    equals itself only so), or the code it exits with, and what it
+    printed to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = sorted((k, repr(v)) for k, v in vars(parse(argv)).items())
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 def argv_id(argv):
@@ -950,21 +958,85 @@ def argv_id(argv):
 
 
 @pytest.mark.parametrize("argv", VALID_ARGV + INVALID_ARGV + DASHES_ARGV, ids=argv_id)
-def test_command_parse_matches_argparse(argv, capsys):
-    ours = parsed(cli._parse_args, argv, capsys)
-    assert ours == parsed(cli._parsers()[0].parse_args, argv, capsys)
+def test_command_parse_matches_argparse(argv):
+    ours = parsed(cli._parse_args, argv)
+    assert ours == parsed(cli._parser().parse_args, argv)
     if argv in VALID_ARGV:
-        assert isinstance(ours[0], dict)
+        assert isinstance(ours[0], list)
     elif argv in INVALID_ARGV:
         assert ours[0] == (0 if "-h" in argv else 2)
+    # the abbreviated --inp takes argparse's way
+    assert (cli._read_argv(argv) is not None) == (argv in VALID_ARGV and "--inp" not in argv)
 
 
 @pytest.mark.parametrize("argv", [VALID_ARGV[0], ["run", "--input", "a.json", "--bogus"]],
                          ids=argv_id)
-def test_command_parse_reads_sys_argv(argv, monkeypatch, capsys):
+def test_command_parse_reads_sys_argv(argv, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["torstab", *argv])
-    reference = cli._parsers()[0].parse_args
-    assert parsed(cli._parse_args, None, capsys) == parsed(reference, None, capsys)
+    assert parsed(cli._parse_args, None) == parsed(cli._parser().parse_args, None)
+
+
+# tokens an argv is drawn from: each command's flags in full, abbreviated
+# and with "=value", values each flag accepts, values outside a flag's type
+# or choices, and tokens that argparse reads in its own way
+FLAG_TOKENS = sorted({tok for _, flags in cli.COMMANDS.values() for f in flags
+                      for tok in (f[0], f[0][:5], f[0] + "=3", f[0] + "=a.json")})
+ODD_TOKENS = ["run", "validate", "gen", "check", "", "-", "--", "-h", "--help", "-1", " 7", "1_0",
+              "1.5", "nan", "xml", "--bogus"]
+ACCEPTED = {int: ["3", "0", " 7", "1_0"], float: ["1e-8", "3", "nan", " 7"],
+            None: ["a.json", "b.json", "", "x y"]}
+
+
+def accepted(flag):
+    return list(flag[3] or ACCEPTED[flag[2]])
+
+
+@st.composite
+def argvs(draw):
+    """A command and groups of one of its flags and values it accepts
+    (one, or one or two for --input); in about half of them, one or two
+    tokens then replace a token or are put in, drawn from FLAG_TOKENS,
+    ODD_TOKENS or the values of every flag."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(cli.COMMANDS[command][1]), max_size=5)):
+        count = draw(st.integers(1, 2)) if flag[0] == "--input" else 1
+        argv += [flag[0], *(draw(st.sampled_from(accepted(flag))) for _ in range(count))]
+    every_value = [v for _, flags in cli.COMMANDS.values() for f in flags for v in accepted(f)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        token = draw(st.sampled_from(FLAG_TOKENS + ODD_TOKENS + every_value))
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [token]
+    return argv
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(argvs())
+def test_command_parse_matches_argparse_on_drawn_argv(argv):
+    assert parsed(cli._parse_args, argv) == parsed(cli._parser().parse_args, argv)
+
+
+def script_module(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_and_scripts_argv_take_the_direct_read(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "torbench"))
+    gen = importlib.import_module("gen")
+    forms = {("run", "--input", "doc.json", *d.argv)
+             for make in gen.GENERATORS.values() for d in make(1)}
+    assert ("run", "--input", "doc.json", "--box-bound", "50") in forms
+    # scripts/corpus_digest.py runs the workloads' forms and writes with gen
+    forms.add(("gen", "--kind", "stratify", "--seed", "7", "--out", "doc.json"))
+    cold_start = script_module("cold_start")
+    forms.update(tuple(cold_start.call_argv(call)) for call in cold_start.CASES.values() if call)
+    for argv in map(list, forms):
+        args = cli._read_argv(argv)
+        assert args is not None, argv
+        assert parsed(lambda _: args, argv) == parsed(cli._parser().parse_args, argv)
 
 
 # a problem file is read as bytes and parsed by a reused decoder; the

@@ -179,6 +179,28 @@ def test_complex_validation_rejects_asymmetric_bracket():
         GradedComplex((1, 2), dims, d0, d1, {(1, 1): t})
 
 
+def test_an_empty_bracket_tensor_must_match_its_partners_shape():
+    dims = {1: (0, 2, 0), 2: (0, 1, 0), 3: (0, 1, 0)}
+    zero = {g: np.zeros((n2, n1)) for g, (_, n1, n2) in dims.items()}
+    d0 = {g: np.zeros((n1, 0)) for g, (_, n1, _) in dims.items()}
+    t = np.zeros((0, 2, 1), dtype=complex)
+    GradedComplex((1, 2, 3), dims, d0, zero, {(1, 2): t, (2, 1): np.zeros((0, 1, 2))})
+    with pytest.raises(ValueError, match="symmetric"):
+        GradedComplex((1, 2, 3), dims, d0, zero, {(1, 2): t, (2, 1): np.zeros((0, 2, 1))})
+
+
+def test_zero_size_draws_leave_the_generators_stream_unchanged():
+    # random_graded_complex skips the draws of an empty block, which keeps
+    # every seed's complex as long as a zero-size draw consumes nothing
+    rng = np.random.default_rng(7)
+    assert rng.integers(-2, 3, size=(0, 4)).shape == (0, 4)
+    assert rng.integers(-2, 3, size=(3, 0)).shape == (3, 0)
+    assert rng.random((0, 2, 3)).shape == (0, 2, 3)
+    fresh = np.random.default_rng(7)
+    assert np.array_equal(rng.integers(-2, 3, size=(4, 5)), fresh.integers(-2, 3, size=(4, 5)))
+    assert np.array_equal(rng.random((2, 3)), fresh.random((2, 3)))
+
+
 def test_random_complexes_validate():
     rng = np.random.default_rng(0)
     for _ in range(30):

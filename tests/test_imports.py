@@ -8,8 +8,9 @@ validate`, on valid and on rejected documents, load neither numpy, scipy
 nor jsonschema: numpy arrives with the float diagnostics (Kempf-Ness, the
 Green's operator, the brute-force scan, `torstab gen`), and the library
 imports neither scipy nor jsonschema, which only the tests and the
-benchmark use.  Each check runs in a fresh interpreter, since this test
-process has long loaded all three.
+benchmark use.  argparse is loaded only to write help or an error, or to
+read an argv that the front end's own reader declines.  Each check runs in
+a fresh interpreter, since this test process has long loaded all of these.
 `tests/test_cli.py::test_cli_import_leaves_out_scipy_linalg` checks that
 `import torstab.cli` alone loads none of them."""
 
@@ -162,6 +163,41 @@ def test_float_kinds_load_numpy_only():
     for kind in ("kempf-ness", "stratify", "kuranishi"):
         path = goldens(kind)[0]
         assert main_in_fresh_interpreter(["run", "--input", path]) == (0, ["numpy"]), kind
+
+
+def test_refused_stratify_document_loads_no_numpy(tmp_path):
+    # the Kempf-Ness layer is loaded for the stage minimizers, which a
+    # vector that is not stable never reaches
+    doc = {"schema_version": "1", "kind": "stratify",
+           "payload": {"rank": 1, "lines": [{"label": "a", "weight": [1], "rho": 1},
+                                            {"label": "b", "weight": [2], "rho": 1}],
+                       "amplitudes": {"a": 1.0, "b": 1.0}}}
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(doc))
+    assert main_in_fresh_interpreter(["run", "--input", str(path)]) == (2, [])
+
+
+# `torstab.cli.main(argv)` with its output swallowed; prints the exit code
+# and whether argparse is loaded after the import and after the call
+ARGPARSE = """
+import contextlib, io, json, sys
+import torstab.cli
+imported = "argparse" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = torstab.cli.main(json.loads(sys.argv[1]))
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([imported, code, "argparse" in sys.modules]))
+"""
+
+
+def test_argparse_is_loaded_only_for_help_and_errors():
+    golden = goldens("stability")[0]
+    for argv, loaded in ((["run", "--input", golden], False),
+                         (["run", "-h"], True),
+                         (["run", "--inp", golden], True)):
+        assert json.loads(fresh(ARGPARSE, json.dumps(argv))) == [False, 0, loaded], argv
 
 
 @pytest.mark.parametrize("case", sorted(LOADED))
